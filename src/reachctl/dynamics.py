@@ -18,8 +18,8 @@ from .matrices import (
     DEFAULT_TOL,
     Tolerance,
     canonical_skew_eigensystem,
-    matrix_exp,
-    skew_eigensystem,
+    is_skew_hermitian,
+    segment_eigensystems,
     square_matrix,
 )
 
@@ -33,6 +33,7 @@ __all__ = [
     "diagonalize_drift",
     "drift_hamiltonian",
     "realify",
+    "forward_pass",
     "propagate",
     "propagate_operator",
     "recurrence_scan",
@@ -41,16 +42,8 @@ __all__ = [
 # Membership in the unit sphere is enforced to this absolute tolerance.
 SPHERE_TOL = 1e-9
 
-
-def _require_skew(M: np.ndarray, name: str, tol: Tolerance) -> None:
-    deviation = np.abs(M + M.conj().T)
-    worst = float(deviation.max())
-    scale = max(1.0, float(np.abs(M).max()))
-    if worst > tol.skew_tol * scale:
-        i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-        raise ValueError(
-            f"{name} is not skew-Hermitian: max violation {worst:.3e} at entry ({i}, {j})"
-        )
+# Segments per stacked eigendecomposition; bounds memory on long schedules.
+SEGMENT_BLOCK = 64
 
 
 @dataclass
@@ -96,9 +89,8 @@ class ControlSystem:
         B = square_matrix(self.B, "B")
         if A.shape != B.shape:
             raise ValueError(f"A and B must have equal shapes, got {A.shape} and {B.shape}")
-        tol = DEFAULT_TOL
-        _require_skew(A, "A", tol)
-        _require_skew(B, "B", tol)
+        is_skew_hermitian(A, DEFAULT_TOL, "A")
+        is_skew_hermitian(B, DEFAULT_TOL, "B")
         self.A = A
         self.B = B
 
@@ -231,7 +223,7 @@ def diagonalize_drift(A, tol: Tolerance | None = None) -> DriftSpectrum:
     """
     tol = tol or DEFAULT_TOL
     M = square_matrix(A, "A")
-    _require_skew(M, "A", tol)
+    is_skew_hermitian(M, tol, "A")
     omega, V = canonical_skew_eigensystem(M)
     return DriftSpectrum(lambdas=omega, U=V)
 
@@ -251,6 +243,23 @@ def drift_hamiltonian(spectrum: DriftSpectrum, s: StateVector) -> float:
 def realify(s: StateVector) -> np.ndarray:
     """View the state as a real 2n-vector ``(a_1..a_n, b_1..b_n)``, ``c_k = a_k + i b_k``."""
     return np.concatenate((s.c.real, s.c.imag))
+
+
+def forward_pass(sys: ControlSystem, durations: np.ndarray, values: np.ndarray, c: np.ndarray) -> tuple:
+    """``(omega, V, coords, ends)``: segment eigensystems and the states they carry ``c`` through.
+
+    ``coords[j] = V_j^dagger c_{j-1}`` and ``ends[j] = c_j = V_j (exp(i omega_j dt_j) *
+    coords[j])`` with ``c_{-1} = c``.  States cross segments only here, in :func:`propagate`
+    and the steering objective alike, so certificates re-check bit for bit.
+    """
+    omega, V = segment_eigensystems(sys.A, sys.B, values)
+    phases = np.exp(1j * omega * durations[:, None])
+    coords = np.empty_like(phases)
+    ends = np.empty_like(phases)
+    for j in range(durations.size):
+        coords[j] = V[j].conj().T @ c
+        c = ends[j] = V[j] @ (phases[j] * coords[j])
+    return omega, V, coords, ends
 
 
 def propagate(
@@ -274,38 +283,41 @@ def propagate(
     """
     if int(samples_per_segment) != samples_per_segment or samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be a positive integer, got {samples_per_segment}")
-    samples_per_segment = int(samples_per_segment)
+    k = int(samples_per_segment)
     if sys.n != s0.n:
         raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
 
-    times = [0.0]
-    states = [s0.c.copy()]
-    c = s0.c
-    t = 0.0
-    for dur, val in zip(sched.durations, sched.values):
-        omega, V = skew_eigensystem(sys.A + val * sys.B)
-        d = V.conj().T @ c
-        for step in range(1, samples_per_segment + 1):
-            tau = dur * step / (samples_per_segment + 1)
-            states.append(V @ (np.exp(1j * omega * tau) * d))
-            times.append(t + tau)
-        c = V @ (np.exp(1j * omega * dur) * d)
-        states.append(c)
-        t = t + dur
-        times.append(t)
-    return Trajectory(times=np.array(times), states=np.array(states))
+    durations = sched.durations
+    t_end = np.cumsum(durations)
+    t_start = np.concatenate(([0.0], t_end[:-1]))
+    taus = durations[:, None] * np.arange(1, k + 1) / (k + 1)
+    times = np.concatenate(([0.0], np.column_stack((t_start[:, None] + taus, t_end)).ravel()))
+    states = np.empty((times.size, sys.n), dtype=complex)
+    states[0] = s0.c
+    grid = states[1:].reshape(sched.n_segments, k + 1, sys.n)
+    for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
+        part = slice(lo, lo + SEGMENT_BLOCK)
+        omega, V, coords, ends = forward_pass(sys, durations[part], sched.values[part], states[lo * (k + 1)])
+        inner = np.exp(1j * omega[:, None, :] * taus[part, :, None]) * coords[:, None, :]
+        grid[part, :k] = np.matmul(V[:, None], inner[..., None])[..., 0]
+        grid[part, k] = ends
+    return Trajectory(times=times, states=states)
 
 
 def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray:
     """Propagator ``U(T)``: the ordered product of segment exponentials.
 
-    Later segments multiply on the left, and ``U(0) = I``.  Each factor is a
-    unitary exponential of a skew-Hermitian generator, so the product is
-    unitary to rounding.
+    Later segments multiply on the left, and ``U(0) = I``.  Each factor
+    ``V diag(exp(i omega dt)) V^dagger`` is unitary to rounding, so the
+    product is too.
     """
     U = np.eye(sys.n, dtype=complex)
-    for dur, val in zip(sched.durations, sched.values):
-        U = matrix_exp(sys.A + val * sys.B, dur) @ U
+    for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
+        part = slice(lo, lo + SEGMENT_BLOCK)
+        omega, V = segment_eigensystems(sys.A, sys.B, sched.values[part])
+        phases = np.exp(1j * sched.durations[part, None] * omega)
+        for F in (V * phases[:, None, :]) @ V.conj().transpose(0, 2, 1):
+            U = F @ U
     return U
 
 
@@ -346,10 +358,10 @@ def recurrence_scan(
     reports the first scanned time.  Returns None when no return shows up
     before ``t_max`` -- absence is a valid outcome, not an error.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not (0.0 < dt < t_max):
-        raise ValueError(f"need 0 < dt < t_max, got dt={dt}, t_max={t_max}")
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (0.0 < dt < t_max and np.isfinite(t_max / dt)):
+        raise ValueError(f"need finite 0 < dt < t_max, got dt={dt}, t_max={t_max}")
     if sys.n != s0.n:
         raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
 

@@ -235,6 +235,7 @@ def certificate_payload(cert: ReachabilityCertificate) -> dict:
         "converged": bool(cert.converged),
         "iterations_used": int(cert.iterations_used),
         "restart_index": int(cert.restart_index),
+        "stop_reason": cert.stop_reason,
     }
 
 

@@ -117,8 +117,7 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
     for k, g in enumerate(gens):
         if g.shape != (n, n):
             raise ValueError(f"generator {k} has shape {g.shape}, expected {(n, n)}")
-        if not is_skew_hermitian(g, tol):
-            raise ValueError(f"generator {k} is not skew-Hermitian")
+        is_skew_hermitian(g, tol, f"generator {k}")
 
     cap = n * n
     elements: list = []

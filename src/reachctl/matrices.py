@@ -25,6 +25,7 @@ __all__ = [
     "frobenius_inner",
     "matrix_exp",
     "skew_eigensystem",
+    "segment_eigensystems",
     "canonical_skew_eigensystem",
 ]
 
@@ -78,18 +79,24 @@ def square_matrix(X, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def is_skew_hermitian(X, tol: Tolerance | None = None) -> bool:
+def is_skew_hermitian(X, tol: Tolerance | None = None, name: str | None = None) -> bool:
     """Test whether ``X + X^dagger`` vanishes to within ``skew_tol``.
 
     The deviation is measured in the max-entry norm, relative to
     ``max(1, max-entry norm of X)`` so the verdict does not change under
-    rescaling.
+    rescaling.  Given a ``name``, a failing ``X`` raises ValueError naming it,
+    the worst violation and its entry, instead of returning False.
     """
     tol = tol or DEFAULT_TOL
     M = square_matrix(X)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    deviation = float(np.max(np.abs(M + M.conj().T)))
-    return deviation <= tol.skew_tol * scale
+    deviation = np.abs(M + M.conj().T)
+    worst = float(np.max(deviation))
+    if worst <= tol.skew_tol * max(1.0, float(np.max(np.abs(M)))):
+        return True
+    if name is not None:
+        i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+        raise ValueError(f"{name} is not skew-Hermitian: max violation {worst:.3e} at entry ({i}, {j})")
+    return False
 
 
 def bracket(X, Y) -> np.ndarray:
@@ -134,6 +141,15 @@ def skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
     """
     H = 1j * square_matrix(X)
     h, V = np.linalg.eigh(H)  # ascending h; omega = -h comes out descending
+    return -h, V
+
+
+def segment_eigensystems(A: np.ndarray, B: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``skew_eigensystem`` of each ``A + values[j] * B``, bit for bit, in one stacked ``eigh``.
+
+    Returns ``omega[m, n]`` and ``V[m, n, n]``; ``A`` and ``B`` are a validated ``ControlSystem`` pair.
+    """
+    h, V = np.linalg.eigh(1j * (A + values[:, None, None] * B))
     return -h, V
 
 

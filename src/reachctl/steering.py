@@ -3,10 +3,10 @@
 This is the constructive companion to the orbit analysis: given a target that
 lies on the orbit, a multi-start gradient optimizer over piecewise-constant
 schedules produces a concrete control witnessing reachability, with exact
-segment-wise derivatives read off an augmented block exponential.  A
-certificate that fails to converge is a flagged optimizer failure and nothing
-more -- reachability of orbit points is a theorem, so non-convergence is
-never evidence against it.
+segment-wise derivatives taken in the segment eigenbases of the forward pass
+that the objective has already computed.  A certificate that fails to
+converge is a flagged optimizer failure and nothing more -- reachability of
+orbit points is a theorem, so non-convergence is never evidence against it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlSchedule, ControlSystem, StateVector
+from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
 from .lie import closure
-from .matrices import DEFAULT_TOL, Tolerance, skew_eigensystem
+from .matrices import DEFAULT_TOL, Tolerance
 from .orbit import sample_orbit
 
 __all__ = [
@@ -60,8 +60,8 @@ class SteeringConfig:
             raise ValueError(f"restarts must be a positive integer, got {self.restarts}")
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
-        if not (self.target_distance > 0):
-            raise ValueError(f"target_distance must be positive, got {self.target_distance}")
+        if not (0 < self.target_distance < np.inf):
+            raise ValueError(f"target_distance must be positive and finite, got {self.target_distance}")
 
 
 @dataclass
@@ -70,7 +70,9 @@ class ReachabilityCertificate:
 
     ``converged`` means ``achieved_distance <= target_distance``; the
     schedule can be re-propagated by anyone to check the claim, which makes
-    certificates self-verifying.
+    certificates self-verifying.  ``stop_reason`` says why the winning
+    restart stopped: ``"converged"``, ``"max_iterations"``,
+    ``"zero_gradient"`` or ``"line_search_exhausted"``.
     """
 
     schedule: ControlSchedule
@@ -78,6 +80,7 @@ class ReachabilityCertificate:
     converged: bool
     iterations_used: int
     restart_index: int
+    stop_reason: str
 
 
 def _raw_distance(c: np.ndarray, t: np.ndarray, phase_sensitive: bool) -> float:
@@ -100,79 +103,47 @@ def distance(s: StateVector, target: StateVector, phase_sensitive: bool = True) 
     return _raw_distance(s.c, target.c, phase_sensitive)
 
 
-def _final_state(A: np.ndarray, B: np.ndarray, durations: np.ndarray, values: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    # Same arithmetic as the endpoint path of dynamics.propagate, so a
-    # certificate's distance re-checks bit-for-bit against a re-propagation.
-    c = c0
-    for dur, val in zip(durations, values):
-        omega, V = skew_eigensystem(A + val * B)
-        d = V.conj().T @ c
-        c = V @ (np.exp(1j * omega * dur) * d)
-    return c
-
-
-def _frechet_block(omega: np.ndarray, V: np.ndarray, B: np.ndarray, dt: float) -> np.ndarray:
-    # Top-right block of exp([[dt G, dt B], [0, dt G]]) for G = V diag(i omega) V^dagger,
-    # evaluated in closed form in the eigenbasis of G: entry (k, l) of the
-    # transformed B picks up the divided difference of exp along (i omega_k,
-    # i omega_l), written in its cancellation-free sinc form.
-    Bt = V.conj().T @ B @ V
-    mean = omega[:, None] + omega[None, :]
-    gap = omega[:, None] - omega[None, :]
-    phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
-    return V @ (phi * Bt) @ V.conj().T
-
-
 def gradient(
     sys: ControlSystem,
     sched: ControlSchedule,
     s0: StateVector,
     target: StateVector,
     phase_sensitive: bool = True,
+    forward: tuple | None = None,
 ) -> np.ndarray:
     """Exact derivative of the terminal distance in each segment's control value.
 
-    The directional derivative of ``exp(dt (A + eps B))`` in ``eps`` is the
-    top-right block of the exponential of the doubled matrix
-    ``[[dt (A + eps B), dt B], [0, dt (A + eps B)]]``; that block is
-    evaluated in closed form in the segment generator's eigenbasis and
-    chain-ruled through the segment product, so the gradient is machine
-    accurate with no finite-difference step to tune.
+    With ``A + eps_j B = V_j diag(i omega_j) V_j^dagger`` the derivative of
+    ``exp(dt_j (A + eps_j B))`` in ``eps_j`` is ``V_j (phi_j * V_j^dagger B V_j)
+    V_j^dagger``, ``phi_j`` holding the divided differences of ``exp(dt_j z)``
+    over pairs of ``i omega_j`` in sinc form (GRAPE in DYNAMO's form).  It is
+    stacked over segments; only the adjoint's backward sweep loops.  ``forward``
+    may pass in the :func:`forward_pass` of ``sched`` from ``s0``.
     """
     if sys.n != s0.n or sys.n != target.n:
         raise ValueError("system, state, and target dimensions must agree")
-    A, B = sys.A, sys.B
-    n = sys.n
     durations = sched.durations
-    values = sched.values
-    m = values.size
-
-    forward = np.empty((m + 1, n), dtype=complex)
-    forward[0] = s0.c
-    unitaries = []
-    eigensystems = []
-    for j in range(m):
-        omega, V = skew_eigensystem(A + values[j] * B)
-        eigensystems.append((omega, V))
-        U = (V * np.exp(1j * durations[j] * omega)) @ V.conj().T
-        unitaries.append(U)
-        forward[j + 1] = U @ forward[j]
+    omega, V, coords, ends = forward or forward_pass(sys, durations, sched.values, s0.c)
 
     if phase_sensitive:
-        w = forward[m] - target.c
-        prefactor = 1.0 + 0.0j
+        w, prefactor = ends[-1] - target.c, 1.0 + 0.0j
     else:
-        overlap = np.vdot(target.c, forward[m])
-        w = target.c.copy()
-        prefactor = -2.0 * np.conj(overlap)
+        w, prefactor = target.c, -2.0 * np.conj(np.vdot(target.c, ends[-1]))
 
-    grad = np.zeros(m)
-    for j in range(m - 1, -1, -1):
-        omega, V = eigensystems[j]
-        D = _frechet_block(omega, V, B, durations[j])
-        grad[j] = float(np.real(prefactor * np.vdot(w, D @ forward[j])))
-        w = unitaries[j].conj().T @ w
-    return grad
+    # adjoint[j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
+    backward = np.exp(-1j * omega * durations[:, None])
+    adjoint = np.empty_like(coords)
+    for j in range(durations.size - 1, -1, -1):
+        adjoint[j] = V[j].conj().T @ w
+        w = V[j] @ (backward[j] * adjoint[j])
+
+    dt = durations[:, None, None]
+    mean = omega[:, :, None] + omega[:, None, :]
+    gap = omega[:, :, None] - omega[:, None, :]
+    phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
+    frechet = phi * (V.conj().transpose(0, 2, 1) @ sys.B @ V)
+    pairing = adjoint.conj()[:, None, :] @ (frechet @ coords[..., None])
+    return np.real(prefactor * pairing[:, 0, 0])
 
 
 def _optimize_restart(
@@ -182,7 +153,7 @@ def _optimize_restart(
     cfg: SteeringConfig,
     durations: np.ndarray,
     restart: int,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, str]:
     if restart == 0:
         # The zero schedule: the pure-drift baseline is always examined.
         values = np.zeros(cfg.segments)
@@ -190,32 +161,32 @@ def _optimize_restart(
         rng = np.random.default_rng((cfg.seed, restart))
         values = rng.uniform(-1.0, 1.0, cfg.segments)
 
-    def objective(v: np.ndarray) -> float:
-        c = _final_state(sys.A, sys.B, durations, v, s0.c)
-        return _raw_distance(c, target.c, cfg.phase_sensitive)
+    def objective(v: np.ndarray) -> tuple[float, tuple]:
+        forward = forward_pass(sys, durations, v, s0.c)  # forward[3][-1]: final state
+        return _raw_distance(forward[3][-1], target.c, cfg.phase_sensitive), forward
 
-    f = objective(values)
+    f, forward = objective(values)
     alpha = 1.0
     iterations = 0
-    while iterations < cfg.max_iterations and f > cfg.target_distance:
-        g = gradient(sys, ControlSchedule(durations, values), s0, target, cfg.phase_sensitive)
+    while f > cfg.target_distance:
+        if iterations == cfg.max_iterations:
+            return values, f, iterations, "max_iterations"
+        g = gradient(sys, ControlSchedule(durations, values), s0, target, cfg.phase_sensitive, forward)
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-28:
-            break
+            return values, f, iterations, "zero_gradient"
         iterations += 1
         step = min(2.0 * alpha, _ALPHA_MAX)
-        accepted = False
         while step >= _ALPHA_MIN:
             trial = values - step * g
-            f_trial = objective(trial)
+            f_trial, forward_trial = objective(trial)
             if f_trial <= f - _ARMIJO * step * gnorm2:
-                values, f, alpha = trial, f_trial, step
-                accepted = True
+                values, f, forward, alpha = trial, f_trial, forward_trial, step
                 break
             step *= 0.5
-        if not accepted:
-            break
-    return values, f, iterations
+        else:
+            return values, f, iterations, "line_search_exhausted"
+    return values, f, iterations, "converged"
 
 
 def steer(
@@ -243,17 +214,15 @@ def steer(
     Raises
     ------
     ValueError
-        If the target is not unit-norm or dimensions mismatch.
+        If dimensions mismatch.
     """
     cfg = cfg or SteeringConfig()
     if sys.n != s0.n or sys.n != target.n:
         raise ValueError("system, state, and target dimensions must agree")
-    if abs(float(np.sum(np.abs(target.c) ** 2)) - 1.0) > 1e-9:
-        raise ValueError("steering target is not unit-norm")
 
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
 
-    def run(restart: int) -> tuple[np.ndarray, float, int]:
+    def run(restart: int) -> tuple[np.ndarray, float, int, str]:
         return _optimize_restart(sys, s0, target, cfg, durations, restart)
 
     if workers > 1:
@@ -263,13 +232,14 @@ def steer(
         results = [run(r) for r in range(cfg.restarts)]
 
     best = min(range(cfg.restarts), key=lambda r: (results[r][1], r))
-    values, achieved, iterations = results[best]
+    values, achieved, iterations, stop_reason = results[best]
     return ReachabilityCertificate(
         schedule=ControlSchedule(durations, values),
         achieved_distance=achieved,
         converged=achieved <= cfg.target_distance,
         iterations_used=iterations,
         restart_index=best,
+        stop_reason=stop_reason,
     )
 
 

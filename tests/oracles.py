@@ -7,6 +7,7 @@ from a plain dense scan without refinement.
 """
 
 import numpy as np
+import scipy.linalg
 
 from reachctl import ControlSystem, StateVector, propagate
 
@@ -93,6 +94,39 @@ def fd_distance_gradient(
         vp[j] += step
         vm[j] -= step
         grad[j] = (objective(vp) - objective(vm)) / (2.0 * step)
+    return grad
+
+
+def block_expm_distance_gradient(
+    sys: ControlSystem,
+    durations: np.ndarray,
+    values: np.ndarray,
+    s0: StateVector,
+    target: StateVector,
+    phase_sensitive: bool = True,
+) -> np.ndarray:
+    """Exact terminal-distance gradient from augmented block exponentials.
+
+    The derivative of ``exp(dt (A + eps B))`` in ``eps`` is the top-right block
+    of ``expm([[dt G, dt B], [0, dt G]])`` with ``G = A + eps B`` (Van Loan).
+    Each segment is one scipy ``expm`` of the doubled matrix, chained through
+    dense products: no eigendecomposition and no difference step.
+    """
+    n = sys.n
+    zero = np.zeros((n, n))
+    blocks = [scipy.linalg.expm(dt * np.block([[sys.A + v * sys.B, sys.B], [zero, sys.A + v * sys.B]]))
+              for dt, v in zip(durations, values)]
+    states = [s0.c]
+    for E in blocks:
+        states.append(E[:n, :n] @ states[-1])
+    if phase_sensitive:
+        w, prefactor = states[-1] - target.c, 1.0
+    else:
+        w, prefactor = target.c, -2.0 * np.conj(np.vdot(target.c, states[-1]))
+    grad = np.zeros(len(blocks))
+    for j in range(len(blocks) - 1, -1, -1):
+        grad[j] = np.real(prefactor * np.vdot(w, blocks[j][:n, n:] @ states[j]))
+        w = blocks[j][:n, :n].conj().T @ w
     return grad
 
 

@@ -129,6 +129,28 @@ class TestSteer:
         # conservation keeps the distance above the moduli mismatch floor
         assert result["achieved_distance"] >= (1.0 - 1.0 / np.sqrt(2.0)) - 1e-12
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_target_distance_exits_1(self, su2_files, tmp_path, capsys, value):
+        sys_path, from_path = su2_files
+        to_path = tmp_path / "target.json"
+        save_state(StateVector(np.array([0.0, 1.0], dtype=complex)), to_path)
+        out = tmp_path / "cert.json"
+        code = run(["steer", "--system", sys_path, "--from", from_path, "--to", str(to_path),
+                    "--restarts", "1", "--target-distance", value, "--out", str(out)])
+        assert code == 1
+        assert "target_distance must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_states_stop_reason(self, torus_files, tmp_path):
+        sys_path, from_path = torus_files
+        to_path = tmp_path / "offorbit.json"
+        save_state(StateVector(np.array([1.0, 0.0], dtype=complex)), to_path)
+        out = str(tmp_path / "cert.json")
+        code = run(["steer", "--system", sys_path, "--from", from_path, "--to", str(to_path),
+                    "--segments", "10", "--restarts", "1", "--out", out])
+        assert code == 2
+        assert read_report(out)["result"]["stop_reason"] == "max_iterations"
+
     def test_projective_flag(self, su2_files, tmp_path):
         sys_path, from_path = su2_files
         to_path = tmp_path / "target.json"
@@ -158,6 +180,21 @@ class TestRecurrence:
         result = read_report(out)["result"]
         assert result["found"] is False
         assert result["return_time"] is None
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "0.05", "--tmax", "inf"],
+        ["--tol", "inf", "--tmax", "5"],
+        ["--tol", "0.05", "--tmax", "5", "--dt", "nan"],
+        ["--tol", "0.05", "--tmax", "1e308"],
+    ])
+    def test_non_finite_parameters_exit_1(self, torus_files, tmp_path, capsys, flags):
+        sys_path, state_path = torus_files
+        out = tmp_path / "rec.json"
+        code = run(["recurrence", "--system", sys_path, "--state", state_path, *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("reachctl recurrence: error: ")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -17,8 +17,30 @@ from reachctl import (
     recurrence_scan,
 )
 
+from reachctl.dynamics import SEGMENT_BLOCK, forward_pass
+from reachctl.matrices import skew_eigensystem
+
 from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
 from oracles import dense_recurrence_time
+
+
+def per_segment_trajectory(sys, s0, sched, samples_per_segment):
+    """Reference: one eigendecomposition per segment, one sample at a time."""
+    k = samples_per_segment
+    times, states = [0.0], [s0.c.copy()]
+    c, t = s0.c, 0.0
+    for dur, val in zip(sched.durations, sched.values):
+        omega, V = skew_eigensystem(sys.A + val * sys.B)
+        d = V.conj().T @ c
+        for step in range(1, k + 1):
+            tau = dur * step / (k + 1)
+            states.append(V @ (np.exp(1j * omega * tau) * d))
+            times.append(t + tau)
+        c = V @ (np.exp(1j * omega * dur) * d)
+        states.append(c)
+        t = t + dur
+        times.append(t)
+    return np.array(times), np.array(states)
 
 
 class TestStateVector:
@@ -174,6 +196,29 @@ class TestPropagate:
         assert traj.times[-1] == pytest.approx(1.0)
         assert traj.times[4] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("n, m, k", [(2, 0, 2), (2, 5, 1), (3, SEGMENT_BLOCK, 4), (5, 2 * SEGMENT_BLOCK + 7, 3)])
+    def test_matches_per_segment_reference_bit_for_bit(self, n, m, k):
+        # blocks of stacked eigensystems change nothing: every sample and time
+        # equals the one-segment-at-a-time evaluation exactly
+        rng = np.random.default_rng(m)
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        s0 = StateVector(random_unit(rng, n))
+        sched = ControlSchedule(rng.uniform(0.05, 0.5, m), rng.uniform(-1.0, 1.0, m))
+        traj = propagate(sys, s0, sched, samples_per_segment=k)
+        times, states = per_segment_trajectory(sys, s0, sched, k)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+    def test_endpoints_are_the_forward_pass(self):
+        rng = np.random.default_rng(12)
+        sys = ControlSystem(random_skew(rng, 4), random_skew(rng, 4))
+        s0 = StateVector(random_unit(rng, 4))
+        m = SEGMENT_BLOCK + 9
+        sched = ControlSchedule(rng.uniform(0.05, 0.5, m), rng.uniform(-1.0, 1.0, m))
+        ends = forward_pass(sys, sched.durations, sched.values, s0.c)[3]
+        traj = propagate(sys, s0, sched, samples_per_segment=2)
+        assert np.array_equal(traj.states[3::3], ends)
+
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
         with pytest.raises(ValueError):
@@ -248,6 +293,17 @@ class TestPropagateOperator:
         U = propagate_operator(su2_system, sched)
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_matches_product_of_matrix_exp_factors(self, n):
+        rng = np.random.default_rng(n)
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        m = SEGMENT_BLOCK + 11
+        sched = ControlSchedule(rng.uniform(0.05, 1.0, m), rng.uniform(-2.0, 2.0, m))
+        expected = np.eye(n, dtype=complex)
+        for dur, val in zip(sched.durations, sched.values):
+            expected = matrix_exp(sys.A + val * sys.B, dur) @ expected
+        assert np.array_equal(propagate_operator(sys, sched), expected)
+
 
 class TestTrajectory:
     def test_times_must_start_at_zero(self):
@@ -301,6 +357,18 @@ class TestRecurrenceScan:
         sys = ControlSystem(np.diag([1j, 1j * np.sqrt(2.0)]), np.diag([1j, 1j]))
         s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
         assert recurrence_scan(sys, s0, tol=1e-9, t_max=5.0, dt=1e-3) is None
+
+    @pytest.mark.parametrize("tol, t_max, dt", [
+        (float("inf"), 1.0, 1e-3),
+        (float("nan"), 1.0, 1e-3),
+        (0.1, float("inf"), 1e-3),
+        (0.1, float("nan"), 1e-3),
+        (0.1, 1.0, float("nan")),
+        (0.1, 1e308, 1e-3),
+    ])
+    def test_rejects_non_finite_parameters(self, torus_system, plus_state, tol, t_max, dt):
+        with pytest.raises(ValueError):
+            recurrence_scan(torus_system, plus_state, tol=tol, t_max=t_max, dt=dt)
 
     def test_parameter_validation(self, torus_system, plus_state):
         with pytest.raises(ValueError):

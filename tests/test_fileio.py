@@ -173,7 +173,8 @@ class TestPayloads:
         cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=2, max_iterations=60))
         payload = certificate_payload(cert)
         assert set(payload) == {"schedule", "achieved_distance", "converged",
-                                "iterations_used", "restart_index"}
+                                "iterations_used", "restart_index", "stop_reason"}
+        assert payload["stop_reason"] == cert.stop_reason
         assert len(payload["schedule"]["segments"]) == 20
 
     def test_recurrence_payload_absence(self):

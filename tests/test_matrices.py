@@ -11,6 +11,7 @@ from reachctl import (
     matrix_exp,
     skew_eigensystem,
 )
+from reachctl.matrices import segment_eigensystems
 
 from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew
 
@@ -38,6 +39,12 @@ class TestIsSkewHermitian:
 
     def test_zero_matrix(self):
         assert is_skew_hermitian(np.zeros((3, 3)))
+
+    def test_named_failure_cites_entry(self):
+        # SIGMA_Z + SIGMA_Z^dagger = 2 diag(1, -1): worst entry (0, 0)
+        with pytest.raises(ValueError, match=r"X is not skew-Hermitian: max violation 2\.000e\+00 at entry \(0, 0\)"):
+            is_skew_hermitian(SIGMA_Z, name="X")
+        assert is_skew_hermitian(1j * SIGMA_X, name="X")
 
     def test_scale_invariance(self):
         # near-skew noise below the relative threshold passes at any scale
@@ -155,3 +162,18 @@ class TestSkewEigensystem:
         rebuilt = (V * (1j * omega)) @ V.conj().T
         assert np.max(np.abs(rebuilt - X)) <= 1e-12 * max(1.0, np.max(np.abs(X)))
         assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-12
+
+
+class TestSegmentEigensystems:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_per_matrix_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        A, B = random_skew(rng, n), random_skew(rng, n)
+        values = np.concatenate(([0.0], rng.uniform(-2.0, 2.0, 24)))
+        omega, V = segment_eigensystems(A, B, values)
+        assert omega.shape == (values.size, n)
+        assert V.shape == (values.size, n, n)
+        for j, v in enumerate(values):
+            omega_j, V_j = skew_eigensystem(A + v * B)
+            assert np.array_equal(omega[j], omega_j)
+            assert np.array_equal(V[j], V_j)

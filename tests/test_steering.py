@@ -18,8 +18,10 @@ from reachctl import (
     verify_reachability,
 )
 
+from reachctl.dynamics import forward_pass
+
 from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
-from oracles import fd_distance_gradient
+from oracles import block_expm_distance_gradient, fd_distance_gradient
 
 
 def terminal_distance(sys, s0, cert, target):
@@ -46,6 +48,8 @@ class TestSteeringConfig:
             {"restarts": 0},
             {"max_iterations": 0},
             {"target_distance": 0.0},
+            {"target_distance": float("inf")},
+            {"target_distance": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -106,6 +110,32 @@ class TestGradient:
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
         g = gradient(sys, ControlSchedule.constant(0.3, 2.0, 5), basis_state, target)
         assert np.array_equal(g, np.zeros(5))
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_augmented_block_exponential(self, n, phase_sensitive):
+        # same exact derivative by an independent route, so only rounding differs
+        rng = np.random.default_rng(100 + n)
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        s0 = StateVector(random_unit(rng, n))
+        target = StateVector(random_unit(rng, n))
+        durations = rng.uniform(0.05, 1.0, 12)
+        values = rng.uniform(-2.0, 2.0, 12)
+        g = gradient(sys, ControlSchedule(durations, values), s0, target, phase_sensitive)
+        ref = block_expm_distance_gradient(sys, durations, values, s0, target, phase_sensitive)
+        assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False])
+    def test_passed_in_forward_pass_gives_same_result(self, phase_sensitive):
+        rng = np.random.default_rng(31)
+        sys = ControlSystem(random_skew(rng, 4), random_skew(rng, 4))
+        s0 = StateVector(random_unit(rng, 4))
+        target = StateVector(random_unit(rng, 4))
+        sched = ControlSchedule(rng.uniform(0.2, 1.0, 7), rng.uniform(-1.0, 1.0, 7))
+        forward = forward_pass(sys, sched.durations, sched.values, s0.c)
+        fresh = gradient(sys, sched, s0, target, phase_sensitive)
+        reused = gradient(sys, sched, s0, target, phase_sensitive, forward=forward)
+        assert np.array_equal(fresh, reused)
 
     def test_vanishes_at_exact_minimum(self, su2_system, basis_state):
         sched = ControlSchedule(np.full(4, 0.5), np.array([0.2, -0.4, 0.8, 0.1]))
@@ -211,6 +241,73 @@ class TestSteer:
         s0 = StateVector(np.array([1.0, 0, 0], dtype=complex))
         with pytest.raises(ValueError):
             steer(su2_system, s0, s0, SteeringConfig(restarts=1, max_iterations=1))
+
+
+def generic4():
+    rng = np.random.default_rng(0)
+    sys = ControlSystem(random_skew(rng, 4), random_skew(rng, 4))
+    return sys, StateVector(random_unit(rng, 4)), StateVector(random_unit(rng, 4))
+
+
+class TestCertificateRecheck:
+    """The optimizer's distance is the one a re-propagation reproduces, bit for bit."""
+
+    @staticmethod
+    def recheck(sys, s0, target, cfg):
+        cert = steer(sys, s0, target, cfg)
+        final = propagate(sys, s0, cert.schedule, samples_per_segment=1).final_state
+        assert cert.achieved_distance == distance(final, target, cfg.phase_sensitive)
+        return cert
+
+    def test_su2(self, su2_system, basis_state):
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cert = self.recheck(su2_system, basis_state, target, SteeringConfig(restarts=2))
+        assert cert.converged
+
+    def test_su2_projective(self, su2_system, basis_state):
+        target = StateVector(np.array([0.0, 1.0j], dtype=complex))
+        self.recheck(su2_system, basis_state, target, SteeringConfig(restarts=2, phase_sensitive=False))
+
+    def test_torus_off_orbit(self, torus_system, plus_state):
+        target = StateVector(np.array([1.0, 0.0], dtype=complex))
+        cfg = SteeringConfig(segments=10, restarts=2, max_iterations=40)
+        assert not self.recheck(torus_system, plus_state, target, cfg).converged
+
+    def test_generic_n4(self):
+        sys, s0, target = generic4()
+        self.recheck(sys, s0, target, SteeringConfig(restarts=2, max_iterations=60))
+
+
+class TestStopReason:
+    def test_converged(self, su2_system, basis_state):
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=2))
+        assert cert.converged
+        assert cert.stop_reason == "converged"
+
+    def test_max_iterations(self, torus_system, plus_state):
+        target = StateVector(np.array([1.0, 0.0], dtype=complex))
+        cfg = SteeringConfig(segments=10, restarts=2, max_iterations=5)
+        cert = steer(torus_system, plus_state, target, cfg)
+        assert not cert.converged
+        assert cert.iterations_used == 5
+        assert cert.stop_reason == "max_iterations"
+
+    def test_zero_gradient(self, basis_state):
+        # without control coupling the distance cannot move at all
+        sys = ControlSystem(1j * SIGMA_Z, np.zeros((2, 2)))
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cert = steer(sys, basis_state, target, SteeringConfig(restarts=2))
+        assert not cert.converged
+        assert cert.iterations_used == 0
+        assert cert.stop_reason == "zero_gradient"
+
+    def test_taken_from_winning_restart(self, su2_system, basis_state):
+        # a budget of one iteration leaves every restart short of the target
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=3, max_iterations=1))
+        assert cert.stop_reason == "max_iterations"
+        assert cert.iterations_used == 1
 
 
 class TestVerifyReachability:
