@@ -2,15 +2,17 @@
 The command-line workflow, end to end
 =====================================
 
-Everything the library does is reachable from the `reachctl` executable
+Everything the library does is reachable from the `reachctl` command line
 through JSON files on disk.  This script builds the input files for the
 standard two-level system, then walks the subcommands: analyze, simulate,
-steer, and verify.  Reports are deterministic: rerunning a command with the
+steer, and verify.  It runs the command line as `python -m reachctl.cli`,
+which works from a source checkout as well as from an installed package.  Reports are deterministic: rerunning a command with the
 same inputs and seed reproduces the output byte for byte.
 """
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from reachctl.fileio import save_schedule, save_state, save_system
 
 
 def reachctl(*args):
-    proc = subprocess.run(["reachctl", *args], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "reachctl.cli", *args], capture_output=True, text=True)
     print(f"$ reachctl {' '.join(args)}   (exit {proc.returncode})")
     if proc.stderr:
         print(proc.stderr.strip())

@@ -10,7 +10,6 @@ byte.
 """
 
 import argparse
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -89,25 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workers() -> int:
-    raw = os.environ.get("REACHCTL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"REACHCTL_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"REACHCTL_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _emit(report: dict, out: str | None) -> None:
     text = render(report)
     if out is None:
         _sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"{out}: cannot write report ({exc.strerror or exc})") from exc
 
 
 def run(argv) -> int:
@@ -124,7 +113,6 @@ def run(argv) -> int:
         return 0 if code == 0 else 1
 
     try:
-        workers = _workers()
         if args.command == "analyze":
             sys_ = load_system(args.system)
             s0 = load_state(args.state)
@@ -152,7 +140,7 @@ def run(argv) -> int:
                 seed=args.seed,
                 phase_sensitive=not args.projective,
             )
-            cert = steer(sys_, s0, target, cfg, workers=workers)
+            cert = steer(sys_, s0, target, cfg)
             result = certificate_payload(cert)
             exit_code = 0 if cert.converged else 2
         elif args.command == "recurrence":
@@ -172,21 +160,19 @@ def run(argv) -> int:
                 samples=args.samples,
                 word_length=args.word_length,
                 seed=args.seed,
-                workers=workers,
             )
             result = verification_payload(targets, certs)
             exit_code = 0 if result["verdict"] == "PASS" else 2
+        report = {
+            "command": args.command,
+            "inputs_digest": digest,
+            "result": result,
+            "tool_version": __version__,
+        }
+        _emit(report, args.out)
     except ValueError as exc:
         _sys.stderr.write(f"reachctl {args.command}: error: {exc}\n")
         return 1
-
-    report = {
-        "command": args.command,
-        "inputs_digest": digest,
-        "result": result,
-        "tool_version": __version__,
-    }
-    _emit(report, args.out)
     return exit_code
 
 

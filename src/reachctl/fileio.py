@@ -44,10 +44,14 @@ def _read_json(path) -> dict:
         text = p.read_text()
     except OSError as exc:
         raise ValueError(f"{p}: cannot read file ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integer literals past the digit limit
         raise ValueError(f"{p}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{p}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{p}: top-level value must be a JSON object")
     return doc
@@ -59,6 +63,13 @@ def _field(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _float(x, path, field: str, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{path}: field '{field}': {where} is too large for a float") from None
+
+
 def _parse_pair(raw, path, field: str, where: str) -> complex:
     if (
         not isinstance(raw, (list, tuple))
@@ -66,7 +77,7 @@ def _parse_pair(raw, path, field: str, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
     ):
         raise ValueError(f"{path}: field '{field}': {where} must be a [re, im] number pair")
-    return complex(raw[0], raw[1])
+    return complex(_float(raw[0], path, field, where), _float(raw[1], path, field, where))
 
 
 def _parse_vector(raw, n: int, path, field: str) -> np.ndarray:
@@ -130,12 +141,14 @@ def load_schedule(path) -> ControlSchedule:
     for k, seg in enumerate(raw):
         if not isinstance(seg, dict):
             raise ValueError(f"{path}: field 'segments': segment {k} must be an object")
+        pair = []
         for key in ("duration", "value"):
             if key not in seg:
                 raise ValueError(f"{path}: field 'segments': segment {k} is missing '{key}'")
             if not isinstance(seg[key], (int, float)) or isinstance(seg[key], bool):
                 raise ValueError(f"{path}: field 'segments': segment {k}: '{key}' must be a number")
-        pairs.append((float(seg["duration"]), float(seg["value"])))
+            pair.append(_float(seg[key], path, "segments", f"segment {k}: '{key}'"))
+        pairs.append(pair)
     try:
         return ControlSchedule.from_segments(pairs)
     except ValueError as exc:
@@ -261,6 +274,7 @@ def verification_payload(targets, certificates) -> dict:
                 "converged": bool(cert.converged),
                 "restart_index": int(cert.restart_index),
                 "iterations_used": int(cert.iterations_used),
+                "stop_reason": cert.stop_reason,
             }
         )
     n_converged = sum(1 for cert in certificates if cert.converged)

@@ -40,10 +40,6 @@ class Tolerance:
         Relative singular-value / residual cutoff for span and rank decisions.
     skew_tol : float
         Maximum relative entry deviation allowed in skew-Hermiticity checks.
-    ode_tol : float
-        Accuracy target for propagation.  Piecewise-constant flows are exact
-        segment exponentials, so this governs only the exponential
-        approximation itself.
 
     All cutoffs are relative to the input magnitude, so verdicts are invariant
     under rescaling the generators.
@@ -51,10 +47,9 @@ class Tolerance:
 
     rank_tol: float = 1e-10
     skew_tol: float = 1e-12
-    ode_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rank_tol", "skew_tol", "ode_tol"):
+        for name in ("rank_tol", "skew_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")
@@ -178,26 +173,25 @@ def canonical_skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
     return omega[order], V[:, order]
 
 
-def matrix_exp(X, t: float, tol: Tolerance | None = None) -> np.ndarray:
+def matrix_exp(X, t: float) -> np.ndarray:
     """Matrix exponential ``exp(t X)``.
 
-    Skew-Hermitian inputs are exponentiated through the unitary
-    eigendecomposition, so the result is unitary up to rounding regardless of
-    ``|t|``.  Anything else falls back to scipy's scaling-and-squaring Pade
-    approximant.
+    Skew-Hermitian inputs (to ``DEFAULT_TOL``) are exponentiated through the
+    unitary eigendecomposition, so the result is unitary up to rounding
+    regardless of ``|t|``.  Anything else falls back to scipy's
+    scaling-and-squaring Pade approximant.
 
     Raises
     ------
     ValueError
         If ``X`` has non-finite entries or ``t`` is not finite.
     """
-    tol = tol or DEFAULT_TOL
     M = square_matrix(X)
     if not np.isfinite(t):
         raise ValueError(f"exponential parameter must be finite, got {t}")
     if t == 0.0:
         return np.eye(M.shape[0], dtype=complex)
-    if is_skew_hermitian(M, tol):
+    if is_skew_hermitian(M):
         omega, V = skew_eigensystem(M)
         return (V * np.exp(1j * t * omega)) @ V.conj().T
     return scipy.linalg.expm(t * M)

@@ -9,7 +9,6 @@ converge is a flagged optimizer failure and nothing more -- reachability of
 orbit points is a theorem, so non-convergence is never evidence against it.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,11 @@ __all__ = [
 _ARMIJO = 1e-4
 _ALPHA_MAX = 1e3
 _ALPHA_MIN = 1e-16
+
+
+def _require_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ class SteeringConfig:
             raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
         if not (0 < self.target_distance < np.inf):
             raise ValueError(f"target_distance must be positive and finite, got {self.target_distance}")
+        _require_seed(self.seed)
 
 
 @dataclass
@@ -194,7 +199,6 @@ def steer(
     s0: StateVector,
     target: StateVector,
     cfg: SteeringConfig | None = None,
-    workers: int = 1,
 ) -> ReachabilityCertificate:
     """Synthesize a piecewise-constant control driving ``s0`` toward ``target``.
 
@@ -204,8 +208,7 @@ def steer(
     draws initial values uniformly from [-1, 1] with a generator derived from
     ``(cfg.seed, r)``, so results are reproducible.  The best certificate
     (smallest achieved distance, ties to the smallest restart index) is
-    returned; with ``workers > 1`` the restarts run on a thread pool and the
-    merge is identical to the sequential result.
+    returned.
 
     A non-converged certificate is a valid, flagged outcome: it reports that
     the optimizer failed (or the target is off the orbit), never that an
@@ -222,14 +225,7 @@ def steer(
 
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
 
-    def run(restart: int) -> tuple[np.ndarray, float, int, str]:
-        return _optimize_restart(sys, s0, target, cfg, durations, restart)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(cfg.restarts)))
-    else:
-        results = [run(r) for r in range(cfg.restarts)]
+    results = [_optimize_restart(sys, s0, target, cfg, durations, r) for r in range(cfg.restarts)]
 
     best = min(range(cfg.restarts), key=lambda r: (results[r][1], r))
     values, achieved, iterations, stop_reason = results[best]
@@ -251,7 +247,6 @@ def verify_reachability(
     seed: int = 7,
     cfg: SteeringConfig | None = None,
     tol: Tolerance | None = None,
-    workers: int = 1,
 ) -> tuple[list[StateVector], list[ReachabilityCertificate]]:
     """Sample orbit points and steer to each: the end-to-end reachability check.
 
@@ -264,17 +259,9 @@ def verify_reachability(
     tol = tol or DEFAULT_TOL
     if int(samples) != samples or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
+    _require_seed(seed)
     basis = closure([sys.A, sys.B], tol)
     master = np.random.default_rng(seed)
     sample_seeds = [int(x) for x in master.integers(0, 2**63 - 1, size=samples)]
     targets = [sample_orbit(basis, s0, word_length, seed=s)[0] for s in sample_seeds]
-
-    def one(i: int) -> ReachabilityCertificate:
-        return steer(sys, s0, targets[i], cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            certificates = list(pool.map(one, range(samples)))
-    else:
-        certificates = [one(i) for i in range(samples)]
-    return targets, certificates
+    return targets, [steer(sys, s0, target, cfg) for target in targets]

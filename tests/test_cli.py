@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from reachctl import ControlSchedule, StateVector
+from reachctl import ControlSchedule, ControlSystem, StateVector
 from reachctl.cli import run
-from reachctl.fileio import save_schedule, save_state, save_system
+from reachctl.fileio import save_schedule, save_state, save_system, state_payload, system_payload
+
+from helpers import SIGMA_X, SIGMA_Z
 
 
 @pytest.fixture
@@ -65,6 +67,15 @@ class TestAnalyze:
         code = run(["analyze", "--system", sys_path, "--state", str(tmp_path / "ghost.json")])
         assert code == 1
         assert "ghost.json" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_1(self, su2_files, tmp_path, capsys):
+        sys_path, state_path = su2_files
+        out = tmp_path / "missing" / "r.json"
+        code = run(["analyze", "--system", sys_path, "--state", state_path, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"reachctl analyze: error: {out}: cannot write report (")
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -151,6 +162,15 @@ class TestSteer:
         assert code == 2
         assert read_report(out)["result"]["stop_reason"] == "max_iterations"
 
+    def test_negative_seed_names_seed(self, su2_files, capsys):
+        sys_path, from_path = su2_files
+        code = run(["steer", "--system", sys_path, "--from", from_path, "--to", from_path,
+                    "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl steer: error: seed must be a non-negative integer, got -1\n"
+        )
+
     def test_projective_flag(self, su2_files, tmp_path):
         sys_path, from_path = su2_files
         to_path = tmp_path / "target.json"
@@ -219,23 +239,13 @@ class TestVerify:
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threaded_run_matches_bytes(self, su2_files, tmp_path, monkeypatch):
+    def test_negative_seed_names_seed(self, su2_files, capsys):
         sys_path, state_path = su2_files
-        args = ["verify", "--system", sys_path, "--state", state_path,
-                "--samples", "3", "--word-length", "4", "--seed", "5"]
-        out1 = tmp_path / "seq.json"
-        out2 = tmp_path / "par.json"
-        assert run(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("REACHCTL_THREADS", "3")
-        assert run(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_invalid_thread_env_exits_1(self, su2_files, monkeypatch, capsys):
-        sys_path, state_path = su2_files
-        monkeypatch.setenv("REACHCTL_THREADS", "zero")
-        code = run(["verify", "--system", sys_path, "--state", state_path, "--samples", "2"])
+        code = run(["verify", "--system", sys_path, "--state", state_path, "--seed", "-1"])
         assert code == 1
-        assert "REACHCTL_THREADS" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "reachctl verify: error: seed must be a non-negative integer, got -1\n"
+        )
 
 
 class TestArgumentHandling:
@@ -278,3 +288,49 @@ class TestReportRoundTrip:
         run(["analyze", "--system", sys_path, "--state", state_path, "--out", str(out)])
         text = out.read_text()
         assert render(json.loads(text)) == text
+
+
+def _su2_system_doc(entry):
+    doc = system_payload(ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X))
+    doc["A"][0][1] = entry
+    return json.dumps(doc)
+
+
+HUGE = 10**400  # a JSON integer literal no float can hold
+
+
+class TestLoaderFuzz:
+    """Malformed input files exit 1 with a diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("which, text, detail", [
+        pytest.param("system", _su2_system_doc([HUGE, 0]),
+                     "field 'A': entry (0, 1) is too large for a float", id="huge-matrix-entry"),
+        pytest.param("state", json.dumps({"n": 2, "c": [[1, 0], [0, -HUGE]]}),
+                     "field 'c': entry 1 is too large for a float", id="huge-state-entry"),
+        pytest.param("controls", json.dumps({"segments": [{"duration": HUGE, "value": 0}]}),
+                     "field 'segments': segment 0: 'duration' is too large for a float",
+                     id="huge-duration"),
+        pytest.param("controls",
+                     json.dumps({"segments": [{"duration": 1, "value": 0}, {"duration": 1, "value": -HUGE}]}),
+                     "field 'segments': segment 1: 'value' is too large for a float", id="huge-value"),
+        pytest.param("controls", "[" * 100000, "invalid JSON: nested too deeply", id="deep-array"),
+        pytest.param("state", '{"n": 2, "c": ' + "[" * 100000, "invalid JSON: nested too deeply",
+                     id="deep-field"),
+        pytest.param("state", '{"n": ' + "7" * 5000 + "}", "invalid JSON", id="integer-past-digit-limit"),
+        pytest.param("system", b'{"n": 2, \xff}', "not UTF-8 text (byte 9: invalid start byte)", id="not-utf8"),
+    ])
+    def test_malformed_file_exits_1(self, tmp_path, capsys, which, text, detail):
+        paths = {name: tmp_path / f"{name}.json" for name in ("system", "state", "controls")}
+        paths["system"].write_text(_su2_system_doc([0, 0]))
+        paths["state"].write_text(json.dumps(state_payload(StateVector(np.array([1.0, 0.0], dtype=complex)))))
+        paths["controls"].write_text(json.dumps({"segments": [{"duration": 1.0, "value": 0.5}]}))
+        paths[which].write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--system", str(paths["system"]), "--state", str(paths["state"]),
+                    "--controls", str(paths["controls"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"reachctl simulate: error: {paths[which]}: ")
+        assert detail in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -189,11 +189,13 @@ class TestPayloads:
         table = verification_payload([target], [good])
         assert table["verdict"] == "PASS"
         assert table["n_converged"] == 1
+        assert table["samples"][0]["stop_reason"] == "converged"
         bad = steer(su2_system, basis_state, target, SteeringConfig(restarts=1, max_iterations=1,
                                                                     target_distance=1e-12))
         table = verification_payload([target, target], [good, bad])
         assert table["verdict"] == "FAIL"
         assert table["samples"][1]["converged"] is False
+        assert table["samples"][1]["stop_reason"] == bad.stop_reason == "max_iterations"
 
 
 class TestRender:

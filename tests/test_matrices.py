@@ -20,12 +20,11 @@ class TestTolerance:
     def test_defaults(self):
         assert DEFAULT_TOL.rank_tol == 1e-10
         assert DEFAULT_TOL.skew_tol == 1e-12
-        assert DEFAULT_TOL.ode_tol == 1e-10
 
-    @pytest.mark.parametrize("field", ["rank_tol", "skew_tol", "ode_tol"])
+    @pytest.mark.parametrize("field", ["rank_tol", "skew_tol"])
     @pytest.mark.parametrize("bad", [0.0, -1e-9, float("nan"), float("inf")])
     def test_rejects_non_positive(self, field, bad):
-        kwargs = {"rank_tol": 1e-10, "skew_tol": 1e-12, "ode_tol": 1e-10, field: bad}
+        kwargs = {"rank_tol": 1e-10, "skew_tol": 1e-12, field: bad}
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
 
