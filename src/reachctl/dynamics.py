@@ -371,7 +371,12 @@ def recurrence_scan(
     lam = spectrum.lambdas
 
     def dist_array(ts: np.ndarray) -> np.ndarray:
-        gap = 2.0 * np.sum(weights * (1.0 - np.cos(np.outer(ts, lam))), axis=1)
+        # One chunk-sized buffer, updated in place.
+        x = np.outer(ts, lam)
+        np.cos(x, out=x)
+        np.subtract(1.0, x, out=x)
+        x *= weights
+        gap = 2.0 * np.sum(x, axis=1)
         return np.sqrt(np.maximum(gap, 0.0))
 
     def dist_scalar(t: float) -> float:

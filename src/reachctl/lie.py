@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import DEFAULT_TOL, Tolerance, bracket, frobenius_inner, is_skew_hermitian, square_matrix
+from .matrices import DEFAULT_TOL, Tolerance, bracket, is_skew_hermitian, square_matrix
 
 __all__ = [
     "LieAlgebraBasis",
@@ -71,27 +71,40 @@ class AlgebraClass:
     label: AlgebraLabel
 
 
-def _orthogonal_residual(W: np.ndarray, elements: list) -> np.ndarray:
-    # Two classical Gram-Schmidt passes; one pass loses orthogonality near
-    # dimension n^2, two are enough at these sizes.
+def _realify(X) -> np.ndarray:
+    # n x n complex matrices (stacked along leading axes) as real vectors of
+    # their interleaved (Re, Im) entries, a view where X is contiguous: the
+    # real Frobenius pairing becomes the plain dot product.
+    X = np.ascontiguousarray(X, dtype=complex)
+    return X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],)).view(np.float64)
+
+
+def _orthogonal_residual(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    # Classical Gram-Schmidt against the orthonormal rows of Q, applied twice
+    # ("twice is enough"): two matrix-vector products per pass.
     for _ in range(2):
-        for e in elements:
-            W = W - frobenius_inner(e, W) * e
-    return W
+        w = w - (Q @ w) @ Q
+    return w
 
 
 def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
     """Orthonormal basis of the smallest real Lie algebra containing ``generators``.
 
-    The basis is seeded with the Gram-Schmidt-orthonormalized generators and
-    grown breadth-first: a FIFO worklist of unprocessed index pairs is
-    consumed, each bracket is projected onto the orthogonal complement of the
-    current span (twice, for stability), and the normalized residual is
-    appended whenever its norm exceeds ``rank_tol`` times the bracket's own
-    norm, with an absolute floor of ``rank_tol``.  The relative threshold
-    keeps brackets of near-commuting generators from injecting noise
-    dimensions.  Generation stops when the worklist empties or the count
-    reaches n^2 (the dimension of u(n)), so termination is certain.
+    The basis is held as one stacked complex array whose float64 view is a
+    ``dim x 2n^2`` real matrix with orthonormal rows (the interleaved real and
+    imaginary parts of each element), allocated as elements are admitted and
+    grown by doubling, so memory follows the algebra's dimension.  It is
+    seeded with the orthonormalized generators and grown breadth-first: a
+    FIFO worklist of unprocessed index pairs is consumed, each bracket is
+    projected onto the orthogonal complement of the current span by classical
+    Gram-Schmidt applied twice (two matrix-vector products per pass), and the
+    normalized residual is appended whenever its norm exceeds ``rank_tol``
+    times the bracket's own norm, with an absolute floor of ``rank_tol``.
+    The relative threshold keeps brackets of near-commuting generators from
+    injecting noise dimensions.  Generation stops when the worklist empties
+    or the count reaches n^2 (the dimension of u(n)), so termination is
+    certain.  Only the generators are validated; brackets of basis elements
+    are formed directly on the stacked array.
 
     Parameters
     ----------
@@ -120,35 +133,41 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
         is_skew_hermitian(g, tol, f"generator {k}")
 
     cap = n * n
-    elements: list = []
+    stack = np.empty((min(cap, len(gens)), n, n), dtype=complex)
+    dim = 0
     words: list = []
     queue: deque = deque()
 
     def admit(candidate: np.ndarray, word: str, ref_norm: float) -> None:
-        if len(elements) >= cap:
+        nonlocal stack, dim
+        if dim >= cap:
             return
-        residual = _orthogonal_residual(candidate, elements)
+        residual = _orthogonal_residual(_realify(candidate), _realify(stack[:dim]))
         norm = float(np.linalg.norm(residual))
         if norm <= max(tol.rank_tol * ref_norm, tol.rank_tol):
             return
-        elements.append(residual / norm)
+        if dim == len(stack):
+            grown = np.empty((min(cap, 2 * dim), n, n), dtype=complex)
+            grown[:dim] = stack
+            stack = grown
+        stack[dim] = (residual / norm).view(complex).reshape(n, n)
         words.append(word)
-        new = len(elements) - 1
-        for i in range(new):
-            queue.append((i, new))
+        queue.extend((i, dim) for i in range(dim))
+        dim += 1
 
     for k, g in enumerate(gens):
         admit(g, f"g{k}", float(np.linalg.norm(g)))
 
-    while queue and len(elements) < cap:
+    while queue and dim < cap:
         i, j = queue.popleft()
-        w = bracket(elements[i], elements[j])
+        X, Y = stack[i], stack[j]
+        w = X @ Y - Y @ X
         ref = float(np.linalg.norm(w))
         if ref == 0.0:
             continue
         admit(w, f"[{words[i]},{words[j]}]", ref)
 
-    return LieAlgebraBasis(n=n, elements=elements, provenance=words)
+    return LieAlgebraBasis(n=n, elements=list(stack[:dim].copy()), provenance=words)
 
 
 def member(basis: LieAlgebraBasis, X) -> float:
@@ -162,7 +181,8 @@ def member(basis: LieAlgebraBasis, X) -> float:
     M = square_matrix(X)
     if M.shape != (basis.n, basis.n):
         raise ValueError(f"member got shape {M.shape}, basis dimension is {basis.n}")
-    residual = _orthogonal_residual(M, basis.elements)
+    rows = _realify(np.reshape(basis.elements, (basis.dim, basis.n, basis.n)))
+    residual = _orthogonal_residual(_realify(M), rows)
     return float(np.linalg.norm(residual))
 
 

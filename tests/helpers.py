@@ -18,3 +18,17 @@ def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     """A uniformly random unit vector in C^n."""
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def real_antisymmetric(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A dense random real antisymmetric matrix (an so(n) element) as complex."""
+    M = rng.normal(size=(n, n))
+    return (0.5 * (M - M.T)).astype(complex)
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random n x n unitary (QR of a Ginibre matrix, phases fixed)."""
+    Z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+    Q, R = np.linalg.qr(Z)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))

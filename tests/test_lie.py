@@ -1,5 +1,9 @@
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from reachctl import (
@@ -8,11 +12,48 @@ from reachctl import (
     bracket,
     classify,
     closure,
+    frobenius_inner,
     member,
 )
+import reachctl.lie
+import reachctl.matrices
 
-from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew
+from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew, real_antisymmetric
 from oracles import bracket_flag_rank
+
+
+def loop_closure(generators, rank_tol: float = DEFAULT_TOL.rank_tol) -> tuple:
+    """The closure worklist with modified Gram-Schmidt, one element at a time.
+
+    A reference for ``closure``: the same FIFO order and admit rule with the
+    projection written as a plain loop over the pairing ``Re vdot``.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    n = gens[0].shape[0]
+    elements, words, queue = [], [], deque()
+
+    def admit(W, word, ref):
+        if len(elements) >= n * n:
+            return
+        for _ in range(2):
+            for e in elements:
+                W = W - np.real(np.vdot(e, W)) * e
+        norm = np.linalg.norm(W)
+        if norm <= max(rank_tol * ref, rank_tol):
+            return
+        queue.extend((i, len(elements)) for i in range(len(elements)))
+        elements.append(W / norm)
+        words.append(word)
+
+    for k, g in enumerate(gens):
+        admit(g, f"g{k}", np.linalg.norm(g))
+    while queue and len(elements) < n * n:
+        i, j = queue.popleft()
+        W = elements[i] @ elements[j] - elements[j] @ elements[i]
+        ref = np.linalg.norm(W)
+        if ref > 0.0:
+            admit(W, f"[{words[i]},{words[j]}]", ref)
+    return elements, words
 
 
 class TestClosure:
@@ -107,6 +148,39 @@ class TestClosure:
         basis = closure(gens)
         assert basis.dim <= n * n - 1
 
+    def test_memory_follows_dimension(self):
+        # A torus pair at n = 100 generates a line; a basis sized for the
+        # n^2 cap would be 10^4 x 2 * 10^4 doubles (1.6 GB).
+        n = 100
+        A = np.diag(1j * np.sqrt(np.arange(1.0, n + 1)))
+        tracemalloc.start()
+        try:
+            basis = closure([A, 2.0 * A])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 1
+        assert peak < 16 * 2**20
+
+
+class TestBoundaryValidation:
+    def test_generators_validated_once(self, monkeypatch):
+        # Inputs are validated at the boundary, not once per inner product
+        # or bracket inside the worklist loop.
+        calls = []
+        original = reachctl.matrices.square_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reachctl.matrices, "square_matrix", counted)
+        monkeypatch.setattr(reachctl.lie, "square_matrix", counted)
+        rng = np.random.default_rng(8)
+        gens = [real_antisymmetric(rng, 8), real_antisymmetric(rng, 8)]
+        assert closure(gens).dim == 28
+        assert len(calls) <= 2 * len(gens)
+
 
 class TestMember:
     def test_sigma_y_in_su2_span(self):
@@ -169,3 +243,61 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         gens = [random_skew(rng, n), random_skew(rng, n)]
         assert closure(gens).dim == bracket_flag_rank(gens, DEFAULT_TOL.rank_tol)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8))
+    @settings(max_examples=12, deadline=None)
+    def test_real_antisymmetric_matches_flag_rank(self, seed, n):
+        # so(n) pairs never reach the n^2 cap: the whole worklist drains.
+        rng = np.random.default_rng(seed)
+        gens = [real_antisymmetric(rng, n), real_antisymmetric(rng, n)]
+        dim = closure(gens).dim
+        assert dim == bracket_flag_rank(gens, DEFAULT_TOL.rank_tol)
+        assert dim == n * (n - 1) // 2
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), q=st.integers(1, 3))
+    @settings(max_examples=12, deadline=None)
+    def test_direct_sum_matches_flag_rank(self, seed, p, q):
+        rng = np.random.default_rng(seed)
+        gens = [scipy.linalg.block_diag(random_skew(rng, p), random_skew(rng, q)) for _ in range(2)]
+        dim = closure(gens).dim
+        assert dim == bracket_flag_rank(gens, DEFAULT_TOL.rank_tol)
+        assert dim < (p + q) ** 2
+
+    @pytest.mark.parametrize("kind", ["so", "u"])
+    def test_stacked_basis_orthonormal(self, kind):
+        rng = np.random.default_rng(10)
+        make = real_antisymmetric if kind == "so" else random_skew
+        basis = closure([make(rng, 10), make(rng, 10)])
+        assert basis.dim == (45 if kind == "so" else 100)
+        gram = np.array([[frobenius_inner(x, y) for y in basis.elements] for x in basis.elements])
+        assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["so4", "so8", "so10", "u3", "u6", "u10", "u2+u3"])
+    def test_matches_loop_reference(self, case):
+        # Classical Gram-Schmidt twice and the modified loop orthonormalize the
+        # same bracket sequence; they differ by rounding, which the bracket
+        # chain can amplify (about 2e-12 at u(10)), so entries agree to 1e-9.
+        rng = np.random.default_rng(4)
+        if case.startswith("so"):
+            gens = [real_antisymmetric(rng, int(case[2:])) for _ in range(2)]
+        elif case == "u2+u3":
+            gens = [scipy.linalg.block_diag(random_skew(rng, 2), random_skew(rng, 3)) for _ in range(2)]
+        else:
+            gens = [random_skew(rng, int(case[1:])) for _ in range(2)]
+        basis = closure(gens)
+        elements, words = loop_closure(gens)
+        assert basis.provenance == words
+        for got, expected in zip(basis.elements, elements):
+            assert np.max(np.abs(got - expected)) <= 1e-9
+
+    def test_so6_provenance_words(self):
+        # The FIFO worklist fixes which bracket word names each element.
+        rng = np.random.default_rng(6)
+        gens = [real_antisymmetric(rng, 6), real_antisymmetric(rng, 6)]
+        assert closure(gens).provenance == [
+            "g0", "g1", "[g0,g1]", "[g0,[g0,g1]]", "[g1,[g0,g1]]", "[g0,[g0,[g0,g1]]]",
+            "[g1,[g0,[g0,g1]]]", "[[g0,g1],[g0,[g0,g1]]]", "[g1,[g1,[g0,g1]]]",
+            "[[g0,g1],[g1,[g0,g1]]]", "[[g0,[g0,g1]],[g1,[g0,g1]]]", "[g0,[g0,[g0,[g0,g1]]]]",
+            "[g1,[g0,[g0,[g0,g1]]]]", "[[g0,g1],[g0,[g0,[g0,g1]]]]",
+            "[[g0,[g0,g1]],[g0,[g0,[g0,g1]]]]",
+        ]

@@ -18,7 +18,7 @@ from reachctl import (
     tangent_dimension,
 )
 
-from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
+from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric
 
 
 @pytest.fixture
@@ -214,3 +214,48 @@ class TestControllabilityReport:
         if rep.verdict is Verdict.RESTRICTED and rep.algebra_class.abelian:
             if conserved_moduli(sys) is not None:
                 assert rep.conserved_moduli is not None
+
+
+def _random_pair(rng: np.random.Generator, kind: str, n: int) -> tuple:
+    if kind == "generic":
+        return random_skew(rng, n), random_skew(rng, n)
+    if kind == "so":
+        return real_antisymmetric(rng, n), real_antisymmetric(rng, n)
+    return np.diag(1j * rng.normal(size=n)), np.diag(1j * rng.normal(size=n))
+
+
+def _decisions(A: np.ndarray, B: np.ndarray, c: np.ndarray) -> tuple:
+    rep = controllability_report(ControlSystem(A, B), StateVector(c))
+    return rep.algebra_dim, rep.algebra_class.label, rep.orbit_dim, rep.verdict, rep.conserved_moduli
+
+
+class TestMetamorphic:
+    """Rank decisions are properties of the system, not of its coordinates or units."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        kind=st.sampled_from(["generic", "so", "torus"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_unitary_change_of_basis(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        A, B = _random_pair(rng, kind, n)
+        c = random_unit(rng, n)
+        W = haar_unitary(rng, n)
+        rotated = _decisions(W @ A @ W.conj().T, W @ B @ W.conj().T, W @ c)
+        assert rotated == _decisions(A, B, c)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        kind=st.sampled_from(["generic", "so", "torus"]),
+        log_a=st.floats(-2.0, 2.0),
+        log_b=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_positive_rescaling(self, seed, n, kind, log_a, log_b):
+        rng = np.random.default_rng(seed)
+        A, B = _random_pair(rng, kind, n)
+        c = random_unit(rng, n)
+        assert _decisions(10.0**log_a * A, 10.0**log_b * B, c) == _decisions(A, B, c)
