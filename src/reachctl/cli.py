@@ -13,8 +13,6 @@ import argparse
 import sys as _sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dynamics import propagate, recurrence_scan
 from .fileio import (

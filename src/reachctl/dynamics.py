@@ -138,9 +138,10 @@ class ControlSchedule:
         v = np.asarray(self.values, dtype=float)
         if d.ndim != 1 or v.ndim != 1 or d.size != v.size:
             raise ValueError("durations and values must be 1-d arrays of equal length")
-        for k, dur in enumerate(d):
-            if not np.isfinite(dur) or dur <= 0.0:
-                raise ValueError(f"segment {k}: duration must be positive and finite, got {dur}")
+        bad = ~(np.isfinite(d) & (d > 0.0))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(f"segment {k}: duration must be positive and finite, got {d[k]}")
         if not np.all(np.isfinite(v)):
             k = int(np.argmax(~np.isfinite(v)))
             raise ValueError(f"segment {k}: control value is not finite")
@@ -228,16 +229,21 @@ def diagonalize_drift(A, tol: Tolerance | None = None) -> DriftSpectrum:
     return DriftSpectrum(lambdas=omega, U=V)
 
 
-def drift_hamiltonian(spectrum: DriftSpectrum, s: StateVector) -> float:
+def drift_hamiltonian(spectrum: DriftSpectrum, s: StateVector | np.ndarray) -> float | np.ndarray:
     """Drift energy ``sum_k lambda_k |d_k|^2`` with ``d = U^dagger c``.
 
     Writing ``d_k = a_k + i b_k`` this is ``sum_k lambda_k (a_k^2 + b_k^2)``,
     the conserved Hamiltonian of the drift flow in realified coordinates.
+    ``s`` is one StateVector, giving a float, or an ``(m, n)`` stack of state
+    rows (such as ``Trajectory.states``), giving the ``m`` energies as an array.
     """
-    if spectrum.n != s.n:
-        raise ValueError(f"spectrum dimension {spectrum.n} does not match state dimension {s.n}")
-    d = spectrum.U.conj().T @ s.c
-    return float(np.dot(spectrum.lambdas, np.abs(d) ** 2))
+    c = s.c if isinstance(s, StateVector) else np.asarray(s, dtype=complex)
+    if c.ndim not in (1, 2) or c.shape[-1] != spectrum.n:
+        raise ValueError(f"spectrum dimension {spectrum.n} does not match state shape {c.shape}")
+    d = np.abs(c @ spectrum.U.conj())
+    d *= d
+    energy = d @ spectrum.lambdas
+    return float(energy) if c.ndim == 1 else energy
 
 
 def realify(s: StateVector) -> np.ndarray:

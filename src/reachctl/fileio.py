@@ -232,12 +232,12 @@ def trajectory_payload(traj: Trajectory, sys: ControlSystem, sched: ControlSched
         "max_hamiltonian_drift": None,
     }
     if np.all(sched.values == 0.0):
-        spectrum = diagonalize_drift(sys.A)
-        energies = [
-            drift_hamiltonian(spectrum, StateVector.normalized(traj.states[i]))
-            for i in range(traj.times.size)
-        ]
-        payload["max_hamiltonian_drift"] = float(np.max(np.abs(np.array(energies) - energies[0])))
+        # Energies of the normalized samples, H(c / |c|) = H(c) / |c|^2, so
+        # norm drift (reported above) does not leak into the energy drift.
+        states = traj.states
+        norms2 = np.einsum("ij,ij->i", states.real, states.real) + np.einsum("ij,ij->i", states.imag, states.imag)
+        energies = drift_hamiltonian(diagonalize_drift(sys.A), states) / norms2
+        payload["max_hamiltonian_drift"] = float(np.max(np.abs(energies - energies[0])))
     return payload
 
 

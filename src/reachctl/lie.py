@@ -10,11 +10,11 @@ controllability-relevant cases (all of u(n), su(n), or abelian).
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DEFAULT_TOL, Tolerance, bracket, is_skew_hermitian, square_matrix
+from .matrices import DEFAULT_TOL, Tolerance, is_skew_hermitian, square_matrix
 
 __all__ = [
     "LieAlgebraBasis",
@@ -34,9 +34,10 @@ class LieAlgebraBasis:
     ----------
     n : int
         Ambient matrix dimension.
-    elements : list of ndarray
-        Unit-Frobenius-norm, pairwise orthogonal (real Frobenius pairing)
-        skew-Hermitian matrices spanning the algebra.
+    elements : ndarray
+        ``(dim, n, n)`` complex array of unit-Frobenius-norm, pairwise
+        orthogonal (real Frobenius pairing) skew-Hermitian matrices spanning
+        the algebra, as :func:`closure` builds it.
     provenance : list of str
         For each element, the bracket word that produced it, e.g.
         ``"[g0,[g0,g1]]"``.  Seed generators are named ``g0``, ``g1``, ... by
@@ -44,8 +45,8 @@ class LieAlgebraBasis:
     """
 
     n: int
-    elements: list = field(default_factory=list)
-    provenance: list = field(default_factory=list)
+    elements: np.ndarray
+    provenance: list
 
     @property
     def dim(self) -> int:
@@ -167,7 +168,7 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
             continue
         admit(w, f"[{words[i]},{words[j]}]", ref)
 
-    return LieAlgebraBasis(n=n, elements=list(stack[:dim].copy()), provenance=words)
+    return LieAlgebraBasis(n=n, elements=stack[:dim], provenance=words)
 
 
 def member(basis: LieAlgebraBasis, X) -> float:
@@ -181,8 +182,7 @@ def member(basis: LieAlgebraBasis, X) -> float:
     M = square_matrix(X)
     if M.shape != (basis.n, basis.n):
         raise ValueError(f"member got shape {M.shape}, basis dimension is {basis.n}")
-    rows = _realify(np.reshape(basis.elements, (basis.dim, basis.n, basis.n)))
-    residual = _orthogonal_residual(_realify(M), rows)
+    residual = _orthogonal_residual(_realify(M), _realify(basis.elements))
     return float(np.linalg.norm(residual))
 
 
@@ -196,20 +196,20 @@ def classify(basis: LieAlgebraBasis, tol: Tolerance | None = None) -> AlgebraCla
     stronger ``FULL_UNITARY`` label wins.
     """
     tol = tol or DEFAULT_TOL
+    E = basis.elements
     dim = basis.dim
     n = basis.n
-    traceless = all(
-        abs(complex(np.trace(e))) <= tol.rank_tol * max(1.0, float(np.linalg.norm(e)))
-        for e in basis.elements
-    )
+    norms = np.linalg.norm(E, axis=(1, 2))
+    traces = np.abs(np.trace(E, axis1=1, axis2=2))
+    traceless = bool(np.all(traces <= tol.rank_tol * np.maximum(1.0, norms)))
+    # One row of brackets at a time, [E_i, E_j] for every j > i: the
+    # temporary stays the size of the basis.
     abelian = True
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            scale = float(np.linalg.norm(basis.elements[i]) * np.linalg.norm(basis.elements[j]))
-            if np.linalg.norm(bracket(basis.elements[i], basis.elements[j])) > tol.rank_tol * max(1.0, scale):
-                abelian = False
-                break
-        if not abelian:
+    for i in range(dim - 1):
+        W = E[i] @ E[i + 1 :] - E[i + 1 :] @ E[i]
+        scale = np.maximum(1.0, norms[i] * norms[i + 1 :])
+        if np.any(np.linalg.norm(W, axis=(1, 2)) > tol.rank_tol * scale):
+            abelian = False
             break
 
     if dim == n * n:

@@ -103,12 +103,8 @@ def tangent_dimension(basis: LieAlgebraBasis, s: StateVector, tol: Tolerance | N
         raise ValueError(f"basis dimension {basis.n} does not match state dimension {s.n}")
     if basis.dim == 0:
         return 0
-    M = np.empty((2 * s.n, basis.dim))
-    for k, X in enumerate(basis.elements):
-        v = X @ s.c
-        M[: s.n, k] = v.real
-        M[s.n :, k] = v.imag
-    sv = np.linalg.svd(M, compute_uv=False)
+    V = (basis.elements @ s.c).T
+    sv = np.linalg.svd(np.vstack((V.real, V.imag)), compute_uv=False)
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
     return int(np.sum(sv > tol.rank_tol * sv[0]))
@@ -136,15 +132,12 @@ def sample_orbit(
         raise ValueError(f"duration_scale must be positive, got {duration_scale}")
     rng = np.random.default_rng(seed)
     factors = []
-    c = s0.c.copy()
     if basis.dim > 0:
         for _ in range(int(word_length)):
             gi = int(rng.integers(basis.dim))
-            t = float(rng.uniform(-duration_scale, duration_scale))
-            X = basis.elements[gi]
-            c = matrix_exp(X, t) @ c
-            factors.append((X, t))
-    return StateVector.normalized(c), GroupWord(factors)
+            factors.append((basis.elements[gi], float(rng.uniform(-duration_scale, duration_scale))))
+    word = GroupWord(factors)
+    return word.apply(s0), word
 
 
 def _cluster_spans(values: np.ndarray, cluster_tol: float) -> list:

@@ -75,6 +75,18 @@ class TestControlSchedule:
     def test_negative_duration_names_segment(self):
         with pytest.raises(ValueError, match="segment 1"):
             ControlSchedule(np.array([1.0, -0.5]), np.array([0.0, 0.0]))
+        # Non-finite and zero durations too; of two bad segments only the
+        # first is named.
+        for durations, message in [
+            ([1.0, np.nan], "segment 1: duration must be positive and finite, got nan"),
+            ([1.0, np.inf, 2.0], "segment 1: duration must be positive and finite, got inf"),
+            ([1.0, 0.0], "segment 1: duration must be positive and finite, got 0.0"),
+            ([1.0, -np.inf, 0.0, 1.0], "segment 1: duration must be positive and finite, got -inf"),
+            ([0.5, 0.0, -2.0], "segment 1: duration must be positive and finite, got 0.0"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                ControlSchedule(np.array(durations), np.zeros(len(durations)))
+            assert str(info.value) == message
 
     def test_total_duration(self):
         sched = ControlSchedule.from_segments([(0.5, 1.0), (1.5, -1.0)])
@@ -149,6 +161,24 @@ class TestDriftHamiltonian:
         v = realify(s)
         expected = float(np.sum(spec.lambdas * (v[:3] ** 2 + v[3:] ** 2)))
         assert drift_hamiltonian(spec, s) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_rows_match_per_state(self, n):
+        rng = np.random.default_rng(100 + n)
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        sched = ControlSchedule(rng.uniform(0.1, 2.0, 30), rng.uniform(-1.0, 1.0, 30))
+        traj = propagate(sys, StateVector(random_unit(rng, n)), sched, samples_per_segment=3)
+        spec = diagonalize_drift(sys.A)
+        per_state = np.array([drift_hamiltonian(spec, StateVector(row)) for row in traj.states])
+        stacked = drift_hamiltonian(spec, traj.states)
+        assert stacked.shape == (traj.times.size,)
+        scale = float(np.max(np.abs(spec.lambdas)))
+        np.testing.assert_allclose(stacked, per_state, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_rejects_mismatched_stack(self):
+        spec = DriftSpectrum(lambdas=np.array([1.0, 2.0]), U=np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="spectrum dimension 2"):
+            drift_hamiltonian(spec, np.ones((4, 3)))
 
 
 class TestRealify:

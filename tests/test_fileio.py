@@ -8,6 +8,7 @@ from reachctl import (
     ControlSystem,
     StateVector,
     SteeringConfig,
+    Trajectory,
     controllability_report,
     propagate,
     steer,
@@ -167,6 +168,16 @@ class TestPayloads:
         assert p1["max_hamiltonian_drift"] is None
         assert p0["max_norm_drift"] <= 1e-10
         assert p0["final_time"] == pytest.approx(2.0)
+
+    def test_energy_drift_ignores_norm_drift(self, su2_system, basis_state):
+        # Each sample's energy is that of the normalized state, so norm drift
+        # (reported on its own) does not show up as energy drift.
+        sched = ControlSchedule.constant(0.0, 2.0, 4)
+        traj = propagate(su2_system, basis_state, sched)
+        scaled = Trajectory(traj.times, traj.states * np.linspace(1.0, 1.001, traj.times.size)[:, None])
+        payload = trajectory_payload(scaled, su2_system, sched)
+        assert payload["max_norm_drift"] > 1e-3
+        assert payload["max_hamiltonian_drift"] <= 1e-12
 
     def test_certificate_payload(self, su2_system, basis_state):
         target = StateVector(np.array([0.0, 1.0], dtype=complex))

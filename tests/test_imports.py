@@ -1,0 +1,40 @@
+"""Every module-level import in the package is used or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import reachctl
+
+MODULES = sorted(Path(reachctl.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by module-level imports that the module neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read | exported)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_finds_unused_alias():
+    source = "import numpy as np\nimport os.path\nfrom x import y, z\n__all__ = ['z']\nos.path.join(y)\n"
+    assert unused_imports(source) == ["line 1: np"]

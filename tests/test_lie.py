@@ -8,13 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from reachctl import (
     AlgebraLabel,
+    ControlSchedule,
+    ControlSystem,
     DEFAULT_TOL,
+    LieAlgebraBasis,
+    StateVector,
     bracket,
     classify,
     closure,
     frobenius_inner,
     member,
 )
+from reachctl.cli import run
+from reachctl.fileio import save_schedule, save_state, save_system
 import reachctl.lie
 import reachctl.matrices
 
@@ -54,6 +60,38 @@ def loop_closure(generators, rank_tol: float = DEFAULT_TOL.rank_tol) -> tuple:
         if ref > 0.0:
             admit(W, f"[{words[i]},{words[j]}]", ref)
     return elements, words
+
+
+def loop_classify(basis, rank_tol: float = DEFAULT_TOL.rank_tol) -> tuple:
+    """``(traceless, abelian, label)`` from one element and one pair at a time.
+
+    A reference for ``classify``: the same thresholds, with traces, norms and
+    brackets taken per element and per pair.
+    """
+    elements = list(basis.elements)
+    norms = [np.linalg.norm(e) for e in elements]
+    traceless = all(abs(np.trace(e)) <= rank_tol * max(1.0, nrm) for e, nrm in zip(elements, norms))
+    abelian = all(
+        np.linalg.norm(elements[i] @ elements[j] - elements[j] @ elements[i])
+        <= rank_tol * max(1.0, norms[i] * norms[j])
+        for i in range(len(elements))
+        for j in range(i + 1, len(elements))
+    )
+    n, dim = basis.n, len(elements)
+    if dim == n * n:
+        label = AlgebraLabel.FULL_UNITARY
+    elif dim == n * n - 1 and traceless:
+        label = AlgebraLabel.SPECIAL_UNITARY
+    elif abelian and dim >= 1:
+        label = AlgebraLabel.ABELIAN
+    else:
+        label = AlgebraLabel.OTHER
+    return traceless, abelian, label
+
+
+def diagonal_generators(n: int) -> list:
+    """The n commuting generators i E_kk: together they span the diagonal torus of u(n)."""
+    return [np.diag(1j * np.eye(n)[k]) for k in range(n)]
 
 
 class TestClosure:
@@ -181,6 +219,47 @@ class TestBoundaryValidation:
         assert closure(gens).dim == 28
         assert len(calls) <= 2 * len(gens)
 
+    def test_classify_validates_nothing(self, monkeypatch):
+        # classify works on the stack closure built; no bracket re-validates
+        # a pair of basis elements (six commuting elements: 15 pairs).
+        basis = closure(diagonal_generators(6))
+        assert basis.dim == 6
+        calls = []
+        original = reachctl.matrices.square_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reachctl.matrices, "square_matrix", counted)
+        monkeypatch.setattr(reachctl.lie, "square_matrix", counted)
+        assert classify(basis).label is AlgebraLabel.ABELIAN
+        assert calls == []
+
+    def test_pure_drift_simulate_states_do_not_grow_with_samples(self, monkeypatch, tmp_path):
+        # The drift-energy diagnostic takes every sample from the trajectory
+        # array, not one validated StateVector per sample.
+        save_system(ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X), tmp_path / "system.json")
+        save_state(StateVector.normalized(np.array([1.0, 1j])), tmp_path / "state.json")
+        save_schedule(ControlSchedule.constant(0.0, 2.0, 20), tmp_path / "controls.json")
+        built = []
+        original = StateVector.__post_init__
+
+        def counted(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        counts = []
+        for samples in ("1", "50"):
+            built.clear()
+            argv = ["simulate", "--system", str(tmp_path / "system.json"), "--state", str(tmp_path / "state.json"),
+                    "--controls", str(tmp_path / "controls.json"), "--samples-per-segment", samples,
+                    "--out", str(tmp_path / "report.json")]
+            assert run(argv) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
 
 class TestMember:
     def test_sigma_y_in_su2_span(self):
@@ -221,6 +300,36 @@ class TestClassify:
         out = classify(closure([np.array([[1j]])]))
         assert out.abelian
         assert out.label is AlgebraLabel.FULL_UNITARY
+
+    @pytest.mark.parametrize(
+        "case", ["generic3", "generic4", "su3", "so5", "torus", "diagonal6", "zero", "su2_in_u3", "far_pair"]
+    )
+    def test_matches_loop_reference(self, case):
+        rng = np.random.default_rng(12)
+        if case.startswith("generic"):
+            gens = [random_skew(rng, int(case[-1])) for _ in range(2)]
+        elif case == "su3":
+            gens = [X - np.trace(X) / 3 * np.eye(3) for X in (random_skew(rng, 3), random_skew(rng, 3))]
+        elif case == "so5":
+            gens = [real_antisymmetric(rng, 5) for _ in range(2)]
+        elif case == "torus":
+            A = np.diag(1j * np.sqrt([1.0, 2.0, 3.0]))
+            gens = [A, 2.0 * A]
+        elif case == "diagonal6":
+            gens = diagonal_generators(6)
+        elif case == "zero":
+            gens = [np.zeros((3, 3))]
+        elif case == "su2_in_u3":
+            gens = [scipy.linalg.block_diag(1j * X, [[0.0]]) for X in (SIGMA_Z, SIGMA_X)]
+        if case == "far_pair":
+            # Built by hand: neighbours commute, only the pair (0, 2) does not.
+            elements = np.array([1j * SIGMA_Z, 1j * EYE2, 1j * SIGMA_X]) / np.sqrt(2.0)
+            basis = LieAlgebraBasis(n=2, elements=elements, provenance=["g0", "g1", "g2"])
+        else:
+            basis = closure(gens)
+        out = classify(basis)
+        assert out.dim == basis.dim
+        assert (out.traceless, out.abelian, out.label) == loop_classify(basis)
 
     def test_other_label(self):
         # diagonal span of dimension 2 in u(3): abelian comes first, so craft
