@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ControlSystem, StateVector, diagonalize_drift
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import DEFAULT_TOL, Tolerance, bracket, canonical_skew_eigensystem, matrix_exp
+from .matrices import DEFAULT_TOL, Tolerance, bracket, canonical_skew_eigensystem
 
 __all__ = [
     "GroupWord",
@@ -48,15 +48,19 @@ class GroupWord:
     """A group element as an ordered product of one-parameter factors.
 
     ``factors`` is a list of (generator, duration) pairs, applied in list
-    order: the state reached is ``exp(t_m X_m) ... exp(t_1 X_1) c``.
+    order: the state reached is ``exp(t_m X_m) ... exp(t_1 X_1) c``.  The
+    skew-Hermitian generators share one stacked ``eigh``; ``t = 0`` is the identity.
     """
 
     factors: list
 
     def apply(self, s: StateVector) -> StateVector:
         c = s.c
-        for X, t in self.factors:
-            c = matrix_exp(X, t) @ c
+        if self.factors:
+            h, V = np.linalg.eigh(1j * np.array([X for X, _ in self.factors], dtype=complex))
+            for (_, t), Vk, omega in zip(self.factors, V, -h):
+                if t != 0.0:
+                    c = (Vk * np.exp(1j * t * omega)) @ Vk.conj().T @ c
         return StateVector.normalized(c)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,17 @@ class TestRecurrence:
         assert result["found"] is False
         assert result["return_time"] is None
 
+    def test_fixed_point_returns_at_once(self, tmp_path):
+        sys_path, state_path = tmp_path / "fixed.json", tmp_path / "up.json"
+        save_system(ControlSystem(np.zeros((2, 2)), 1j * SIGMA_X), sys_path)
+        save_state(StateVector(np.array([1.0, 0.0], dtype=complex)), state_path)
+        out = str(tmp_path / "rec.json")
+        start = time.perf_counter()
+        code = run(["recurrence", "--system", str(sys_path), "--state", str(state_path),
+                    "--tol", "0.05", "--tmax", "1e12", "--dt", "1e-3", "--out", out])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert read_report(out)["result"]["return_time"] == 1e-3
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "0.05", "--tmax", "inf"],

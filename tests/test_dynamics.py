@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,100 @@ from reachctl.matrices import skew_eigensystem
 
 from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
 from oracles import dense_recurrence_time
+
+
+def chunked_recurrence_scan(sys, s0, tol, t_max, dt):
+    """Reference: the scan that tabulated every grid distance, 2^17 grid points per chunk.
+
+    Returns ``(return time, outcome)``, the outcome one of ``"stays"`` (never
+    leaves the ball), ``"grid-hit"``, ``"refined-hit"`` (no grid point in the
+    ball, but the refinement around the closest approach is) and ``"none"``.
+    """
+    spectrum = diagonalize_drift(sys.A)
+    weights = np.abs(spectrum.U.conj().T @ s0.c) ** 2
+    lam = spectrum.lambdas
+
+    def dist_array(ts):
+        x = np.cos(np.outer(ts, lam))
+        return np.sqrt(np.maximum(2.0 * np.sum((1.0 - x) * weights, axis=1), 0.0))
+
+    def dist_scalar(t):
+        return float(dist_array(np.array([t]))[0])
+
+    def golden(f, a, b):
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = f(x1), f(x2)
+        for _ in range(60):
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - invphi * (b - a)
+                f1 = f(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + invphi * (b - a)
+                f2 = f(x2)
+        return (x1, f1) if f1 <= f2 else (x2, f2)
+
+    count = int(np.floor(t_max / dt + 1e-12))
+    chunk = 1 << 17
+    departure_time = candidate = best_t = None
+    best_d = np.inf
+    for start in range(1, count + 1, chunk):
+        ts = np.arange(start, min(start + chunk, count + 1)) * dt
+        ds = dist_array(ts)
+        if departure_time is None:
+            outside = np.nonzero(ds > tol)[0]
+            if outside.size == 0:
+                continue
+            departure_time = float(ts[outside[0]])
+            ts, ds = ts[outside[0]:], ds[outside[0]:]
+        hits = np.nonzero(ds <= tol)[0]
+        if hits.size:
+            candidate = float(ts[hits[0]])
+            break
+        k = int(np.argmin(ds))
+        if ds[k] < best_d:
+            best_d, best_t = float(ds[k]), float(ts[k])
+    if departure_time is None:
+        return float(dt), "stays"
+    center = candidate if candidate is not None else best_t
+    refined_t, refined_d = golden(dist_scalar, max(center - dt, departure_time), min(center + dt, count * dt))
+    if candidate is not None:
+        return (min(candidate, refined_t) if refined_d <= tol else candidate), "grid-hit"
+    return (refined_t, "refined-hit") if refined_d <= tol else (None, "none")
+
+
+def random_recurrence_cases():
+    """Seeded diagonal drifts, n = 2..8, at every ``tol`` of the suite.
+
+    Frequencies are integers (exact returns at multiples of 2 pi), random
+    reals, or either with some set to zero; some state components are zero,
+    and zero-frequency components can hold most of the weight, so the state
+    may never leave a wide ball.
+    """
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n in range(2, 9):
+        for tol in (1e-9, 1e-6, 1e-3, 0.05, 0.5, 1.9):
+            for kind in ("integer", "real", "zeros"):
+                if kind == "integer":
+                    lam = rng.integers(-3, 4, n).astype(float)
+                else:
+                    lam = rng.uniform(-4.0, 4.0, n)
+                c = random_unit(rng, n)
+                if kind == "zeros":
+                    lam[rng.random(n) < 0.4] = 0.0
+                    c[0] *= 4.0
+                c[rng.random(n) < 0.3] = 0.0
+                if not np.any(c):
+                    c[0] = 1.0
+                dt = float(rng.choice([1e-2, 3e-3]))
+                cases.append((np.diag(1j * lam), c / np.linalg.norm(c), tol, float(rng.uniform(5.0, 40.0)), dt))
+    return cases
+
+
+RECURRENCE_CASES = random_recurrence_cases()
 
 
 def per_segment_trajectory(sys, s0, sched, samples_per_segment):
@@ -405,3 +501,38 @@ class TestRecurrenceScan:
             recurrence_scan(torus_system, plus_state, tol=0.0, t_max=1.0, dt=1e-3)
         with pytest.raises(ValueError):
             recurrence_scan(torus_system, plus_state, tol=0.1, t_max=1.0, dt=2.0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_walk_matches_chunked_scan(self, n):
+        # Equal finite positive floats are equal bit for bit.
+        for A, c, tol, t_max, dt in RECURRENCE_CASES:
+            if A.shape[0] == n:
+                sys, s0 = ControlSystem(A, A), StateVector(c)
+                expected, _ = chunked_recurrence_scan(sys, s0, tol, t_max, dt)
+                assert recurrence_scan(sys, s0, tol, t_max, dt) == expected, (np.diag(A), c, tol, t_max, dt)
+
+    def test_random_suite_covers_every_outcome(self):
+        outcomes = set()
+        zero_weight = 0
+        for A, c, tol, t_max, dt in RECURRENCE_CASES:
+            outcomes.add(chunked_recurrence_scan(ControlSystem(A, A), StateVector(c), tol, t_max, dt)[1])
+            zero_weight += bool(np.any(c == 0.0))
+        assert outcomes == {"stays", "grid-hit", "refined-hit", "none"}
+        assert zero_weight >= len(RECURRENCE_CASES) // 4
+
+    @pytest.mark.parametrize("name, tol, t_max", [("torus2", 0.05, 450.0), ("torus8", 0.3, 2000.0)])
+    def test_walk_matches_chunked_scan_on_bench_tori(self, name, tol, t_max):
+        n = int(name[5:])
+        lam = np.sqrt(np.array([1, 2, 3, 5, 7, 11, 13, 17][:n], dtype=float))
+        sys = ControlSystem(np.diag(1j * lam), np.diag(2j * lam))
+        s0 = StateVector(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
+        expected, _ = chunked_recurrence_scan(sys, s0, tol, t_max, 1e-3)
+        assert recurrence_scan(sys, s0, tol, t_max, 1e-3) == expected
+
+    def test_tiny_grid_step_with_slow_drift(self):
+        # v dt underflows to a subnormal here; the step is clipped before dividing.
+        sys = ControlSystem(np.diag([1e-12j, 2e-12j]), np.diag([1j, 1j]))
+        s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert recurrence_scan(sys, s0, tol=0.05, t_max=1e-290, dt=1e-300) == 1e-300

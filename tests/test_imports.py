@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Module-level imports are all used, and the benchmark tracer's bindings all exist."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import reachctl
 
 MODULES = sorted(Path(reachctl.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +40,24 @@ def test_no_unused_imports(path):
 def test_finds_unused_alias():
     source = "import numpy as np\nimport os.path\nfrom x import y, z\n__all__ = ['z']\nos.path.join(y)\n"
     assert unused_imports(source) == ["line 1: np"]
+
+
+def tracer_bindings() -> list:
+    """The ``(module, attribute)`` keys of the tracer's ``TRACED`` and ``KERNELS``, read without importing it."""
+    keys = []
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("TRACED", "KERNELS") for t in node.targets
+        ):
+            keys += list(ast.literal_eval(node.value))
+    return keys
+
+
+def test_tracer_bindings_resolve():
+    # A traced benchmark run looks each function up by name; a moved or
+    # deleted one stops it with an AttributeError.
+    keys = tracer_bindings()
+    assert {("reachctl.matrices", "frobenius_inner"), ("numpy.linalg", "eigh")} <= set(keys)
+    missing = [f"{mod}.{attr}" for mod, attr in keys
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert missing == []

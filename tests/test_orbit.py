@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from reachctl import (
     ControlSchedule,
     ControlSystem,
+    GroupWord,
     StateVector,
     Verdict,
     block_moduli,
@@ -12,6 +13,7 @@ from reachctl import (
     commuting_frame,
     conserved_moduli,
     controllability_report,
+    matrix_exp,
     moduli_distance_bound,
     propagate,
     sample_orbit,
@@ -86,6 +88,22 @@ class TestSampleOrbit:
         base_dim = tangent_dimension(basis, s0)
         s, _ = sample_orbit(basis, s0, word_length=4, seed=seed)
         assert tangent_dimension(basis, s) == base_dim
+
+
+class TestGroupWord:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stacked_apply_matches_matrix_exp_loop(self, n):
+        rng = np.random.default_rng(n)
+        basis = closure([random_skew(rng, n), random_skew(rng, n)])
+        s0 = StateVector(random_unit(rng, n))
+        picks = rng.integers(basis.dim, size=9)
+        durations = rng.uniform(-2.0, 2.0, 9)
+        durations[[2, 5]] = 0.0  # matrix_exp returns the exact identity at t = 0
+        word = GroupWord([(basis.elements[k], float(t)) for k, t in zip(picks, durations)])
+        c = s0.c
+        for X, t in word.factors:
+            c = matrix_exp(X, t) @ c
+        assert np.array_equal(word.apply(s0).c, StateVector.normalized(c).c)
 
 
 class TestCommutingFrame:
