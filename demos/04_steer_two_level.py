@@ -4,8 +4,8 @@ Synthesizing a steering control on a two-level system
 
 For the controllable pair A = i sigma_z, B = i sigma_x, every unit state is
 reachable from every other.  Here the claim is made constructive: a
-gradient descent over piecewise-constant control values produces an
-explicit schedule, and re-simulating that schedule checks the certificate
+quasi-Newton (L-BFGS) descent on the exact gradient over piecewise-constant
+control values produces an explicit schedule, and re-simulating that schedule checks the certificate
 against the simulator it came from.
 """
 

@@ -11,7 +11,7 @@ is why the drift flow keeps returning near its starting point
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -83,18 +83,22 @@ class StateVector:
 
 @dataclass
 class ControlSystem:
-    """The generator pair (A, B): drift ``A`` and control coupling ``B``."""
+    """The generator pair (A, B): drift ``A`` and control coupling ``B``.
+
+    Both must be skew-Hermitian to ``tol`` (default ``DEFAULT_TOL``), which is not stored.
+    """
 
     A: np.ndarray
     B: np.ndarray
+    tol: InitVar[Tolerance | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         A = square_matrix(self.A, "A")
         B = square_matrix(self.B, "B")
         if A.shape != B.shape:
             raise ValueError(f"A and B must have equal shapes, got {A.shape} and {B.shape}")
-        is_skew_hermitian(A, DEFAULT_TOL, "A")
-        is_skew_hermitian(B, DEFAULT_TOL, "B")
+        is_skew_hermitian(A, tol, "A")
+        is_skew_hermitian(B, tol, "B")
         self.A = A
         self.B = B
 

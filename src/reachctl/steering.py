@@ -1,12 +1,13 @@
 """Control synthesis: steer an initial state to a target on its orbit.
 
 This is the constructive companion to the orbit analysis: given a target that
-lies on the orbit, a multi-start gradient optimizer over piecewise-constant
-schedules produces a concrete control witnessing reachability, with exact
-segment-wise derivatives taken in the segment eigenbases of the forward pass
-that the objective has already computed.  A certificate that fails to
-converge is a flagged optimizer failure and nothing more -- reachability of
-orbit points is a theorem, so non-convergence is never evidence against it.
+lies on the orbit, a multi-start quasi-Newton (L-BFGS) optimizer over
+piecewise-constant schedules produces a concrete control witnessing
+reachability, with exact segment-wise derivatives taken in the segment
+eigenbases of the forward pass that the objective has already computed.  A
+certificate that fails to converge is a flagged optimizer failure and nothing
+more -- reachability of orbit points is a theorem, so non-convergence is never
+evidence against it.
 """
 
 from dataclasses import dataclass
@@ -27,10 +28,11 @@ __all__ = [
     "verify_reachability",
 ]
 
-# Armijo sufficient-decrease constant and line search bounds.
+# Armijo sufficient-decrease constant, line search bounds and L-BFGS memory.
 _ARMIJO = 1e-4
-_ALPHA_MAX = 1e3
+_ALPHA_MAX = 4.0
 _ALPHA_MIN = 1e-16
+_MEMORY = 8
 
 
 def _require_seed(seed) -> None:
@@ -77,7 +79,10 @@ class ReachabilityCertificate:
     schedule can be re-propagated by anyone to check the claim, which makes
     certificates self-verifying.  ``stop_reason`` says why the winning
     restart stopped: ``"converged"``, ``"max_iterations"``,
-    ``"zero_gradient"`` or ``"line_search_exhausted"``.
+    ``"zero_gradient"`` or ``"line_search_exhausted"`` (the line search
+    backtracked below its smallest step, or an accepted step stalled).
+    ``iterations_used`` counts the winning restart's line searches, not its
+    objective evaluations: a line search evaluates one or more trial steps.
     """
 
     schedule: ControlSchedule
@@ -151,6 +156,25 @@ def gradient(
     return np.real(prefactor * pairing[:, 0, 0])
 
 
+def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
+    """The L-BFGS step ``-H g``: the two-loop recursion over ``(s, y, 1 / s.y)`` pairs, oldest first.
+
+    The initial inverse Hessian is ``gamma I`` with ``gamma = s.y / y.y`` of the newest pair.
+    """
+    q = g.copy()
+    coefficients = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        coefficients.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(coefficients)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
 def _optimize_restart(
     sys: ControlSystem,
     s0: StateVector,
@@ -166,31 +190,49 @@ def _optimize_restart(
         rng = np.random.default_rng((cfg.seed, restart))
         values = rng.uniform(-1.0, 1.0, cfg.segments)
 
-    def objective(v: np.ndarray) -> tuple[float, tuple]:
+    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray]:
         forward = forward_pass(sys, durations, v, s0.c)  # forward[3][-1]: final state
-        return _raw_distance(forward[3][-1], target.c, cfg.phase_sensitive), forward
+        f = _raw_distance(forward[3][-1], target.c, cfg.phase_sensitive)
+        return f, gradient(sys, ControlSchedule(durations, v), s0, target, cfg.phase_sensitive, forward)
 
-    f, forward = objective(values)
-    alpha = 1.0
+    f, g = evaluate(values)
+    pairs = []  # the last _MEMORY (s, y, 1 / s.y) curvature pairs, oldest first
+    step = 1.0
+    exploring = True
     iterations = 0
     while f > cfg.target_distance:
         if iterations == cfg.max_iterations:
             return values, f, iterations, "max_iterations"
-        g = gradient(sys, ControlSchedule(durations, values), s0, target, cfg.phase_sensitive, forward)
-        gnorm2 = float(g @ g)
-        if gnorm2 <= 1e-28:
+        if float(g @ g) <= 1e-28:
             return values, f, iterations, "zero_gradient"
         iterations += 1
-        step = min(2.0 * alpha, _ALPHA_MAX)
+        d = _lbfgs_direction(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            pairs.clear()
+            d, slope = -g, -float(g @ g)
+        # Exploratory phase: until the first backtrack, double the last step
+        # (up to _ALPHA_MAX) so early steps can cross shallow local minima.
+        step = min(2.0 * step, _ALPHA_MAX) if exploring else 1.0
         while step >= _ALPHA_MIN:
-            trial = values - step * g
-            f_trial, forward_trial = objective(trial)
-            if f_trial <= f - _ARMIJO * step * gnorm2:
-                values, f, forward, alpha = trial, f_trial, forward_trial, step
+            trial = values + step * d
+            f_trial, g_trial = evaluate(trial)
+            if f_trial <= cfg.target_distance:
+                return trial, f_trial, iterations, "converged"
+            if f_trial < f and f_trial <= f + _ARMIJO * step * slope:
                 break
             step *= 0.5
+            exploring = False
         else:
             return values, f, iterations, "line_search_exhausted"
+        if f - f_trial <= 1e-12 * f:
+            return trial, f_trial, iterations, "line_search_exhausted"
+        s, y = trial - values, g_trial - g
+        sy = float(s @ y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-_MEMORY]
+        values, f, g = trial, f_trial, g_trial
     return values, f, iterations, "converged"
 
 
@@ -202,13 +244,25 @@ def steer(
 ) -> ReachabilityCertificate:
     """Synthesize a piecewise-constant control driving ``s0`` toward ``target``.
 
-    Runs ``cfg.restarts`` independent gradient descents with backtracking
-    (halving) Armijo line search over equal-duration segments spanning the
-    horizon.  Restart 0 starts from the all-zeros schedule; restart ``r``
-    draws initial values uniformly from [-1, 1] with a generator derived from
-    ``(cfg.seed, r)``, so results are reproducible.  The best certificate
-    (smallest achieved distance, ties to the smallest restart index) is
-    returned.
+    Runs ``cfg.restarts`` independent L-BFGS descents over equal-duration
+    segments spanning the horizon.  Restart 0 starts from the all-zeros
+    schedule; restart ``r`` draws initial values uniformly from [-1, 1] with a
+    generator derived from ``(cfg.seed, r)``, so results are reproducible.
+    The best certificate (smallest achieved distance, ties to the smallest
+    restart index) is returned.
+
+    Each evaluation is one forward pass and the exact gradient on it.  The
+    direction is the two-loop recursion over the last 8 curvature pairs
+    (``-g`` when that is not a descent direction), and a backtracking
+    (halving) Armijo line search with strict decrease takes the step.  While
+    every line search of the restart has accepted its first trial, that trial
+    doubles the last step, from 2 up to 4, so early steps can cross the
+    local minima of periodic landscapes; after the first backtrack it is the
+    unit step.  A restart stops at the first evaluation within
+    ``cfg.target_distance`` (``"converged"``), after ``cfg.max_iterations``
+    line searches, at a zero gradient, or as ``"line_search_exhausted"`` when
+    the line search fails or an accepted step lowers the distance by at most
+    a relative 1e-12 (a stall, such as a moduli floor).
 
     A non-converged certificate is a valid, flagged outcome: it reports that
     the optimizer failed (or the target is off the orbit), never that an

@@ -161,7 +161,10 @@ class TestSteer:
         code = run(["steer", "--system", sys_path, "--from", from_path, "--to", str(to_path),
                     "--segments", "10", "--restarts", "1", "--out", out])
         assert code == 2
-        assert read_report(out)["result"]["stop_reason"] == "max_iterations"
+        result = read_report(out)["result"]
+        # the distance stalls on the moduli floor long before the budget
+        assert result["stop_reason"] == "line_search_exhausted"
+        assert result["iterations_used"] < 20
 
     def test_negative_seed_names_seed(self, su2_files, capsys):
         sys_path, from_path = su2_files

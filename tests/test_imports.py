@@ -1,7 +1,10 @@
-"""Module-level imports are all used, and the benchmark tracer's bindings all exist."""
+"""Module-level imports are all used, the benchmark tracer's bindings all exist, and the CLI imports no optimizer."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,15 @@ def test_tracer_bindings_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in keys
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Importing scipy.optimize costs about 20 MB of peak RSS; the steering
+    # optimizer is written out so that the CLI never pays it.
+    package_root = str(Path(reachctl.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = "import sys, reachctl.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from reachctl import (
     verify_reachability,
 )
 
+from reachctl import steering
 from reachctl.dynamics import forward_pass
 
 from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
@@ -281,10 +282,11 @@ class TestStopReason:
         assert cert.converged
         assert cert.stop_reason == "converged"
 
-    def test_max_iterations(self, torus_system, plus_state):
-        target = StateVector(np.array([1.0, 0.0], dtype=complex))
-        cfg = SteeringConfig(segments=10, restarts=2, max_iterations=5)
-        cert = steer(torus_system, plus_state, target, cfg)
+    def test_max_iterations(self, su2_system, basis_state):
+        # a target distance near rounding keeps every restart short of it
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cfg = SteeringConfig(restarts=2, max_iterations=5, target_distance=1e-14)
+        cert = steer(su2_system, basis_state, target, cfg)
         assert not cert.converged
         assert cert.iterations_used == 5
         assert cert.stop_reason == "max_iterations"
@@ -304,6 +306,52 @@ class TestStopReason:
         cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=3, max_iterations=1))
         assert cert.stop_reason == "max_iterations"
         assert cert.iterations_used == 1
+
+
+class CountingKernels:
+    """Counts the module-level ``forward_pass`` and ``gradient`` calls ``steer`` makes."""
+
+    def __init__(self, monkeypatch):
+        self.forward_passes = self.gradients = 0
+        forward, grad = steering.forward_pass, steering.gradient
+
+        def counted_forward(*args, **kwargs):
+            self.forward_passes += 1
+            return forward(*args, **kwargs)
+
+        def counted_gradient(*args, **kwargs):
+            self.gradients += 1
+            return grad(*args, **kwargs)
+
+        monkeypatch.setattr(steering, "forward_pass", counted_forward)
+        monkeypatch.setattr(steering, "gradient", counted_gradient)
+
+
+class TestEvaluationBudget:
+    """Each objective evaluation is one forward pass and one gradient on it."""
+
+    def test_off_moduli_torus(self, monkeypatch, torus_system, plus_state):
+        target = StateVector(np.array([1.0, 0.0], dtype=complex))
+        counts = CountingKernels(monkeypatch)
+        cert = steer(torus_system, plus_state, target, SteeringConfig(segments=10, restarts=2))
+        assert cert.stop_reason == "line_search_exhausted"
+        assert not cert.converged
+        assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
+        assert counts.gradients == counts.forward_passes <= 40
+
+    def test_su2_up_to_down(self, monkeypatch, su2_system, basis_state):
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        counts = CountingKernels(monkeypatch)
+        cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=8))
+        assert cert.converged
+        assert counts.gradients == counts.forward_passes <= 150
+
+    def test_one_gradient_per_forward_pass(self, monkeypatch):
+        # the benchmark counts gradient calls as optimizer evaluations
+        sys, s0, target = generic4()
+        counts = CountingKernels(monkeypatch)
+        steer(sys, s0, target, SteeringConfig(restarts=3, max_iterations=40))
+        assert counts.gradients == counts.forward_passes > 0
 
 
 class TestVerifyReachability:
