@@ -11,7 +11,7 @@ is why the drift flow keeps returning near its starting point
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,22 +83,18 @@ class StateVector:
 
 @dataclass
 class ControlSystem:
-    """The generator pair (A, B): drift ``A`` and control coupling ``B``.
-
-    Both must be skew-Hermitian to ``tol`` (default ``DEFAULT_TOL``), which is not stored.
-    """
+    """The generator pair (A, B): drift ``A`` and control coupling ``B``."""
 
     A: np.ndarray
     B: np.ndarray
-    tol: InitVar[Tolerance | None] = None
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         A = square_matrix(self.A, "A")
         B = square_matrix(self.B, "B")
         if A.shape != B.shape:
             raise ValueError(f"A and B must have equal shapes, got {A.shape} and {B.shape}")
-        is_skew_hermitian(A, tol, "A")
-        is_skew_hermitian(B, tol, "B")
+        is_skew_hermitian(A, DEFAULT_TOL, "A")
+        is_skew_hermitian(B, DEFAULT_TOL, "B")
         self.A = A
         self.B = B
 

@@ -80,7 +80,7 @@ class ReachabilityCertificate:
     certificates self-verifying.  ``stop_reason`` says why the winning
     restart stopped: ``"converged"``, ``"max_iterations"``,
     ``"zero_gradient"`` or ``"line_search_exhausted"`` (the line search
-    backtracked below its smallest step, or an accepted step stalled).
+    backtracked below its smallest step, or a trial step stalled).
     ``iterations_used`` counts the winning restart's line searches, not its
     objective evaluations: a line search evaluates one or more trial steps.
     """
@@ -219,14 +219,17 @@ def _optimize_restart(
             f_trial, g_trial = evaluate(trial)
             if f_trial <= cfg.target_distance:
                 return trial, f_trial, iterations, "converged"
+            if abs(f - f_trial) <= 1e-12 * f:
+                # A stall, such as a moduli floor: the trial moved f by rounding only.
+                if f_trial < f:
+                    values, f = trial, f_trial
+                return values, f, iterations, "line_search_exhausted"
             if f_trial < f and f_trial <= f + _ARMIJO * step * slope:
                 break
             step *= 0.5
             exploring = False
         else:
             return values, f, iterations, "line_search_exhausted"
-        if f - f_trial <= 1e-12 * f:
-            return trial, f_trial, iterations, "line_search_exhausted"
         s, y = trial - values, g_trial - g
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
@@ -261,8 +264,8 @@ def steer(
     unit step.  A restart stops at the first evaluation within
     ``cfg.target_distance`` (``"converged"``), after ``cfg.max_iterations``
     line searches, at a zero gradient, or as ``"line_search_exhausted"`` when
-    the line search fails or an accepted step lowers the distance by at most
-    a relative 1e-12 (a stall, such as a moduli floor).
+    the line search fails or a trial step changes the distance by at most a
+    relative 1e-12 (a stall, such as a moduli floor).
 
     A non-converged certificate is a valid, flagged outcome: it reports that
     the optimizer failed (or the target is off the orbit), never that an

@@ -9,7 +9,6 @@ from reachctl import (
     ControlSystem,
     DriftSpectrum,
     StateVector,
-    Tolerance,
     Trajectory,
     diagonalize_drift,
     drift_hamiltonian,
@@ -166,17 +165,6 @@ class TestControlSystem:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ControlSystem(1j * SIGMA_Z, np.zeros((3, 3)))
-
-    def test_honours_caller_tolerance(self):
-        # a Hermitian part of relative size 1e-9 fails the default skew_tol
-        # of 1e-12 and passes a caller's 1e-6
-        B = 1j * SIGMA_X + 1e-9 * SIGMA_Z
-        with pytest.raises(ValueError, match="B is not skew-Hermitian"):
-            ControlSystem(1j * SIGMA_Z, B)
-        sys = ControlSystem(1j * SIGMA_Z, B, tol=Tolerance(skew_tol=1e-6))
-        assert np.array_equal(sys.B, B)
-        with pytest.raises(ValueError, match="B is not skew-Hermitian"):
-            ControlSystem(1j * SIGMA_Z, B, tol=Tolerance(skew_tol=1e-10))
 
 
 class TestControlSchedule:

@@ -339,6 +339,18 @@ class TestEvaluationBudget:
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
         assert counts.gradients == counts.forward_passes <= 40
 
+    def test_off_moduli_torus_default_config(self, monkeypatch, torus_system, plus_state):
+        # 20 segments and 8 restarts: a restart on its floor stops at the first
+        # trial that moves the distance by rounding only, instead of halving
+        # the step down to its smallest value (89 calls measured, 195 without)
+        target = StateVector(np.array([1.0, 0.0], dtype=complex))
+        counts = CountingKernels(monkeypatch)
+        cert = steer(torus_system, plus_state, target, SteeringConfig())
+        assert cert.stop_reason == "line_search_exhausted"
+        assert not cert.converged
+        assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
+        assert counts.gradients == counts.forward_passes <= 120
+
     def test_su2_up_to_down(self, monkeypatch, su2_system, basis_state):
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
         counts = CountingKernels(monkeypatch)
@@ -352,6 +364,56 @@ class TestEvaluationBudget:
         counts = CountingKernels(monkeypatch)
         steer(sys, s0, target, SteeringConfig(restarts=3, max_iterations=40))
         assert counts.gradients == counts.forward_passes > 0
+
+
+def held_out_torus(lam, theta):
+    """Torus pair with drift frequencies 1 and ``lam``, target ``exp(theta A)`` applied to |+>."""
+    A = np.diag([1j, 1j * lam])
+    s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
+    return ControlSystem(A, 2.0 * A), s0, StateVector(matrix_exp(A, theta) @ s0.c)
+
+
+def held_out_random(n, k):
+    """Random pair k of size n, drawn in order over sizes 2.. and k = 0..3 from one generator."""
+    rng = np.random.default_rng(20261018)
+    for m in range(2, n + 1):
+        for j in range(4):
+            A, B = random_skew(rng, m), random_skew(rng, m)
+            s0, target = random_unit(rng, m), random_unit(rng, m)
+            if (m, j) == (n, k):
+                return ControlSystem(A, B), StateVector(s0), StateVector(target)
+
+
+class TestHeldOutInstances:
+    """Default-config steers whose outcome the exploratory phase and ``_ALPHA_MAX`` decide.
+
+    Taken from a held-out suite of 44 on-orbit instances (tori with lambda_2 =
+    sqrt3 and sqrt5 at five phase targets each, ten su(2) orbit targets, four
+    random pairs for each n = 2..7): the L-BFGS steer solves 40 of them, the
+    Armijo steepest descent it replaced solved 39.  These are the instances on
+    which the two differ.
+    """
+
+    @pytest.mark.parametrize(
+        "instance",
+        [lambda: held_out_torus(np.sqrt(5.0), 7.0), lambda: held_out_random(6, 1)],
+        ids=["torus-sqrt5-theta7", "random-n6-1"],
+    )
+    def test_solved(self, instance):
+        sys, s0, target = instance()
+        cert = steer(sys, s0, target, SteeringConfig())
+        assert cert.converged
+        assert terminal_distance(sys, s0, cert, target) <= 1e-6
+
+    def test_known_non_convergence(self):
+        # The periodic phase landscape is crossed only by long early steps:
+        # the descent solved this target, no restart of the L-BFGS reaches
+        # its basin.  A change that solves it should update this test.
+        sys, s0, target = held_out_torus(np.sqrt(3.0), -6.0)
+        cert = steer(sys, s0, target, SteeringConfig())
+        assert not cert.converged
+        assert cert.stop_reason == "line_search_exhausted"
+        assert cert.achieved_distance == pytest.approx(0.0930556, abs=1e-6)
 
 
 class TestVerifyReachability:
