@@ -3,10 +3,10 @@
 Every subcommand reads JSON input files, runs the corresponding library
 routine, and writes a single JSON report ``{"command", "inputs_digest",
 "result", "tool_version"}`` to ``--out`` (standard output by default).  Exit
-codes: 0 on success or a PASS verdict, 1 on any validation error, 2 when
-verify reports FAIL or steer fails to converge.  All randomness flows from
-explicit seeds, so identical inputs and flags reproduce reports byte for
-byte.
+codes: 0 on success or a PASS verdict, 1 on any validation error or when
+memory runs out, 2 when verify reports FAIL or steer fails to converge.  All
+randomness flows from explicit seeds, so identical inputs and flags reproduce
+reports byte for byte.
 """
 
 import argparse
@@ -170,6 +170,9 @@ def run(argv) -> int:
         _emit(report, args.out)
     except ValueError as exc:
         _sys.stderr.write(f"reachctl {args.command}: error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        _sys.stderr.write(f"reachctl {args.command}: error: out of memory ({exc or 'allocation failed'})\n")
         return 1
     return exit_code
 

@@ -259,16 +259,25 @@ def forward_pass(sys: ControlSystem, durations: np.ndarray, values: np.ndarray, 
     """``(omega, V, coords, ends)``: segment eigensystems and the states they carry ``c`` through.
 
     ``coords[j] = V_j^dagger c_{j-1}`` and ``ends[j] = c_j = V_j (exp(i omega_j dt_j) *
-    coords[j])`` with ``c_{-1} = c``.  States cross segments only here, in :func:`propagate`
-    and the steering objective alike, so certificates re-check bit for bit.
+    coords[j])`` with ``c_{-1} = c``.  ``values`` is one schedule ``(m,)`` or a stack of
+    schedules ``(r, m)`` over the same ``durations``; every output then gains the leading row
+    axis, and row ``i`` equals the one-schedule pass of ``values[i]`` bit for bit, which is how
+    steering evaluates all its restarts in one call per round.  States cross segments only
+    here, in :func:`propagate` and the steering objective alike, so certificates re-check bit
+    for bit.
     """
     omega, V = segment_eigensystems(sys.A, sys.B, values)
     phases = np.exp(1j * omega * durations[:, None])
     coords = np.empty_like(phases)
     ends = np.empty_like(phases)
+    # Segment-first views with states as columns: each step indexes one integer and matmul
+    # writes coords and ends in place, the cheapest per-segment step for one or many rows.
+    V_j, V_dagger_j = np.moveaxis(V, -3, 0), np.moveaxis(V.conj().swapaxes(-1, -2), -3, 0)
+    phase_j, coords_j, ends_j = (np.moveaxis(a[..., None], -3, 0) for a in (phases, coords, ends))
+    c = c[:, None]
     for j in range(durations.size):
-        coords[j] = V[j].conj().T @ c
-        c = ends[j] = V[j] @ (phases[j] * coords[j])
+        x = np.matmul(V_dagger_j[j], c, out=coords_j[j])
+        c = np.matmul(V_j[j], phase_j[j] * x, out=ends_j[j])
     return omega, V, coords, ends
 
 

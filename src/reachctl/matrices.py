@@ -140,11 +140,12 @@ def skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def segment_eigensystems(A: np.ndarray, B: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``skew_eigensystem`` of each ``A + values[j] * B``, bit for bit, in one stacked ``eigh``.
+    """``skew_eigensystem`` of each ``A + values[..., j] * B``, bit for bit, in one stacked ``eigh``.
 
-    Returns ``omega[m, n]`` and ``V[m, n, n]``; ``A`` and ``B`` are a validated ``ControlSystem`` pair.
+    Returns ``omega[..., m, n]`` and ``V[..., m, n, n]`` for ``values`` of shape ``(..., m)``;
+    ``A`` and ``B`` are a validated ``ControlSystem`` pair.
     """
-    h, V = np.linalg.eigh(1j * (A + values[:, None, None] * B))
+    h, V = np.linalg.eigh(1j * (A + values[..., None, None] * B))
     return -h, V
 
 

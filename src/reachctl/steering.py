@@ -4,10 +4,13 @@ This is the constructive companion to the orbit analysis: given a target that
 lies on the orbit, a multi-start quasi-Newton (L-BFGS) optimizer over
 piecewise-constant schedules produces a concrete control witnessing
 reachability, with exact segment-wise derivatives taken in the segment
-eigenbases of the forward pass that the objective has already computed.  A
-certificate that fails to converge is a flagged optimizer failure and nothing
-more -- reachability of orbit points is a theorem, so non-convergence is never
-evidence against it.
+eigenbases of the forward pass that the objective has already computed.  The
+restarts advance together, one stacked forward pass and one batched gradient
+per round over every restart still running, which gives the same certificate
+as running them one after another (``iterations_used`` still counts the
+winning restart's own line searches).  A certificate that fails to converge
+is a flagged optimizer failure and nothing more -- reachability of orbit
+points is a theorem, so non-convergence is never evidence against it.
 """
 
 from dataclasses import dataclass
@@ -128,32 +131,48 @@ def gradient(
     V_j^dagger``, ``phi_j`` holding the divided differences of ``exp(dt_j z)``
     over pairs of ``i omega_j`` in sinc form (GRAPE in DYNAMO's form).  It is
     stacked over segments; only the adjoint's backward sweep loops.  ``forward``
-    may pass in the :func:`forward_pass` of ``sched`` from ``s0``.
+    may pass in the :func:`forward_pass` of ``sched`` from ``s0``.  This is the
+    one-schedule form of the row-batched kernel with which :func:`steer`
+    differentiates all its restarts' trials in one call per round, and it
+    equals that kernel's row bit for bit.
     """
     if sys.n != s0.n or sys.n != target.n:
         raise ValueError("system, state, and target dimensions must agree")
-    durations = sched.durations
-    omega, V, coords, ends = forward or forward_pass(sys, durations, sched.values, s0.c)
+    forward = forward or forward_pass(sys, sched.durations, sched.values, s0.c)
+    rows = tuple(part[None] for part in forward)
+    return _batched_gradient(sys.B, sched.durations, rows, target.c[None], phase_sensitive)[0]
+
+
+def _batched_gradient(
+    B: np.ndarray, durations: np.ndarray, forward: tuple, targets: np.ndarray, phase_sensitive: bool
+) -> np.ndarray:
+    """:func:`gradient` of each row ``i`` of an ``(r, m)`` :func:`forward_pass` toward ``targets[i]``."""
+    omega, V, coords, ends = forward
+    V_dagger = V.conj().swapaxes(-1, -2)
 
     if phase_sensitive:
-        w, prefactor = ends[-1] - target.c, 1.0 + 0.0j
+        w, prefactor = ends[:, -1] - targets, 1.0 + 0.0j
     else:
-        w, prefactor = target.c, -2.0 * np.conj(np.vdot(target.c, ends[-1]))
+        overlaps = [np.vdot(t, c) for t, c in zip(targets, ends[:, -1])]
+        w, prefactor = targets, -2.0 * np.conj(np.array(overlaps))[:, None]
 
-    # adjoint[j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
+    # adjoint[:, j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
     backward = np.exp(-1j * omega * durations[:, None])
     adjoint = np.empty_like(coords)
+    V_j, V_dagger_j = np.moveaxis(V, 1, 0), np.moveaxis(V_dagger, 1, 0)
+    backward_j, adjoint_j = (np.moveaxis(a[..., None], 1, 0) for a in (backward, adjoint))
+    w = w[..., None]
     for j in range(durations.size - 1, -1, -1):
-        adjoint[j] = V[j].conj().T @ w
-        w = V[j] @ (backward[j] * adjoint[j])
+        x = np.matmul(V_dagger_j[j], w, out=adjoint_j[j])
+        w = V_j[j] @ (backward_j[j] * x)
 
     dt = durations[:, None, None]
-    mean = omega[:, :, None] + omega[:, None, :]
-    gap = omega[:, :, None] - omega[:, None, :]
+    mean = omega[..., :, None] + omega[..., None, :]
+    gap = omega[..., :, None] - omega[..., None, :]
     phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
-    frechet = phi * (V.conj().transpose(0, 2, 1) @ sys.B @ V)
-    pairing = adjoint.conj()[:, None, :] @ (frechet @ coords[..., None])
-    return np.real(prefactor * pairing[:, 0, 0])
+    frechet = phi * (V_dagger @ B @ V)
+    pairing = adjoint.conj()[..., None, :] @ (frechet @ coords[..., None])
+    return np.real(prefactor * pairing[..., 0, 0])
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
@@ -175,14 +194,8 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
     return -q
 
 
-def _optimize_restart(
-    sys: ControlSystem,
-    s0: StateVector,
-    target: StateVector,
-    cfg: SteeringConfig,
-    durations: np.ndarray,
-    restart: int,
-) -> tuple[np.ndarray, float, int, str]:
+def _optimize_restart(cfg: SteeringConfig, restart: int):
+    """One restart's L-BFGS: ``f, g = yield trial`` evaluates; returns ``(values, f, iterations, stop_reason)``."""
     if restart == 0:
         # The zero schedule: the pure-drift baseline is always examined.
         values = np.zeros(cfg.segments)
@@ -190,12 +203,7 @@ def _optimize_restart(
         rng = np.random.default_rng((cfg.seed, restart))
         values = rng.uniform(-1.0, 1.0, cfg.segments)
 
-    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray]:
-        forward = forward_pass(sys, durations, v, s0.c)  # forward[3][-1]: final state
-        f = _raw_distance(forward[3][-1], target.c, cfg.phase_sensitive)
-        return f, gradient(sys, ControlSchedule(durations, v), s0, target, cfg.phase_sensitive, forward)
-
-    f, g = evaluate(values)
+    f, g = yield values
     pairs = []  # the last _MEMORY (s, y, 1 / s.y) curvature pairs, oldest first
     step = 1.0
     exploring = True
@@ -216,7 +224,7 @@ def _optimize_restart(
         step = min(2.0 * step, _ALPHA_MAX) if exploring else 1.0
         while step >= _ALPHA_MIN:
             trial = values + step * d
-            f_trial, g_trial = evaluate(trial)
+            f_trial, g_trial = yield trial
             if f_trial <= cfg.target_distance:
                 return trial, f_trial, iterations, "converged"
             if abs(f - f_trial) <= 1e-12 * f:
@@ -255,7 +263,16 @@ def steer(
     restart index) is returned.
 
     Each evaluation is one forward pass and the exact gradient on it.  The
-    direction is the two-loop recursion over the last 8 curvature pairs
+    restarts advance together: each round stacks the pending trial of every
+    running restart into one ``(r, segments)`` array for one
+    :func:`forward_pass` and one batched gradient, and a restart that stops
+    leaves the batch.  Rows are computed bit for bit as lone evaluations, so
+    the result is that of running the restarts one after another, and
+    ``iterations_used`` still counts the winning restart's line searches.  A
+    round holds several arrays of ``restarts * segments * n**2`` complex
+    entries, so large settings can raise MemoryError.
+
+    The direction is the two-loop recursion over the last 8 curvature pairs
     (``-g`` when that is not a descent direction), and a backtracking
     (halving) Armijo line search with strict decrease takes the step.  While
     every line search of the restart has accepted its first trial, that trial
@@ -281,8 +298,21 @@ def steer(
         raise ValueError("system, state, and target dimensions must agree")
 
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
-
-    results = [_optimize_restart(sys, s0, target, cfg, durations, r) for r in range(cfg.restarts)]
+    restarts = [_optimize_restart(cfg, r) for r in range(cfg.restarts)]
+    trials = {r: next(restart) for r, restart in enumerate(restarts)}
+    results = [None] * cfg.restarts
+    while trials:
+        active = list(trials)
+        forward = forward_pass(sys, durations, np.stack([trials[r] for r in active]), s0.c)
+        targets = np.broadcast_to(target.c, (len(active), sys.n))
+        grads = _batched_gradient(sys.B, durations, forward, targets, cfg.phase_sensitive)
+        for i, r in enumerate(active):
+            f = _raw_distance(forward[3][i, -1], target.c, cfg.phase_sensitive)
+            try:
+                trials[r] = restarts[r].send((f, grads[i]))
+            except StopIteration as stop:
+                results[r] = stop.value
+                del trials[r]
 
     best = min(range(cfg.restarts), key=lambda r: (results[r][1], r))
     values, achieved, iterations, stop_reason = results[best]

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from reachctl import ControlSchedule, ControlSystem, StateVector
+from reachctl import ControlSchedule, ControlSystem, StateVector, steering
 from reachctl.cli import run
 from reachctl.fileio import save_schedule, save_state, save_system, state_payload, system_payload
 
@@ -174,6 +174,23 @@ class TestSteer:
         assert capsys.readouterr().err == (
             "reachctl steer: error: seed must be a non-negative integer, got -1\n"
         )
+
+    def test_out_of_memory_exits_1(self, su2_files, tmp_path, capsys, monkeypatch):
+        # a large --segments or --restarts can exhaust memory in a lockstep round;
+        # the kernel is made to fail rather than allocating anything large
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(steering, "forward_pass", no_memory)
+        sys_path, from_path = su2_files
+        out = tmp_path / "cert.json"
+        code = run(["steer", "--system", sys_path, "--from", from_path, "--to", from_path,
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl steer: error: out of memory (Unable to allocate 8.00 GiB for an array)\n"
+        )
+        assert not out.exists()
 
     def test_projective_flag(self, su2_files, tmp_path):
         sys_path, from_path = su2_files

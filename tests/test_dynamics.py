@@ -345,6 +345,25 @@ class TestPropagate:
         traj = propagate(sys, s0, sched, samples_per_segment=2)
         assert np.array_equal(traj.states[3::3], ends)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_batched_forward_pass_rows_are_single_passes(self, n):
+        # steering evaluates all its restarts in one stacked call: each row must
+        # be the one-schedule pass, and re-propagate to the same endpoints
+        rng = np.random.default_rng(40 + n)
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        s0 = StateVector(random_unit(rng, n))
+        durations = rng.uniform(0.05, 0.5, 11)
+        for rows in range(1, 9):
+            values = rng.uniform(-2.0, 2.0, (rows, durations.size))
+            values[-1] = 0.0
+            batched = forward_pass(sys, durations, values, s0.c)
+            for i in range(rows):
+                single = forward_pass(sys, durations, values[i], s0.c)
+                for part, row in zip(single, batched):
+                    assert np.array_equal(row[i], part)
+                traj = propagate(sys, s0, ControlSchedule(durations, values[i]), samples_per_segment=1)
+                assert np.array_equal(traj.states[2::2], batched[3][i])
+
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
         with pytest.raises(ValueError):

@@ -309,26 +309,58 @@ class TestStopReason:
 
 
 class CountingKernels:
-    """Counts the module-level ``forward_pass`` and ``gradient`` calls ``steer`` makes."""
+    """Counts the schedules ``steer`` evaluates: the rows of its ``forward_pass`` and batched gradient calls.
+
+    A lockstep round evaluates one row per running restart in one call, so
+    ``forward_passes`` and ``gradients`` count evaluations, and
+    ``forward_calls`` counts rounds.
+    """
 
     def __init__(self, monkeypatch):
-        self.forward_passes = self.gradients = 0
-        forward, grad = steering.forward_pass, steering.gradient
+        self.forward_passes = self.gradients = self.forward_calls = 0
+        forward, grad = steering.forward_pass, steering._batched_gradient
 
-        def counted_forward(*args, **kwargs):
-            self.forward_passes += 1
-            return forward(*args, **kwargs)
+        def counted_forward(sys, durations, values, c):
+            self.forward_calls += 1
+            self.forward_passes += 1 if np.ndim(values) == 1 else len(values)
+            return forward(sys, durations, values, c)
 
-        def counted_gradient(*args, **kwargs):
-            self.gradients += 1
-            return grad(*args, **kwargs)
+        def counted_gradient(B, durations, forward, targets, phase_sensitive):
+            self.gradients += len(targets)
+            return grad(B, durations, forward, targets, phase_sensitive)
 
         monkeypatch.setattr(steering, "forward_pass", counted_forward)
-        monkeypatch.setattr(steering, "gradient", counted_gradient)
+        monkeypatch.setattr(steering, "_batched_gradient", counted_gradient)
+
+
+def sequential_steer(sys, s0, target, cfg):
+    """``steer`` with its restarts run one after another, each evaluation a single-row call.
+
+    The reference for the lockstep driver; also returns each restart's evaluation count.
+    """
+    durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
+    results, evaluations = [], []
+    for r in range(cfg.restarts):
+        restart = steering._optimize_restart(cfg, r)
+        trial, count = next(restart), 0
+        while True:
+            count += 1
+            forward = forward_pass(sys, durations, trial, s0.c)
+            f = distance(StateVector(forward[3][-1]), target, cfg.phase_sensitive)
+            g = gradient(sys, ControlSchedule(durations, trial), s0, target, cfg.phase_sensitive, forward)
+            try:
+                trial = restart.send((f, g))
+            except StopIteration as stop:
+                results.append(stop.value)
+                break
+        evaluations.append(count)
+    best = min(range(cfg.restarts), key=lambda r: (results[r][1], r))
+    values, achieved, iterations, stop_reason = results[best]
+    return (values, achieved, iterations, best, stop_reason), evaluations
 
 
 class TestEvaluationBudget:
-    """Each objective evaluation is one forward pass and one gradient on it."""
+    """Budgets in objective evaluations, each one forward pass and one gradient on it."""
 
     def test_off_moduli_torus(self, monkeypatch, torus_system, plus_state):
         target = StateVector(np.array([1.0, 0.0], dtype=complex))
@@ -353,13 +385,17 @@ class TestEvaluationBudget:
 
     def test_su2_up_to_down(self, monkeypatch, su2_system, basis_state):
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cfg = SteeringConfig(restarts=8)
+        _, evaluations = sequential_steer(su2_system, basis_state, target, cfg)
         counts = CountingKernels(monkeypatch)
-        cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=8))
+        cert = steer(su2_system, basis_state, target, cfg)
         assert cert.converged
-        assert counts.gradients == counts.forward_passes <= 150
+        assert counts.gradients == counts.forward_passes == sum(evaluations) <= 150
+        # one lockstep round per evaluation of the longest restart
+        assert counts.forward_calls == max(evaluations) < sum(evaluations)
 
     def test_one_gradient_per_forward_pass(self, monkeypatch):
-        # the benchmark counts gradient calls as optimizer evaluations
+        # every evaluated schedule gets exactly one gradient row
         sys, s0, target = generic4()
         counts = CountingKernels(monkeypatch)
         steer(sys, s0, target, SteeringConfig(restarts=3, max_iterations=40))
@@ -414,6 +450,69 @@ class TestHeldOutInstances:
         assert not cert.converged
         assert cert.stop_reason == "line_search_exhausted"
         assert cert.achieved_distance == pytest.approx(0.0930556, abs=1e-6)
+
+
+def su2_up_to_down():
+    return ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X), StateVector(np.array([1.0, 0.0], dtype=complex)), \
+        StateVector(np.array([0.0, 1.0], dtype=complex))
+
+
+def off_moduli_torus():
+    A = np.diag([1j, 1j * np.sqrt(2.0)])
+    plus = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
+    return ControlSystem(A, 2.0 * A), plus, StateVector(np.array([1.0, 0.0], dtype=complex))
+
+
+class TestLockstepEqualsSequential:
+    """Advancing the restarts together changes no certificate field, bit for bit."""
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    @pytest.mark.parametrize(
+        "instance, settings",
+        [
+            (su2_up_to_down, {}),
+            (off_moduli_torus, {}),
+            (off_moduli_torus, {"segments": 10, "restarts": 2}),
+            (generic4, {"restarts": 4}),
+            (lambda: held_out_torus(np.sqrt(5.0), 7.0), {}),
+            (lambda: held_out_random(6, 1), {}),
+            (lambda: held_out_torus(np.sqrt(3.0), -6.0), {}),
+        ],
+        ids=["su2", "torus-off-moduli", "torus-off-moduli-10x2", "generic4",
+             "torus-sqrt5-theta7", "random-n6-1", "torus-sqrt3-theta-6"],
+    )
+    def test_certificate_fields(self, instance, settings, phase_sensitive):
+        sys, s0, target = instance()
+        cfg = SteeringConfig(phase_sensitive=phase_sensitive, **settings)
+        cert = steer(sys, s0, target, cfg)
+        (values, achieved, iterations, best, stop_reason), _ = sequential_steer(sys, s0, target, cfg)
+        assert np.array_equal(cert.schedule.values, values)
+        assert cert.achieved_distance == achieved
+        assert cert.converged == (achieved <= cfg.target_distance)
+        assert cert.iterations_used == iterations
+        assert cert.restart_index == best
+        assert cert.stop_reason == stop_reason
+
+
+class TestBatchedGradient:
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_equal_gradient_bit_for_bit(self, n, phase_sensitive):
+        rng = np.random.default_rng(300 + n)
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        s0 = StateVector(random_unit(rng, n))
+        durations = rng.uniform(0.05, 1.0, 9)
+        for rows in range(1, 9):
+            values = rng.uniform(-2.0, 2.0, (rows, durations.size))
+            values[rows // 2] = 0.0
+            targets = np.array([random_unit(rng, n) for _ in range(rows)])
+            forward = forward_pass(sys, durations, values, s0.c)
+            batched = steering._batched_gradient(sys.B, durations, forward, targets, phase_sensitive)
+            assert batched.shape == (rows, durations.size)
+            for i in range(rows):
+                single = gradient(sys, ControlSchedule(durations, values[i]), s0, StateVector(targets[i]),
+                                  phase_sensitive)
+                assert np.array_equal(batched[i], single)
 
 
 class TestVerifyReachability:
