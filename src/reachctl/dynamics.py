@@ -262,23 +262,47 @@ def forward_pass(sys: ControlSystem, durations: np.ndarray, values: np.ndarray, 
     coords[j])`` with ``c_{-1} = c``.  ``values`` is one schedule ``(m,)`` or a stack of
     schedules ``(r, m)`` over the same ``durations``; every output then gains the leading row
     axis, and row ``i`` equals the one-schedule pass of ``values[i]`` bit for bit, which is how
-    steering evaluates all its restarts in one call per round.  States cross segments only
-    here, in :func:`propagate` and the steering objective alike, so certificates re-check bit
-    for bit.
+    steering evaluates all its restarts in one call per round.  Every segment gets its own
+    eigendecomposition: an optimizer's iterates never repeat a value, so there is nothing to
+    share.  States cross segments only in :func:`_carry`, here and in :func:`propagate` alike,
+    so certificates re-check bit for bit.
     """
     omega, V = segment_eigensystems(sys.A, sys.B, values)
+    return (omega, V) + _carry(omega, V, durations, c)
+
+
+def _carry(omega: np.ndarray, V: np.ndarray, durations: np.ndarray, c: np.ndarray) -> tuple:
+    """``(coords, ends)`` of :func:`forward_pass` for given segment eigensystems: the one state carry loop."""
     phases = np.exp(1j * omega * durations[:, None])
     coords = np.empty_like(phases)
     ends = np.empty_like(phases)
-    # Segment-first views with states as columns: each step indexes one integer and matmul
-    # writes coords and ends in place, the cheapest per-segment step for one or many rows.
+    # Segment-first views with states as columns: matmul writes coords and ends in place and
+    # one buffer takes every phase product, the cheapest per-segment step for one or many rows.
     V_j, V_dagger_j = np.moveaxis(V, -3, 0), np.moveaxis(V.conj().swapaxes(-1, -2), -3, 0)
     phase_j, coords_j, ends_j = (np.moveaxis(a[..., None], -3, 0) for a in (phases, coords, ends))
     c = c[:, None]
-    for j in range(durations.size):
-        x = np.matmul(V_dagger_j[j], c, out=coords_j[j])
-        c = np.matmul(V_j[j], phase_j[j] * x, out=ends_j[j])
-    return omega, V, coords, ends
+    product = np.empty(coords_j.shape[1:], dtype=complex)
+    for V_dagger, V_seg, phase, x, end in zip(V_dagger_j, V_j, phase_j, coords_j, ends_j):
+        np.matmul(V_dagger, c, out=x)
+        c = np.matmul(V_seg, np.multiply(phase, x, out=product), out=end)
+    return coords, ends
+
+
+def _distinct_eigensystems(sys: ControlSystem, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`segment_eigensystems` of one schedule's ``values``, decomposing each distinct value once.
+
+    Values are compared by their float64 bits, so ``0.0`` and ``-0.0`` stay apart and every row
+    equals the one-per-segment decomposition bit for bit.  A dict of the bits numbers the
+    distinct values in order of appearance (``np.unique`` would sort, and its first call alone
+    adds about 0.4 MB of resident memory).
+    """
+    slot = {}
+    inverse = [slot.setdefault(bits, len(slot)) for bits in values.view(np.uint64).tolist()]
+    if len(slot) == values.size:  # nothing repeats: skip the gather and its copy
+        return segment_eigensystems(sys.A, sys.B, values)
+    distinct = np.array(list(slot), dtype=np.uint64).view(float)
+    omega, V = segment_eigensystems(sys.A, sys.B, distinct)
+    return omega[inverse], V[inverse]
 
 
 def propagate(
@@ -292,13 +316,18 @@ def propagate(
     On each segment with constant value ``eps`` the state is advanced by the
     exact exponential ``exp(dt (A + eps B))`` evaluated through the unitary
     eigendecomposition, so the unit norm is conserved to rounding no matter
-    how long the schedule runs.  ``samples_per_segment`` interior points are
-    recorded per segment in addition to the segment endpoints.
+    how long the schedule runs.  Segments go in blocks of ``SEGMENT_BLOCK``,
+    and a block makes one eigendecomposition per distinct control value, so
+    pure-drift, constant and bang-bang schedules pay almost nothing for it;
+    the samples equal the one-per-segment evaluation bit for bit.
+    ``samples_per_segment`` interior points are recorded per segment in
+    addition to the segment endpoints.
 
     Raises
     ------
     ValueError
-        On dimension mismatch or ``samples_per_segment < 1``.
+        On dimension mismatch, ``samples_per_segment < 1``, or a segment too
+        short for its sample times to advance past the one before.
     """
     if int(samples_per_segment) != samples_per_segment or samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be a positive integer, got {samples_per_segment}")
@@ -311,12 +340,20 @@ def propagate(
     t_start = np.concatenate(([0.0], t_end[:-1]))
     taus = durations[:, None] * np.arange(1, k + 1) / (k + 1)
     times = np.concatenate(([0.0], np.column_stack((t_start[:, None] + taus, t_end)).ravel()))
+    stalled = np.diff(times) <= 0.0
+    if np.any(stalled):
+        j = int(np.argmax(stalled)) // (k + 1)
+        raise ValueError(
+            f"segment {j}: duration {float(durations[j])!r} starting at t = {float(t_start[j])!r} "
+            f"is too short for its {k + 1} sample times to advance"
+        )
     states = np.empty((times.size, sys.n), dtype=complex)
     states[0] = s0.c
     grid = states[1:].reshape(sched.n_segments, k + 1, sys.n)
     for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
         part = slice(lo, lo + SEGMENT_BLOCK)
-        omega, V, coords, ends = forward_pass(sys, durations[part], sched.values[part], states[lo * (k + 1)])
+        omega, V = _distinct_eigensystems(sys, sched.values[part])
+        coords, ends = _carry(omega, V, durations[part], states[lo * (k + 1)])
         inner = np.exp(1j * omega[:, None, :] * taus[part, :, None]) * coords[:, None, :]
         grid[part, :k] = np.matmul(V[:, None], inner[..., None])[..., 0]
         grid[part, k] = ends
@@ -328,12 +365,13 @@ def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray
 
     Later segments multiply on the left, and ``U(0) = I``.  Each factor
     ``V diag(exp(i omega dt)) V^dagger`` is unitary to rounding, so the
-    product is too.
+    product is too.  As in :func:`propagate`, each block of ``SEGMENT_BLOCK``
+    segments makes one eigendecomposition per distinct control value.
     """
     U = np.eye(sys.n, dtype=complex)
     for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
         part = slice(lo, lo + SEGMENT_BLOCK)
-        omega, V = segment_eigensystems(sys.A, sys.B, sched.values[part])
+        omega, V = _distinct_eigensystems(sys, sched.values[part])
         phases = np.exp(1j * sched.durations[part, None] * omega)
         for F in (V * phases[:, None, :]) @ V.conj().transpose(0, 2, 1):
             U = F @ U

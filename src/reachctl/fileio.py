@@ -63,38 +63,42 @@ def _field(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
-def _float(x, path, field: str, where: str) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError(f"{path}: field '{field}': {where} is too large for a float") from None
+def _pair_floats(row: list, out: list, path, field: str, where) -> None:
+    """Append the ``re, im`` floats of each ``[re, im]`` pair of ``row`` to ``out``.
 
-
-def _parse_pair(raw, path, field: str, where: str) -> complex:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-    ):
-        raise ValueError(f"{path}: field '{field}': {where} must be a [re, im] number pair")
-    return complex(_float(raw[0], path, field, where), _float(raw[1], path, field, where))
+    ``where(j)`` names entry ``j`` in a diagnostic.  JSON numbers load as exactly ``int`` or
+    ``float`` (a ``bool`` is neither), and only an ``int`` can overflow ``float``.
+    """
+    for j, pair in enumerate(row):
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(f"{path}: field '{field}': {where(j)} must be a [re, im] number pair")
+        re, im = pair
+        if (type(re) is not float and type(re) is not int) or (type(im) is not float and type(im) is not int):
+            raise ValueError(f"{path}: field '{field}': {where(j)} must be a [re, im] number pair")
+        try:
+            out.append(float(re))
+            out.append(float(im))
+        except OverflowError:
+            raise ValueError(f"{path}: field '{field}': {where(j)} is too large for a float") from None
 
 
 def _parse_vector(raw, n: int, path, field: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != n:
+    if type(raw) is not list or len(raw) != n:
         raise ValueError(f"{path}: field '{field}' must be a list of {n} [re, im] pairs")
-    return np.array([_parse_pair(raw[k], path, field, f"entry {k}") for k in range(n)])
+    flat = []
+    _pair_floats(raw, flat, path, field, lambda k: f"entry {k}")
+    return np.array(flat).view(complex)
 
 
 def _parse_matrix(raw, n: int, path, field: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != n:
+    if type(raw) is not list or len(raw) != n:
         raise ValueError(f"{path}: field '{field}' must be a list of {n} rows")
-    rows = []
+    flat = []
     for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
+        if type(row) is not list or len(row) != n:
             raise ValueError(f"{path}: field '{field}': row {i} must hold {n} [re, im] pairs")
-        rows.append([_parse_pair(row[j], path, field, f"entry ({i}, {j})") for j in range(n)])
-    return np.array(rows)
+        _pair_floats(row, flat, path, field, lambda j: f"entry ({i}, {j})")
+    return np.array(flat).view(complex).reshape(n, n)
 
 
 def _parse_n(doc: dict, path) -> int:
@@ -137,20 +141,23 @@ def load_schedule(path) -> ControlSchedule:
     raw = _field(doc, "segments", path)
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path}: field 'segments' must be a non-empty list")
-    pairs = []
+    flat = []  # duration, value, duration, value, ...
     for k, seg in enumerate(raw):
-        if not isinstance(seg, dict):
+        if type(seg) is not dict:
             raise ValueError(f"{path}: field 'segments': segment {k} must be an object")
-        pair = []
         for key in ("duration", "value"):
             if key not in seg:
                 raise ValueError(f"{path}: field 'segments': segment {k} is missing '{key}'")
-            if not isinstance(seg[key], (int, float)) or isinstance(seg[key], bool):
+            x = seg[key]
+            if type(x) is not float and type(x) is not int:
                 raise ValueError(f"{path}: field 'segments': segment {k}: '{key}' must be a number")
-            pair.append(_float(seg[key], path, "segments", f"segment {k}: '{key}'"))
-        pairs.append(pair)
+            try:
+                flat.append(float(x))
+            except OverflowError:
+                raise ValueError(f"{path}: field 'segments': segment {k}: '{key}' is too large for a float") from None
+    durations, values = np.array(flat).reshape(-1, 2).T.copy()
     try:
-        return ControlSchedule.from_segments(pairs)
+        return ControlSchedule(durations, values)
     except ValueError as exc:
         raise ValueError(f"{path}: field 'segments': {exc}") from exc
 

@@ -32,3 +32,15 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     Q, R = np.linalg.qr(Z)
     d = np.diag(R)
     return Q * (d / np.abs(d))
+
+
+def count_eigh_matrices(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh`` to tally the matrices it decomposes; returns the one-item tally."""
+    tally, eigh = [0], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        tally[0] += int(np.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return tally

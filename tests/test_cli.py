@@ -113,6 +113,22 @@ class TestSimulate:
         assert code == 1
         assert "segment 1" in capsys.readouterr().err
 
+    def test_too_short_duration_diagnostic(self, su2_files, tmp_path, capsys):
+        sys_path, state_path = su2_files
+        controls = tmp_path / "controls.json"
+        controls.write_text(json.dumps(
+            {"segments": [{"duration": 1.0, "value": 0.0}, {"duration": 1e-300, "value": 0.5}]}
+        ))
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--system", sys_path, "--state", state_path,
+                    "--controls", str(controls), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl simulate: error: segment 1: duration 1e-300 starting at t = 1.0 "
+            "is too short for its 11 sample times to advance\n"
+        )
+        assert not out.exists()
+
 
 class TestSteer:
     def test_converging_run_exits_0(self, su2_files, tmp_path):

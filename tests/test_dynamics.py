@@ -22,7 +22,7 @@ from reachctl import (
 from reachctl.dynamics import SEGMENT_BLOCK, forward_pass
 from reachctl.matrices import skew_eigensystem
 
-from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
+from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, random_skew, random_unit
 from oracles import dense_recurrence_time
 
 
@@ -137,6 +137,22 @@ def per_segment_trajectory(sys, s0, sched, samples_per_segment):
         t = t + dur
         times.append(t)
     return np.array(times), np.array(states)
+
+
+def repeating_schedule(kind: str, rng, m: int) -> ControlSchedule:
+    """A schedule whose control values repeat: the shapes users write by hand."""
+    durations = rng.uniform(0.05, 0.5, m)
+    if kind == "drift":
+        return ControlSchedule(durations, np.zeros(m))
+    if kind == "constant":
+        return ControlSchedule.constant(0.7, 0.3 * m, m)
+    if kind == "bang-bang":
+        return ControlSchedule(durations, np.where(np.arange(m) % 2 == 0, 1.0, -1.0))
+    assert kind == "signed-zeros"
+    return ControlSchedule(durations, np.where(rng.random(m) < 0.5, 0.0, -0.0))
+
+
+REPEATING = ["drift", "constant", "bang-bang", "signed-zeros"]
 
 
 class TestStateVector:
@@ -322,14 +338,21 @@ class TestPropagate:
         assert traj.times[-1] == pytest.approx(1.0)
         assert traj.times[4] == pytest.approx(0.4)
 
-    @pytest.mark.parametrize("n, m, k", [(2, 0, 2), (2, 5, 1), (3, SEGMENT_BLOCK, 4), (5, 2 * SEGMENT_BLOCK + 7, 3)])
-    def test_matches_per_segment_reference_bit_for_bit(self, n, m, k):
-        # blocks of stacked eigensystems change nothing: every sample and time
-        # equals the one-segment-at-a-time evaluation exactly
+    @pytest.mark.parametrize("n, m, k, kind", [
+        pytest.param(n, m, k, "random", id=f"{n}-{m}-{k}")
+        for n, m, k in [(2, 0, 2), (2, 5, 1), (3, SEGMENT_BLOCK, 4), (5, 2 * SEGMENT_BLOCK + 7, 3)]
+    ] + [pytest.param(4, 2 * SEGMENT_BLOCK + 7, 2, kind, id=kind) for kind in REPEATING])
+    def test_matches_per_segment_reference_bit_for_bit(self, n, m, k, kind):
+        # blocks of stacked eigensystems, each decomposing only its distinct
+        # values, change nothing: every sample and time equals the
+        # one-segment-at-a-time evaluation exactly
         rng = np.random.default_rng(m)
         sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
         s0 = StateVector(random_unit(rng, n))
-        sched = ControlSchedule(rng.uniform(0.05, 0.5, m), rng.uniform(-1.0, 1.0, m))
+        if kind == "random":
+            sched = ControlSchedule(rng.uniform(0.05, 0.5, m), rng.uniform(-1.0, 1.0, m))
+        else:
+            sched = repeating_schedule(kind, rng, m)
         traj = propagate(sys, s0, sched, samples_per_segment=k)
         times, states = per_segment_trajectory(sys, s0, sched, k)
         assert np.array_equal(traj.times, times)
@@ -363,6 +386,43 @@ class TestPropagate:
                     assert np.array_equal(row[i], part)
                 traj = propagate(sys, s0, ControlSchedule(durations, values[i]), samples_per_segment=1)
                 assert np.array_equal(traj.states[2::2], batched[3][i])
+
+    @pytest.mark.parametrize("kind, per_block", [("drift", 1), ("constant", 1), ("bang-bang", 2), ("signed-zeros", 2)])
+    def test_one_eigendecomposition_per_distinct_value_and_block(self, monkeypatch, kind, per_block):
+        # 0.0 and -0.0 are different float64 values and get one decomposition each
+        rng = np.random.default_rng(3)
+        sys = ControlSystem(random_skew(rng, 3), random_skew(rng, 3))
+        s0 = StateVector(random_unit(rng, 3))
+        sched = repeating_schedule(kind, rng, 2 * SEGMENT_BLOCK + 7)
+        tally = count_eigh_matrices(monkeypatch)
+        propagate(sys, s0, sched, samples_per_segment=2)
+        assert tally[0] == 3 * per_block
+        propagate_operator(sys, sched)
+        assert tally[0] == 6 * per_block
+
+    def test_every_distinct_value_is_decomposed(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        sys = ControlSystem(random_skew(rng, 2), random_skew(rng, 2))
+        sched = ControlSchedule(rng.uniform(0.05, 0.5, 100), rng.uniform(-1.0, 1.0, 100))
+        tally = count_eigh_matrices(monkeypatch)
+        propagate(sys, StateVector(random_unit(rng, 2)), sched)
+        assert tally[0] == 100
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_too_short_segment_is_named(self, su2_system, basis_state, k):
+        # a positive duration that cannot move the clock past t = 1.0
+        sched = ControlSchedule.from_segments([(1.0, 0.0), (1e-300, 1.0), (0.5, 0.0)])
+        message = f"segment 1: duration 1e-300 starting at t = 1.0 is too short for its {k + 1} sample times to advance"
+        with pytest.raises(ValueError) as info:
+            propagate(su2_system, basis_state, sched, samples_per_segment=k)
+        assert str(info.value) == message
+
+    def test_short_interior_steps_are_named(self, su2_system, basis_state):
+        # the segment ends advance the clock, but its ten interior samples cannot
+        sched = ControlSchedule.from_segments([(0.25, 0.0), (1.0, 1.0), (5e-16, 0.0)])
+        with pytest.raises(ValueError, match=r"^segment 2: duration 5e-16 starting at t = 1.25 is too short"):
+            propagate(su2_system, basis_state, sched, samples_per_segment=10)
+        assert propagate(su2_system, basis_state, sched, samples_per_segment=1).times.size == 7
 
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
@@ -438,12 +498,16 @@ class TestPropagateOperator:
         U = propagate_operator(su2_system, sched)
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_matches_product_of_matrix_exp_factors(self, n):
+    @pytest.mark.parametrize("n, kind", [pytest.param(n, "random", id=str(n)) for n in [1, 2, 4, 7]]
+                             + [pytest.param(3, kind, id=kind) for kind in REPEATING])
+    def test_matches_product_of_matrix_exp_factors(self, n, kind):
         rng = np.random.default_rng(n)
         sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
-        m = SEGMENT_BLOCK + 11
-        sched = ControlSchedule(rng.uniform(0.05, 1.0, m), rng.uniform(-2.0, 2.0, m))
+        if kind == "random":
+            m = SEGMENT_BLOCK + 11
+            sched = ControlSchedule(rng.uniform(0.05, 1.0, m), rng.uniform(-2.0, 2.0, m))
+        else:
+            sched = repeating_schedule(kind, rng, 2 * SEGMENT_BLOCK + 7)
         expected = np.eye(n, dtype=complex)
         for dur, val in zip(sched.durations, sched.values):
             expected = matrix_exp(sys.A + val * sys.B, dur) @ expected

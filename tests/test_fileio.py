@@ -136,6 +136,80 @@ class TestLoadSchedule:
             load_schedule(path)
 
 
+ROW = [[0, 0], [0, 0]]
+HUGE = 10**400  # a JSON integer literal no float can hold
+
+
+class TestParserMessages:
+    """Each malformed entry gets one exact message, naming the file, the field and the entry."""
+
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param({"segments": [{"duration": 1.0, "value": True}]},
+                     "field 'segments': segment 0: 'value' must be a number", id="bool-value"),
+        pytest.param({"segments": [{"duration": False}]},
+                     "field 'segments': segment 0: 'duration' must be a number", id="bool-duration-first"),
+        pytest.param({"segments": [{"duration": 1.0, "value": 0.5}, {"duration": 1.0, "value": "0.5"}]},
+                     "field 'segments': segment 1: 'value' must be a number", id="string-value"),
+        pytest.param({"segments": [{"duration": 1.0, "value": 0.0}, [1.0, 0.0]]},
+                     "field 'segments': segment 1 must be an object", id="list-segment"),
+        pytest.param({"segments": [{"value": 0.0}]},
+                     "field 'segments': segment 0 is missing 'duration'", id="missing-duration"),
+        pytest.param({"segments": [{"duration": 1}]},
+                     "field 'segments': segment 0 is missing 'value'", id="missing-value"),
+        pytest.param({"segments": [{"duration": 1, "value": HUGE}]},
+                     "field 'segments': segment 0: 'value' is too large for a float", id="huge-value"),
+        pytest.param({"segments": [{"duration": -HUGE, "value": "x"}]},
+                     "field 'segments': segment 0: 'duration' is too large for a float", id="huge-duration-first"),
+    ])
+    def test_schedule(self, tmp_path, doc, message):
+        path = tmp_path / "controls.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_schedule(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("A, B, message", [
+        pytest.param([ROW, [[0, 0], [True, 0]]], [ROW, ROW],
+                     "field 'A': entry (1, 1) must be a [re, im] number pair", id="bool-entry"),
+        pytest.param([ROW, ROW], [[[0, "0"], [0, 0]], ROW],
+                     "field 'B': entry (0, 0) must be a [re, im] number pair", id="string-entry"),
+        pytest.param([ROW, [[0, 0], [0, -HUGE]]], [ROW, ROW],
+                     "field 'A': entry (1, 1) is too large for a float", id="huge-entry"),
+        pytest.param([ROW, [[0, 0]]], [ROW, ROW],
+                     "field 'A': row 1 must hold 2 [re, im] pairs", id="short-row"),
+        pytest.param([ROW, ROW], [ROW, [[0, 0], [0, 0, 0]]],
+                     "field 'B': entry (1, 1) must be a [re, im] number pair", id="three-element-pair"),
+        pytest.param([ROW, [[HUGE, 0], [0, True]]], [ROW, ROW],
+                     "field 'A': entry (1, 0) is too large for a float", id="first-bad-entry-wins"),
+        pytest.param([ROW], [ROW, ROW], "field 'A' must be a list of 2 rows", id="short-matrix"),
+    ])
+    def test_system(self, tmp_path, A, B, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"n": 2, "A": A, "B": B}))
+        with pytest.raises(ValueError) as info:
+            load_system(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("c, message", [
+        pytest.param([[1, 0], [False, 0]], "field 'c': entry 1 must be a [re, im] number pair", id="bool-entry"),
+        pytest.param([[1, 0], [0, HUGE]], "field 'c': entry 1 is too large for a float", id="huge-entry"),
+        pytest.param([[1, 0], {"re": 0}], "field 'c': entry 1 must be a [re, im] number pair", id="object-entry"),
+    ])
+    def test_state(self, tmp_path, c, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 2, "c": c}))
+        with pytest.raises(ValueError) as info:
+            load_state(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_integer_entries_parse_as_floats(self, tmp_path):
+        path = tmp_path / "controls.json"
+        path.write_text(json.dumps({"segments": [{"duration": 2, "value": -0.0}, {"duration": 0.5, "value": 3}]}))
+        sched = load_schedule(path)
+        assert sched.durations.tolist() == [2.0, 0.5] and sched.values.tolist() == [-0.0, 3.0]
+        assert np.signbit(sched.values[0])
+
+
 class TestPayloads:
     def test_complexes_serialize_as_pairs(self, su2_system):
         payload = system_payload(su2_system)

@@ -21,7 +21,7 @@ from reachctl import (
 from reachctl import steering
 from reachctl.dynamics import forward_pass
 
-from helpers import SIGMA_X, SIGMA_Z, random_skew, random_unit
+from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, random_skew, random_unit
 from oracles import block_expm_distance_gradient, fd_distance_gradient
 
 
@@ -393,6 +393,16 @@ class TestEvaluationBudget:
         assert counts.gradients == counts.forward_passes == sum(evaluations) <= 150
         # one lockstep round per evaluation of the longest restart
         assert counts.forward_calls == max(evaluations) < sum(evaluations)
+
+    def test_every_evaluated_segment_is_decomposed(self, monkeypatch):
+        # optimizer iterates never repeat, so steering shares no eigensystem
+        # between segments: the matrices decomposed are the rows times segments
+        sys, s0, target = generic4()
+        cfg = SteeringConfig(segments=6, restarts=3, max_iterations=30)
+        counts = CountingKernels(monkeypatch)
+        tally = count_eigh_matrices(monkeypatch)
+        steer(sys, s0, target, cfg)
+        assert tally[0] == counts.forward_passes * cfg.segments > 0
 
     def test_one_gradient_per_forward_pass(self, monkeypatch):
         # every evaluated schedule gets exactly one gradient row
