@@ -11,8 +11,8 @@ and synthesizes steering controls that witness reachability constructively.
 __version__ = "0.1.0"
 
 from .matrices import (
-    DEFAULT_TOL,
-    Tolerance,
+    RANK_TOL,
+    SKEW_TOL,
     bracket,
     canonical_skew_eigensystem,
     frobenius_inner,
@@ -65,8 +65,8 @@ from .steering import (
 
 __all__ = [
     "__version__",
-    "DEFAULT_TOL",
-    "Tolerance",
+    "RANK_TOL",
+    "SKEW_TOL",
     "bracket",
     "canonical_skew_eigensystem",
     "frobenius_inner",

@@ -97,6 +97,17 @@ def _emit(report: dict, out: str | None) -> None:
             raise ValueError(f"{out}: cannot write report ({exc.strerror or exc})") from exc
 
 
+def _load(system_path, *state_paths) -> tuple:
+    """The system and each state, with every state's dimension checked against the system's once."""
+    sys_ = load_system(system_path)
+    states = [load_state(path) for path in state_paths]
+    for path, s in zip(state_paths, states):
+        if s.n != sys_.n:
+            raise ValueError(f"{path}: field 'n': {s.n} does not match the dimension {sys_.n} "
+                             f"of system {system_path}")
+    return (sys_, *states)
+
+
 def run(argv) -> int:
     """Parse ``argv``, execute one subcommand, and write its report.
 
@@ -112,23 +123,26 @@ def run(argv) -> int:
 
     try:
         if args.command == "analyze":
-            sys_ = load_system(args.system)
-            s0 = load_state(args.state)
+            sys_, s0 = _load(args.system, args.state)
             digest = inputs_digest([args.system, args.state])
             result = report_payload(controllability_report(sys_, s0))
             exit_code = 0
         elif args.command == "simulate":
-            sys_ = load_system(args.system)
-            s0 = load_state(args.state)
+            sys_, s0 = _load(args.system, args.state)
             sched = load_schedule(args.controls)
             digest = inputs_digest([args.system, args.state, args.controls])
-            traj = propagate(sys_, s0, sched, samples_per_segment=args.samples_per_segment)
+            try:
+                traj = propagate(sys_, s0, sched, samples_per_segment=args.samples_per_segment)
+            except ValueError as exc:
+                # A diagnostic that names a segment is about the controls file; one about
+                # --samples-per-segment is about a flag and keeps its own wording.
+                if not str(exc).startswith("segment "):
+                    raise
+                raise ValueError(f"{args.controls}: field 'segments': {exc}") from exc
             result = trajectory_payload(traj, sys_, sched)
             exit_code = 0
         elif args.command == "steer":
-            sys_ = load_system(args.system)
-            s0 = load_state(args.from_state)
-            target = load_state(args.to_state)
+            sys_, s0, target = _load(args.system, args.from_state, args.to_state)
             digest = inputs_digest([args.system, args.from_state, args.to_state])
             cfg = SteeringConfig(
                 segments=args.segments,
@@ -142,15 +156,13 @@ def run(argv) -> int:
             result = certificate_payload(cert)
             exit_code = 0 if cert.converged else 2
         elif args.command == "recurrence":
-            sys_ = load_system(args.system)
-            s0 = load_state(args.state)
+            sys_, s0 = _load(args.system, args.state)
             digest = inputs_digest([args.system, args.state])
             rt = recurrence_scan(sys_, s0, tol=args.tol, t_max=args.t_max, dt=args.dt)
             result = recurrence_payload(rt, args.tol, args.t_max, args.dt)
             exit_code = 0
         else:
-            sys_ = load_system(args.system)
-            s0 = load_state(args.state)
+            sys_, s0 = _load(args.system, args.state)
             digest = inputs_digest([args.system, args.state])
             targets, certs = verify_reachability(
                 sys_,

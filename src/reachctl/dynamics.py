@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (
-    DEFAULT_TOL,
-    Tolerance,
-    canonical_skew_eigensystem,
-    is_skew_hermitian,
-    segment_eigensystems,
-    square_matrix,
-)
+from .matrices import canonical_skew_eigensystem, is_skew_hermitian, segment_eigensystems, square_matrix
 
 __all__ = [
     "SPHERE_TOL",
@@ -93,8 +86,8 @@ class ControlSystem:
         B = square_matrix(self.B, "B")
         if A.shape != B.shape:
             raise ValueError(f"A and B must have equal shapes, got {A.shape} and {B.shape}")
-        is_skew_hermitian(A, DEFAULT_TOL, "A")
-        is_skew_hermitian(B, DEFAULT_TOL, "B")
+        is_skew_hermitian(A, "A")
+        is_skew_hermitian(B, "B")
         self.A = A
         self.B = B
 
@@ -213,7 +206,7 @@ class Trajectory:
         return float(np.max(np.abs(np.sum(np.abs(self.states) ** 2, axis=1) - 1.0)))
 
 
-def diagonalize_drift(A, tol: Tolerance | None = None) -> DriftSpectrum:
+def diagonalize_drift(A) -> DriftSpectrum:
     """Eigenfrequencies and eigenbasis of a skew-Hermitian drift generator.
 
     The eigenvalues of ``A`` are ``i lambda_k`` with real ``lambda_k``,
@@ -226,9 +219,8 @@ def diagonalize_drift(A, tol: Tolerance | None = None) -> DriftSpectrum:
     ValueError
         If ``A`` is not skew-Hermitian.
     """
-    tol = tol or DEFAULT_TOL
     M = square_matrix(A, "A")
-    is_skew_hermitian(M, tol, "A")
+    is_skew_hermitian(M, "A")
     omega, V = canonical_skew_eigensystem(M)
     return DriftSpectrum(lambdas=omega, U=V)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DEFAULT_TOL, Tolerance, is_skew_hermitian, square_matrix
+from .matrices import RANK_TOL, is_skew_hermitian, square_matrix
 
 __all__ = [
     "LieAlgebraBasis",
@@ -88,7 +88,7 @@ def _orthogonal_residual(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return w
 
 
-def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
+def closure(generators) -> LieAlgebraBasis:
     """Orthonormal basis of the smallest real Lie algebra containing ``generators``.
 
     The basis is held as one stacked complex array whose float64 view is a
@@ -99,19 +99,19 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
     FIFO worklist of unprocessed index pairs is consumed, each bracket is
     projected onto the orthogonal complement of the current span by classical
     Gram-Schmidt applied twice (two matrix-vector products per pass), and the
-    normalized residual is appended whenever its norm exceeds ``rank_tol``
-    times the bracket's own norm, with an absolute floor of ``rank_tol``.
+    normalized residual is appended whenever its norm exceeds ``RANK_TOL``
+    times the bracket's own norm, with an absolute floor of ``RANK_TOL``.
     The relative threshold keeps brackets of near-commuting generators from
     injecting noise dimensions.  Generation stops when the worklist empties
     or the count reaches n^2 (the dimension of u(n)), so termination is
     certain.  Only the generators are validated; brackets of basis elements
-    are formed directly on the stacked array.
+    are formed directly on the stacked array as ``P - P^dagger`` with
+    ``P = XY``, which is exactly skew-Hermitian in floating point.
 
     Parameters
     ----------
     generators : sequence of array-like
         Non-empty collection of skew-Hermitian matrices of equal dimension.
-    tol : Tolerance, optional
 
     Returns
     -------
@@ -123,7 +123,6 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
         If the list is empty, dimensions are mixed, or a generator fails the
         skew-Hermiticity check (the offender is named by position).
     """
-    tol = tol or DEFAULT_TOL
     gens = [square_matrix(g, f"generator {k}") for k, g in enumerate(generators)]
     if not gens:
         raise ValueError("closure requires at least one generator")
@@ -131,7 +130,7 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
     for k, g in enumerate(gens):
         if g.shape != (n, n):
             raise ValueError(f"generator {k} has shape {g.shape}, expected {(n, n)}")
-        is_skew_hermitian(g, tol, f"generator {k}")
+        is_skew_hermitian(g, f"generator {k}")
 
     cap = n * n
     stack = np.empty((min(cap, len(gens)), n, n), dtype=complex)
@@ -145,7 +144,7 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
             return
         residual = _orthogonal_residual(_realify(candidate), _realify(stack[:dim]))
         norm = float(np.linalg.norm(residual))
-        if norm <= max(tol.rank_tol * ref_norm, tol.rank_tol):
+        if norm <= max(RANK_TOL * ref_norm, RANK_TOL):
             return
         if dim == len(stack):
             grown = np.empty((min(cap, 2 * dim), n, n), dtype=complex)
@@ -161,8 +160,11 @@ def closure(generators, tol: Tolerance | None = None) -> LieAlgebraBasis:
 
     while queue and dim < cap:
         i, j = queue.popleft()
-        X, Y = stack[i], stack[j]
-        w = X @ Y - Y @ X
+        # For skew-Hermitian X and Y, YX = (XY)^dagger: one product instead of
+        # two, and a bracket skew-Hermitian to the last bit, so the rounding of
+        # XY - YX no longer pushes an element past the SKEW_TOL check.
+        P = stack[i] @ stack[j]
+        w = P - P.conj().T
         ref = float(np.linalg.norm(w))
         if ref == 0.0:
             continue
@@ -186,7 +188,7 @@ def member(basis: LieAlgebraBasis, X) -> float:
     return float(np.linalg.norm(residual))
 
 
-def classify(basis: LieAlgebraBasis, tol: Tolerance | None = None) -> AlgebraClass:
+def classify(basis: LieAlgebraBasis) -> AlgebraClass:
     """Dimension, tracelessness, and commutativity flags, plus a headline label.
 
     ``FULL_UNITARY`` when the dimension is n^2 (all of u(n)),
@@ -195,20 +197,19 @@ def classify(basis: LieAlgebraBasis, tol: Tolerance | None = None) -> AlgebraCla
     otherwise.  For n = 1 the full and abelian conditions coincide and the
     stronger ``FULL_UNITARY`` label wins.
     """
-    tol = tol or DEFAULT_TOL
     E = basis.elements
     dim = basis.dim
     n = basis.n
     norms = np.linalg.norm(E, axis=(1, 2))
     traces = np.abs(np.trace(E, axis1=1, axis2=2))
-    traceless = bool(np.all(traces <= tol.rank_tol * np.maximum(1.0, norms)))
+    traceless = bool(np.all(traces <= RANK_TOL * np.maximum(1.0, norms)))
     # One row of brackets at a time, [E_i, E_j] for every j > i: the
     # temporary stays the size of the basis.
     abelian = True
     for i in range(dim - 1):
         W = E[i] @ E[i + 1 :] - E[i + 1 :] @ E[i]
         scale = np.maximum(1.0, norms[i] * norms[i + 1 :])
-        if np.any(np.linalg.norm(W, axis=(1, 2)) > tol.rank_tol * scale):
+        if np.any(np.linalg.norm(W, axis=(1, 2)) > RANK_TOL * scale):
             abelian = False
             break
 

@@ -11,14 +11,12 @@ machine rounding; generic matrices fall back to scipy's scaling-and-squaring
 Pade exponential.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "RANK_TOL",
+    "SKEW_TOL",
     "square_matrix",
     "is_skew_hermitian",
     "bracket",
@@ -30,32 +28,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical cutoffs shared across the toolkit.
-
-    Attributes
-    ----------
-    rank_tol : float
-        Relative singular-value / residual cutoff for span and rank decisions.
-    skew_tol : float
-        Maximum relative entry deviation allowed in skew-Hermiticity checks.
-
-    All cutoffs are relative to the input magnitude, so verdicts are invariant
-    under rescaling the generators.
-    """
-
-    rank_tol: float = 1e-10
-    skew_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("rank_tol", "skew_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive and finite, got {value}")
-
-
-DEFAULT_TOL = Tolerance()
+# Numerical cutoffs shared across the toolkit, both relative to the input
+# magnitude so that verdicts do not change when the generators are rescaled:
+# the singular-value / residual cutoff of every span and rank decision, and
+# the largest entry deviation a skew-Hermiticity check allows.
+RANK_TOL = 1e-10
+SKEW_TOL = 1e-12
 
 
 def square_matrix(X, name: str = "matrix") -> np.ndarray:
@@ -74,19 +52,18 @@ def square_matrix(X, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def is_skew_hermitian(X, tol: Tolerance | None = None, name: str | None = None) -> bool:
-    """Test whether ``X + X^dagger`` vanishes to within ``skew_tol``.
+def is_skew_hermitian(X, name: str | None = None) -> bool:
+    """Test whether ``X + X^dagger`` vanishes to within ``SKEW_TOL``.
 
     The deviation is measured in the max-entry norm, relative to
     ``max(1, max-entry norm of X)`` so the verdict does not change under
     rescaling.  Given a ``name``, a failing ``X`` raises ValueError naming it,
     the worst violation and its entry, instead of returning False.
     """
-    tol = tol or DEFAULT_TOL
     M = square_matrix(X)
     deviation = np.abs(M + M.conj().T)
     worst = float(np.max(deviation))
-    if worst <= tol.skew_tol * max(1.0, float(np.max(np.abs(M)))):
+    if worst <= SKEW_TOL * max(1.0, float(np.max(np.abs(M)))):
         return True
     if name is not None:
         i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
@@ -177,7 +154,7 @@ def canonical_skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
 def matrix_exp(X, t: float) -> np.ndarray:
     """Matrix exponential ``exp(t X)``.
 
-    Skew-Hermitian inputs (to ``DEFAULT_TOL``) are exponentiated through the
+    Skew-Hermitian inputs (to ``SKEW_TOL``) are exponentiated through the
     unitary eigendecomposition, so the result is unitary up to rounding
     regardless of ``|t|``.  Anything else falls back to scipy's
     scaling-and-squaring Pade approximant.

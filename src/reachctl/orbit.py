@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ControlSystem, StateVector, diagonalize_drift
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import DEFAULT_TOL, Tolerance, bracket, canonical_skew_eigensystem
+from .matrices import RANK_TOL, bracket, canonical_skew_eigensystem
 
 __all__ = [
     "GroupWord",
@@ -33,6 +33,9 @@ __all__ = [
     "moduli_distance_bound",
     "controllability_report",
 ]
+
+# Orbit-sample factor durations are drawn uniformly from [-DURATION_SCALE, DURATION_SCALE].
+DURATION_SCALE = 2.0
 
 
 class Verdict(str, enum.Enum):
@@ -93,16 +96,15 @@ class ControllabilityReport:
     summary: str
 
 
-def tangent_dimension(basis: LieAlgebraBasis, s: StateVector, tol: Tolerance | None = None) -> int:
+def tangent_dimension(basis: LieAlgebraBasis, s: StateVector) -> int:
     """Dimension of the orbit through ``s``: rank of the algebra's action there.
 
     The tangent vectors ``X c`` for ``X`` in the basis are stacked as
     realified columns of a (2n) x dim matrix whose numerical rank (singular
-    values above ``rank_tol`` relative to the largest) is the local orbit
+    values above ``RANK_TOL`` relative to the largest) is the local orbit
     dimension.  No group enumeration is involved, so the answer is unaffected
     by the group being non-compact or non-closed.
     """
-    tol = tol or DEFAULT_TOL
     if basis.n != s.n:
         raise ValueError(f"basis dimension {basis.n} does not match state dimension {s.n}")
     if basis.dim == 0:
@@ -111,35 +113,32 @@ def tangent_dimension(basis: LieAlgebraBasis, s: StateVector, tol: Tolerance | N
     sv = np.linalg.svd(np.vstack((V.real, V.imag)), compute_uv=False)
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
-    return int(np.sum(sv > tol.rank_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 def sample_orbit(
     basis: LieAlgebraBasis,
     s0: StateVector,
     word_length: int,
-    duration_scale: float = 2.0,
     seed: int = 0,
 ) -> tuple[StateVector, GroupWord]:
     """A reproducible point of the orbit through ``s0`` with its group word.
 
     Draws ``word_length`` (generator, duration) pairs -- the generator
     uniformly from the basis, the duration uniformly from
-    ``[-duration_scale, duration_scale]`` -- from a generator seeded by
+    ``[-DURATION_SCALE, DURATION_SCALE]`` -- from a generator seeded by
     ``seed``, and applies the corresponding one-parameter factors in order.
     The result lies on the orbit by construction, which is what makes it a
     trustworthy steering target: no reachability is presupposed.
     """
     if int(word_length) != word_length or word_length < 0:
         raise ValueError(f"word_length must be a nonnegative integer, got {word_length}")
-    if not (duration_scale > 0.0):
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
     rng = np.random.default_rng(seed)
     factors = []
     if basis.dim > 0:
         for _ in range(int(word_length)):
             gi = int(rng.integers(basis.dim))
-            factors.append((basis.elements[gi], float(rng.uniform(-duration_scale, duration_scale))))
+            factors.append((basis.elements[gi], float(rng.uniform(-DURATION_SCALE, DURATION_SCALE))))
     word = GroupWord(factors)
     return word.apply(s0), word
 
@@ -156,7 +155,7 @@ def _cluster_spans(values: np.ndarray, cluster_tol: float) -> list:
     return spans
 
 
-def commuting_frame(sys: ControlSystem, tol: Tolerance | None = None) -> CommutingFrame | None:
+def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     """Common eigenbasis of (A, B) when they commute, else None.
 
     Starts from the drift eigenbasis and, inside each degenerate drift
@@ -164,20 +163,19 @@ def commuting_frame(sys: ControlSystem, tol: Tolerance | None = None) -> Commuti
     returned frame is a joint eigenbasis even when the drift alone does not
     determine one.  Blocks group indices with equal joint eigenvalue pairs.
     """
-    tol = tol or DEFAULT_TOL
     commutator = bracket(sys.A, sys.B)
     scale = max(1.0, float(np.linalg.norm(sys.A) * np.linalg.norm(sys.B)))
-    if float(np.linalg.norm(commutator)) > tol.rank_tol * scale:
+    if float(np.linalg.norm(commutator)) > RANK_TOL * scale:
         return None
 
-    spectrum = diagonalize_drift(sys.A, tol)
+    spectrum = diagonalize_drift(sys.A)
     lam_a = spectrum.lambdas.copy()
     U = spectrum.U.copy()
     n = sys.n
     lam_b = np.zeros(n)
 
     M = U.conj().T @ sys.B @ U
-    cluster_tol_a = tol.rank_tol * max(1.0, float(np.max(np.abs(lam_a))) if n else 1.0)
+    cluster_tol_a = RANK_TOL * max(1.0, float(np.max(np.abs(lam_a))) if n else 1.0)
     blocks = []
     for span in _cluster_spans(lam_a, cluster_tol_a):
         idx = np.array(span)
@@ -186,7 +184,7 @@ def commuting_frame(sys: ControlSystem, tol: Tolerance | None = None) -> Commuti
         omega_b, Vb = canonical_skew_eigensystem(Mb)
         U[:, idx] = U[:, idx] @ Vb
         lam_b[idx] = omega_b
-        cluster_tol_b = tol.rank_tol * max(1.0, float(np.max(np.abs(omega_b))))
+        cluster_tol_b = RANK_TOL * max(1.0, float(np.max(np.abs(omega_b))))
         for sub in _cluster_spans(omega_b, cluster_tol_b):
             blocks.append([int(idx[i]) for i in sub])
     return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
@@ -198,7 +196,7 @@ def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
     return np.array([float(np.sqrt(np.sum(np.abs(d[block]) ** 2))) for block in frame.blocks])
 
 
-def conserved_moduli(sys: ControlSystem, tol: Tolerance | None = None) -> list | None:
+def conserved_moduli(sys: ControlSystem) -> list | None:
     """Index groups whose amplitude norms every admissible control conserves.
 
     Present exactly when A and B commute (within tolerance): every generator
@@ -207,18 +205,13 @@ def conserved_moduli(sys: ControlSystem, tol: Tolerance | None = None) -> list |
     confines the reachable set to a torus inside the sphere.  Absent
     (``None``) when ``[A, B] != 0``.
     """
-    frame = commuting_frame(sys, tol)
+    frame = commuting_frame(sys)
     if frame is None:
         return None
     return [list(block) for block in frame.blocks]
 
 
-def moduli_distance_bound(
-    sys: ControlSystem,
-    s0: StateVector,
-    target: StateVector,
-    tol: Tolerance | None = None,
-) -> float:
+def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVector) -> float:
     """A-priori floor on the phase-sensitive distance to ``target``.
 
     For a commuting system every reachable state keeps the block moduli of
@@ -227,7 +220,7 @@ def moduli_distance_bound(
     half-squared distance below ``0.5 * sum (m0 - mt)^2``.  Returns 0 for
     non-commuting systems (no moduli obstruction).
     """
-    frame = commuting_frame(sys, tol)
+    frame = commuting_frame(sys)
     if frame is None:
         return 0.0
     m0 = block_moduli(frame, s0)
@@ -235,11 +228,7 @@ def moduli_distance_bound(
     return float(0.5 * np.sum((m0 - mt) ** 2))
 
 
-def controllability_report(
-    sys: ControlSystem,
-    s0: StateVector,
-    tol: Tolerance | None = None,
-) -> ControllabilityReport:
+def controllability_report(sys: ControlSystem, s0: StateVector) -> ControllabilityReport:
     """Full analysis: generate the algebra, rank its action, assemble the verdict.
 
     ``OPERATOR_CONTROLLABLE`` when the algebra is all of u(n) or su(n) (every
@@ -250,12 +239,11 @@ def controllability_report(
     algebra's action alone; compactness or closedness of the generated group
     is never consulted and never needed.
     """
-    tol = tol or DEFAULT_TOL
-    basis = closure([sys.A, sys.B], tol)
-    algebra_class = classify(basis, tol)
-    orbit_dim = tangent_dimension(basis, s0, tol)
+    basis = closure([sys.A, sys.B])
+    algebra_class = classify(basis)
+    orbit_dim = tangent_dimension(basis, s0)
     sphere_dim = 2 * sys.n - 1
-    moduli = conserved_moduli(sys, tol)
+    moduli = conserved_moduli(sys)
 
     if algebra_class.label in (AlgebraLabel.FULL_UNITARY, AlgebraLabel.SPECIAL_UNITARY):
         verdict = Verdict.OPERATOR_CONTROLLABLE

@@ -19,7 +19,6 @@ import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
 from .lie import closure
-from .matrices import DEFAULT_TOL, Tolerance
 from .orbit import sample_orbit
 
 __all__ = [
@@ -332,23 +331,27 @@ def verify_reachability(
     samples: int = 20,
     word_length: int = 6,
     seed: int = 7,
-    cfg: SteeringConfig | None = None,
-    tol: Tolerance | None = None,
 ) -> tuple[list[StateVector], list[ReachabilityCertificate]]:
     """Sample orbit points and steer to each: the end-to-end reachability check.
 
     Targets come from :func:`reachctl.orbit.sample_orbit`, so they lie on the
     orbit by construction and the check never presupposes what it is testing.
     Per-sample seeds are drawn from a master generator seeded with ``seed``.
+    Every target is steered to with the default :class:`SteeringConfig`.
     Returns the targets and one certificate each, in order.
+
+    Raises
+    ------
+    ValueError
+        If ``samples`` or ``seed`` is invalid or the dimensions mismatch.
     """
-    cfg = cfg or SteeringConfig()
-    tol = tol or DEFAULT_TOL
     if int(samples) != samples or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
     _require_seed(seed)
-    basis = closure([sys.A, sys.B], tol)
+    if sys.n != s0.n:
+        raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
+    basis = closure([sys.A, sys.B])
     master = np.random.default_rng(seed)
     sample_seeds = [int(x) for x in master.integers(0, 2**63 - 1, size=samples)]
     targets = [sample_orbit(basis, s0, word_length, seed=s)[0] for s in sample_seeds]
-    return targets, [steer(sys, s0, target, cfg) for target in targets]
+    return targets, [steer(sys, s0, target) for target in targets]

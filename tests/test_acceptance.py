@@ -16,7 +16,7 @@ from reachctl import (
     AlgebraLabel,
     ControlSchedule,
     ControlSystem,
-    DEFAULT_TOL,
+    RANK_TOL,
     StateVector,
     SteeringConfig,
     Verdict,
@@ -70,7 +70,7 @@ def test_criterion_2_closure_matches_nested_bracket_oracle():
         A = random_skew(rng, n)
         B = random_skew(rng, n)
         dim = closure([A, B]).dim
-        oracle = bracket_flag_rank([A, B], rank_tol=DEFAULT_TOL.rank_tol, max_depth=n * n)
+        oracle = bracket_flag_rank([A, B], rank_tol=RANK_TOL, max_depth=n * n)
         agreements += dim == oracle
     elapsed = time.perf_counter() - start
     assert agreements == 50

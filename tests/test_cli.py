@@ -124,10 +124,21 @@ class TestSimulate:
                     "--controls", str(controls), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "reachctl simulate: error: segment 1: duration 1e-300 starting at t = 1.0 "
-            "is too short for its 11 sample times to advance\n"
+            f"reachctl simulate: error: {controls}: field 'segments': segment 1: duration 1e-300 "
+            "starting at t = 1.0 is too short for its 11 sample times to advance\n"
         )
         assert not out.exists()
+
+    def test_sample_count_diagnostic_names_no_file(self, su2_files, tmp_path, capsys):
+        sys_path, state_path = su2_files
+        controls = tmp_path / "controls.json"
+        save_schedule(ControlSchedule.constant(0.0, 1.0), controls)
+        code = run(["simulate", "--system", sys_path, "--state", state_path,
+                    "--controls", str(controls), "--samples-per-segment", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl simulate: error: samples_per_segment must be a positive integer, got 0\n"
+        )
 
 
 class TestSteer:
@@ -297,6 +308,23 @@ class TestVerify:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "steer", "recurrence", "verify"])
+    def test_state_dimension_mismatch_names_file(self, command, su2_files, tmp_path, capsys):
+        sys_path, state_path = su2_files
+        wide = tmp_path / "wide.json"
+        save_state(StateVector(np.array([1.0, 0.0, 0.0])), wide)
+        controls = tmp_path / "controls.json"
+        save_schedule(ControlSchedule.constant(0.0, 1.0), controls)
+        states = ["--from", state_path, "--to", str(wide)] if command == "steer" else ["--state", str(wide)]
+        extra = {"simulate": ["--controls", str(controls)],
+                 "recurrence": ["--tol", "0.1", "--tmax", "1"]}.get(command, [])
+        code = run([command, "--system", sys_path, *states, *extra])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"reachctl {command}: error: {wide}: field 'n': 3 does not match "
+            f"the dimension 2 of system {sys_path}\n"
+        )
+
     def test_unknown_subcommand_exits_1(self, capsys):
         assert run(["explode"]) == 1
         capsys.readouterr()

@@ -4,19 +4,20 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reachctl import (
     AlgebraLabel,
     ControlSchedule,
     ControlSystem,
-    DEFAULT_TOL,
     LieAlgebraBasis,
+    RANK_TOL,
     StateVector,
     bracket,
     classify,
     closure,
     frobenius_inner,
+    is_skew_hermitian,
     member,
 )
 from reachctl.cli import run
@@ -28,7 +29,7 @@ from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew, real_antisymme
 from oracles import bracket_flag_rank
 
 
-def loop_closure(generators, rank_tol: float = DEFAULT_TOL.rank_tol) -> tuple:
+def loop_closure(generators, rank_tol: float = RANK_TOL) -> tuple:
     """The closure worklist with modified Gram-Schmidt, one element at a time.
 
     A reference for ``closure``: the same FIFO order and admit rule with the
@@ -62,7 +63,7 @@ def loop_closure(generators, rank_tol: float = DEFAULT_TOL.rank_tol) -> tuple:
     return elements, words
 
 
-def loop_classify(basis, rank_tol: float = DEFAULT_TOL.rank_tol) -> tuple:
+def loop_classify(basis, rank_tol: float = RANK_TOL) -> tuple:
     """``(traceless, abelian, label)`` from one element and one pair at a time.
 
     A reference for ``classify``: the same thresholds, with traces, norms and
@@ -139,9 +140,11 @@ class TestClosure:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
     @settings(max_examples=20, deadline=None)
+    @example(seed=10194, n=5)  # an element of the first closure once failed the skew check
     def test_idempotence(self, seed, n):
         rng = np.random.default_rng(seed)
         first = closure([random_skew(rng, n), random_skew(rng, n)])
+        assert all(is_skew_hermitian(e) for e in first.elements)
         second = closure(list(first.elements))
         assert second.dim == first.dim
         for e in second.elements:
@@ -351,7 +354,7 @@ class TestOracleEquivalence:
     def test_closure_dim_matches_flag_rank(self, seed, n):
         rng = np.random.default_rng(seed)
         gens = [random_skew(rng, n), random_skew(rng, n)]
-        assert closure(gens).dim == bracket_flag_rank(gens, DEFAULT_TOL.rank_tol)
+        assert closure(gens).dim == bracket_flag_rank(gens, RANK_TOL)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8))
     @settings(max_examples=12, deadline=None)
@@ -360,7 +363,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         gens = [real_antisymmetric(rng, n), real_antisymmetric(rng, n)]
         dim = closure(gens).dim
-        assert dim == bracket_flag_rank(gens, DEFAULT_TOL.rank_tol)
+        assert dim == bracket_flag_rank(gens, RANK_TOL)
         assert dim == n * (n - 1) // 2
 
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), q=st.integers(1, 3))
@@ -369,7 +372,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         gens = [scipy.linalg.block_diag(random_skew(rng, p), random_skew(rng, q)) for _ in range(2)]
         dim = closure(gens).dim
-        assert dim == bracket_flag_rank(gens, DEFAULT_TOL.rank_tol)
+        assert dim == bracket_flag_rank(gens, RANK_TOL)
         assert dim < (p + q) ** 2
 
     @pytest.mark.parametrize("kind", ["so", "u"])

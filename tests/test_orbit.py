@@ -19,6 +19,7 @@ from reachctl import (
     sample_orbit,
     tangent_dimension,
 )
+from reachctl.orbit import DURATION_SCALE
 
 from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric
 
@@ -74,8 +75,8 @@ class TestSampleOrbit:
         assert np.array_equal(word.apply(basis_state).c, s.c)
 
     def test_durations_within_scale(self, su2_basis, basis_state):
-        _, word = sample_orbit(su2_basis, basis_state, word_length=20, duration_scale=0.5, seed=1)
-        assert all(abs(t) <= 0.5 for _, t in word.factors)
+        _, word = sample_orbit(su2_basis, basis_state, word_length=20, seed=1)
+        assert all(abs(t) <= DURATION_SCALE for _, t in word.factors)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -542,3 +542,12 @@ class TestVerifyReachability:
     def test_sample_count_validated(self, su2_system, basis_state):
         with pytest.raises(ValueError):
             verify_reachability(su2_system, basis_state, samples=0)
+
+    def test_dimension_mismatch_raises_before_closure(self, su2_system, monkeypatch):
+        def no_closure(generators):
+            raise AssertionError("closure ran before the dimension check")
+
+        monkeypatch.setattr(steering, "closure", no_closure)
+        wide = StateVector(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="system dimension 2 does not match state dimension 3"):
+            verify_reachability(su2_system, wide, samples=1)
