@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import canonical_skew_eigensystem, is_skew_hermitian, segment_eigensystems, square_matrix
+from .matrices import canonical_skew_eigensystem, eigensystem_exp, is_skew_hermitian, skew_eigensystems, square_matrix
 
 __all__ = [
     "SPHERE_TOL",
@@ -259,7 +259,7 @@ def forward_pass(sys: ControlSystem, durations: np.ndarray, values: np.ndarray, 
     share.  States cross segments only in :func:`_carry`, here and in :func:`propagate` alike,
     so certificates re-check bit for bit.
     """
-    omega, V = segment_eigensystems(sys.A, sys.B, values)
+    omega, V = skew_eigensystems(1j * (sys.A + values[..., None, None] * sys.B))
     return (omega, V) + _carry(omega, V, durations, c)
 
 
@@ -281,7 +281,7 @@ def _carry(omega: np.ndarray, V: np.ndarray, durations: np.ndarray, c: np.ndarra
 
 
 def _distinct_eigensystems(sys: ControlSystem, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`segment_eigensystems` of one schedule's ``values``, decomposing each distinct value once.
+    """:func:`forward_pass`'s eigensystems of one schedule's ``values``, decomposing each distinct value once.
 
     Values are compared by their float64 bits, so ``0.0`` and ``-0.0`` stay apart and every row
     equals the one-per-segment decomposition bit for bit.  A dict of the bits numbers the
@@ -290,11 +290,10 @@ def _distinct_eigensystems(sys: ControlSystem, values: np.ndarray) -> tuple[np.n
     """
     slot = {}
     inverse = [slot.setdefault(bits, len(slot)) for bits in values.view(np.uint64).tolist()]
-    if len(slot) == values.size:  # nothing repeats: skip the gather and its copy
-        return segment_eigensystems(sys.A, sys.B, values)
-    distinct = np.array(list(slot), dtype=np.uint64).view(float)
-    omega, V = segment_eigensystems(sys.A, sys.B, distinct)
-    return omega[inverse], V[inverse]
+    repeats = len(slot) < values.size  # if nothing repeats, skip the array of distinct values and the gather
+    distinct = np.array(list(slot), dtype=np.uint64).view(float) if repeats else values
+    omega, V = skew_eigensystems(1j * (sys.A + distinct[:, None, None] * sys.B))
+    return (omega[inverse], V[inverse]) if repeats else (omega, V)
 
 
 def propagate(
@@ -364,8 +363,7 @@ def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray
     for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
         part = slice(lo, lo + SEGMENT_BLOCK)
         omega, V = _distinct_eigensystems(sys, sched.values[part])
-        phases = np.exp(1j * sched.durations[part, None] * omega)
-        for F in (V * phases[:, None, :]) @ V.conj().transpose(0, 2, 1):
+        for F in eigensystem_exp(omega, V, sched.durations[part, None]):
             U = F @ U
     return U
 

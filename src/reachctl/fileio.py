@@ -297,9 +297,13 @@ def render(payload: dict) -> str:
     """Serialize a payload deterministically: sorted keys, two-space indent.
 
     Parsing the output and rendering it again reproduces the exact bytes,
-    which is what makes reports round-trip and repeat byte-identically.
+    which is what makes reports round-trip and repeat byte-identically.  JSON
+    has no NaN or infinity, so a payload holding one raises ValueError.
     """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the result holds NaN or infinity: the computation overflowed double precision") from None
 
 
 def inputs_digest(paths) -> str:

@@ -7,12 +7,10 @@ once and the numerically delicate choices are made in one place.
 
 The exponential of a skew-Hermitian generator goes through a unitary
 eigendecomposition (``i X`` is Hermitian), which makes propagators unitary to
-machine rounding; generic matrices fall back to scipy's scaling-and-squaring
-Pade exponential.
+machine rounding.
 """
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RANK_TOL",
@@ -23,7 +21,8 @@ __all__ = [
     "frobenius_inner",
     "matrix_exp",
     "skew_eigensystem",
-    "segment_eigensystems",
+    "skew_eigensystems",
+    "eigensystem_exp",
     "canonical_skew_eigensystem",
 ]
 
@@ -111,19 +110,25 @@ def skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
     real (returned descending) and ``V`` is unitary to rounding.  No
     skew-Hermiticity check is performed here; callers validate.
     """
-    H = 1j * square_matrix(X)
-    h, V = np.linalg.eigh(H)  # ascending h; omega = -h comes out descending
-    return -h, V
+    return skew_eigensystems(1j * square_matrix(X))
 
 
-def segment_eigensystems(A: np.ndarray, B: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``skew_eigensystem`` of each ``A + values[..., j] * B``, bit for bit, in one stacked ``eigh``.
+def skew_eigensystems(iX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one ``eigh``: :func:`skew_eigensystem`, bit for bit, of each matrix of a stack ``X`` given as ``i X``.
 
-    Returns ``omega[..., m, n]`` and ``V[..., m, n, n]`` for ``values`` of shape ``(..., m)``;
-    ``A`` and ``B`` are a validated ``ControlSystem`` pair.
+    Nothing is validated.  Callers form ``i X`` in one expression, such as ``1j * (A + v * B)``,
+    so no other stack-sized temporary lives through the ``eigh``.
     """
-    h, V = np.linalg.eigh(1j * (A + values[..., None, None] * B))
+    h, V = np.linalg.eigh(iX)  # ascending h; omega = -h comes out descending
     return -h, V
+
+
+def eigensystem_exp(omega: np.ndarray, V: np.ndarray, t) -> np.ndarray:
+    """The one exponential: ``exp(t X) = V diag(exp(i t omega)) V^dagger`` from ``X``'s eigensystem.
+
+    Broadcasts over stacks and over ``t``, a scalar or an array shaped ``omega.shape[:-1] + (1,)``.
+    """
+    return (V * np.exp(1j * t * omega)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def canonical_skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
@@ -135,41 +140,31 @@ def canonical_skew_eigensystem(X) -> tuple[np.ndarray, np.ndarray]:
     output for repeated runs even on degenerate spectra.
     """
     omega, V = skew_eigensystem(X)
-    V = V.copy()
     n = V.shape[0]
-    for k in range(n):
-        col = V[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        p = col[pivot]
-        if np.abs(p) > 0:
-            V[:, k] = col * (np.conj(p) / np.abs(p))
-
-    def column_key(k: int):
-        return tuple(x for entry in V[:, k] for x in (-entry.real, -entry.imag))
-
-    order = sorted(range(n), key=lambda k: (-omega[k], column_key(k)))
+    pivots = V[np.argmax(np.abs(V), axis=0), np.arange(n)]  # nonzero: V's columns are unit vectors
+    V = V * (np.conj(pivots) / np.abs(pivots))
+    # Sort keys, most significant last: Im V[n-1], Re V[n-1], ..., Im V[0], Re V[0], then omega.
+    keys = np.stack((V.real, V.imag), axis=1).reshape(2 * n, n)[::-1]
+    order = np.lexsort(np.vstack((-keys, -omega)))
     return omega[order], V[:, order]
 
 
 def matrix_exp(X, t: float) -> np.ndarray:
     """Matrix exponential ``exp(t X)``.
 
-    Skew-Hermitian inputs (to ``SKEW_TOL``) are exponentiated through the
-    unitary eigendecomposition, so the result is unitary up to rounding
-    regardless of ``|t|``.  Anything else falls back to scipy's
-    scaling-and-squaring Pade approximant.
+    ``t == 0`` gives the exact identity; otherwise ``X`` must be
+    skew-Hermitian (to ``SKEW_TOL``), and the result is unitary to rounding.
 
     Raises
     ------
     ValueError
-        If ``X`` has non-finite entries or ``t`` is not finite.
+        If ``X`` has non-finite entries, ``t`` is not finite, or ``t != 0``
+        and ``X`` is not skew-Hermitian.
     """
     M = square_matrix(X)
     if not np.isfinite(t):
         raise ValueError(f"exponential parameter must be finite, got {t}")
     if t == 0.0:
         return np.eye(M.shape[0], dtype=complex)
-    if is_skew_hermitian(M):
-        omega, V = skew_eigensystem(M)
-        return (V * np.exp(1j * t * omega)) @ V.conj().T
-    return scipy.linalg.expm(t * M)
+    is_skew_hermitian(M, "matrix_exp generator")
+    return eigensystem_exp(*skew_eigensystem(M), t)

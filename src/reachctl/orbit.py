@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ControlSystem, StateVector, diagonalize_drift
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import RANK_TOL, bracket, canonical_skew_eigensystem
+from .matrices import RANK_TOL, bracket, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems
 
 __all__ = [
     "GroupWord",
@@ -60,10 +60,10 @@ class GroupWord:
     def apply(self, s: StateVector) -> StateVector:
         c = s.c
         if self.factors:
-            h, V = np.linalg.eigh(1j * np.array([X for X, _ in self.factors], dtype=complex))
-            for (_, t), Vk, omega in zip(self.factors, V, -h):
+            omega, V = skew_eigensystems(1j * np.array([X for X, _ in self.factors], dtype=complex))
+            for (_, t), omega_k, V_k in zip(self.factors, omega, V):
                 if t != 0.0:
-                    c = (Vk * np.exp(1j * t * omega)) @ Vk.conj().T @ c
+                    c = eigensystem_exp(omega_k, V_k, t) @ c
         return StateVector.normalized(c)
 
 

@@ -64,6 +64,8 @@ class SteeringConfig:
             raise ValueError(f"segments must be a positive integer, got {self.segments}")
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not self.horizon / self.segments > 0:
+            raise ValueError(f"horizon / segments underflows to 0: {self.horizon!r} / {self.segments}")
         if int(self.restarts) != self.restarts or self.restarts < 1:
             raise ValueError(f"restarts must be a positive integer, got {self.restarts}")
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
@@ -207,7 +209,7 @@ def _optimize_restart(cfg: SteeringConfig, restart: int):
     step = 1.0
     exploring = True
     iterations = 0
-    while f > cfg.target_distance:
+    while not f <= cfg.target_distance:  # a NaN distance never counts as converged
         if iterations == cfg.max_iterations:
             return values, f, iterations, "max_iterations"
         if float(g @ g) <= 1e-28:
@@ -259,7 +261,7 @@ def steer(
     schedule; restart ``r`` draws initial values uniformly from [-1, 1] with a
     generator derived from ``(cfg.seed, r)``, so results are reproducible.
     The best certificate (smallest achieved distance, ties to the smallest
-    restart index) is returned.
+    restart index, a non-finite distance from an overflow last) is returned.
 
     Each evaluation is one forward pass and the exact gradient on it.  The
     restarts advance together: each round stacks the pending trial of every
@@ -313,7 +315,7 @@ def steer(
                 results[r] = stop.value
                 del trials[r]
 
-    best = min(range(cfg.restarts), key=lambda r: (results[r][1], r))
+    best = min(range(cfg.restarts), key=lambda r: (not np.isfinite(results[r][1]), results[r][1], r))
     values, achieved, iterations, stop_reason = results[best]
     return ReachabilityCertificate(
         schedule=ControlSchedule(durations, values),

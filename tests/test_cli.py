@@ -140,6 +140,23 @@ class TestSimulate:
             "reachctl simulate: error: samples_per_segment must be a positive integer, got 0\n"
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exits_1_without_report(self, tmp_path, basis_state, capsys):
+        sys_path, state_path = tmp_path / "big.json", tmp_path / "state.json"
+        save_system(ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X), sys_path)
+        save_state(basis_state, state_path)
+        controls = tmp_path / "controls.json"
+        save_schedule(ControlSchedule.constant(0.5, 1e300), controls)
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--system", str(sys_path), "--state", str(state_path),
+                    "--controls", str(controls), "--samples-per-segment", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl simulate: error: the result holds NaN or infinity: "
+            "the computation overflowed double precision\n"
+        )
+        assert not out.exists()
+
 
 class TestSteer:
     def test_converging_run_exits_0(self, su2_files, tmp_path):
@@ -192,6 +209,31 @@ class TestSteer:
         # the distance stalls on the moduli floor long before the budget
         assert result["stop_reason"] == "line_search_exhausted"
         assert result["iterations_used"] < 20
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exits_1_without_certificate(self, tmp_path, basis_state, capsys):
+        sys_path, from_path, to_path = tmp_path / "big.json", tmp_path / "from.json", tmp_path / "to.json"
+        save_system(ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X), sys_path)
+        save_state(basis_state, from_path)
+        save_state(StateVector(np.array([0.0, 1.0], dtype=complex)), to_path)
+        out = tmp_path / "cert.json"
+        code = run(["steer", "--system", str(sys_path), "--from", str(from_path), "--to", str(to_path),
+                    "--horizon", "1e300", "--segments", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("reachctl steer: error: the result holds NaN or infinity")
+        assert not out.exists()
+
+    def test_underflowing_horizon_exits_1_before_steering(self, su2_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(steering, "forward_pass", None)  # any evaluation would fail loudly
+        sys_path, from_path = su2_files
+        out = tmp_path / "cert.json"
+        code = run(["steer", "--system", sys_path, "--from", from_path, "--to", from_path,
+                    "--horizon", "5e-324", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl steer: error: horizon / segments underflows to 0: 5e-324 / 20\n"
+        )
+        assert not out.exists()
 
     def test_negative_seed_names_seed(self, su2_files, capsys):
         sys_path, from_path = su2_files

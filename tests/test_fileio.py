@@ -293,6 +293,11 @@ class TestRender:
     def test_keys_sorted(self):
         assert render({"b": 1, "a": 2}).index('"a"') < render({"b": 1, "a": 2}).index('"b"')
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_raises(self, value):
+        with pytest.raises(ValueError, match="^the result holds NaN or infinity: the computation overflowed"):
+            render({"result": {"b": [1.0, [2.0, value]], "a": None}})
+
 
 class TestInputsDigest:
     def test_deterministic_and_order_sensitive(self, su2_files):

@@ -6,12 +6,13 @@ from reachctl import (
     RANK_TOL,
     SKEW_TOL,
     bracket,
+    canonical_skew_eigensystem,
     frobenius_inner,
     is_skew_hermitian,
     matrix_exp,
     skew_eigensystem,
 )
-from reachctl.matrices import segment_eigensystems
+from reachctl.matrices import eigensystem_exp, skew_eigensystems
 
 from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew
 
@@ -120,11 +121,11 @@ class TestMatrixExp:
     def test_euler_formula_at_pi(self):
         assert np.allclose(matrix_exp(1j * SIGMA_X, np.pi), -EYE2, atol=1e-12)
 
-    def test_general_fallback_matches_series(self):
-        # non-skew input goes through the general path; check on a nilpotent
+    def test_non_skew_generator_raises(self):
+        # only skew-Hermitian generators are exponentiated; a nilpotent is not one
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = matrix_exp(N, 2.0)
-        assert np.allclose(out, np.array([[1.0, 2.0], [0.0, 1.0]]), atol=1e-14)
+        with pytest.raises(ValueError, match="matrix_exp generator is not skew-Hermitian"):
+            matrix_exp(N, 2.0)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), t=st.floats(-100.0, 100.0))
     @settings(max_examples=40, deadline=None)
@@ -155,6 +156,40 @@ class TestSkewEigensystem:
         assert np.max(np.abs(rebuilt - X)) <= 1e-12 * max(1.0, np.max(np.abs(X)))
         assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(3), np.array([[np.nan, 0.0], [0.0, 0.0]])])
+    def test_rejects_non_square_or_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            skew_eigensystem(bad)
+
+
+def loop_canonical_skew_eigensystem(X):
+    # Column-by-column reference for the gauge and the tie order.
+    omega, V = skew_eigensystem(X)
+    V = V.copy()
+    n = V.shape[0]
+    for k in range(n):
+        p = V[int(np.argmax(np.abs(V[:, k]))), k]
+        V[:, k] = V[:, k] * (np.conj(p) / np.abs(p))
+    order = sorted(range(n), key=lambda k: (-omega[k], tuple(x for z in V[:, k] for x in (-z.real, -z.imag))))
+    return omega[order], V[:, order]
+
+
+class TestCanonicalSkewEigensystem:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), kind=st.sampled_from(["random", "ties", "zero"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_reference_bit_for_bit(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            X = random_skew(rng, n)
+        elif kind == "ties":  # exactly repeated frequencies: the order falls to the eigenvectors
+            X = np.diag(1j * rng.integers(-1, 2, n).astype(float))
+        else:
+            X = np.zeros((n, n))
+        omega, V = canonical_skew_eigensystem(X)
+        omega_ref, V_ref = loop_canonical_skew_eigensystem(X)
+        assert omega.tobytes() == omega_ref.tobytes()
+        assert V.tobytes() == V_ref.tobytes()
+
 
 class TestSegmentEigensystems:
     @pytest.mark.parametrize("n", range(2, 9))
@@ -162,10 +197,20 @@ class TestSegmentEigensystems:
         rng = np.random.default_rng(n)
         A, B = random_skew(rng, n), random_skew(rng, n)
         values = np.concatenate(([0.0], rng.uniform(-2.0, 2.0, 24)))
-        omega, V = segment_eigensystems(A, B, values)
+        omega, V = skew_eigensystems(1j * (A + values[:, None, None] * B))
         assert omega.shape == (values.size, n)
         assert V.shape == (values.size, n, n)
         for j, v in enumerate(values):
             omega_j, V_j = skew_eigensystem(A + v * B)
             assert np.array_equal(omega[j], omega_j)
             assert np.array_equal(V[j], V_j)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_exp_matches_matrix_exp(self, n):
+        rng = np.random.default_rng(n)
+        A, B = random_skew(rng, n), random_skew(rng, n)
+        values, durations = rng.uniform(-2.0, 2.0, 12), rng.uniform(-3.0, 3.0, 12)
+        U = eigensystem_exp(*skew_eigensystems(1j * (A + values[:, None, None] * B)), durations[:, None])
+        assert U.shape == (values.size, n, n)
+        for j, (v, t) in enumerate(zip(values, durations)):
+            assert np.array_equal(U[j], matrix_exp(A + v * B, t))

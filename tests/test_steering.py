@@ -62,6 +62,10 @@ class TestSteeringConfig:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SteeringConfig(seed=seed)
 
+    def test_underflowing_segment_duration_names_horizon_and_segments(self):
+        with pytest.raises(ValueError, match=r"^horizon / segments underflows to 0: 5e-324 / 20$"):
+            SteeringConfig(horizon=5e-324, segments=20)
+
 
 class TestDistance:
     def test_identical_states(self, plus_state):
@@ -306,6 +310,36 @@ class TestStopReason:
         cert = steer(su2_system, basis_state, target, SteeringConfig(restarts=3, max_iterations=1))
         assert cert.stop_reason == "max_iterations"
         assert cert.iterations_used == 1
+
+    def test_nan_distance_is_never_converged(self):
+        restart = steering._optimize_restart(SteeringConfig(segments=3), 0)
+        next(restart)
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                restart.send((np.nan, np.full(3, np.nan)))
+        _, f, _, stop_reason = stop.value.value
+        assert np.isnan(f)
+        assert stop_reason == "line_search_exhausted"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_forward_pass_is_not_converged(self, basis_state):
+        # 1e10-scale frequencies times 5e299-long segments overflow every phase
+        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cert = steer(sys, basis_state, target, SteeringConfig(horizon=1e300, segments=2, restarts=2))
+        assert np.isnan(cert.achieved_distance)
+        assert not cert.converged
+        assert cert.stop_reason != "converged"
+
+    def test_non_finite_distance_ranks_last(self, monkeypatch, su2_system, basis_state):
+        def fixed_restart(cfg, restart):
+            yield np.zeros(cfg.segments)
+            return np.zeros(cfg.segments), [np.nan, 0.5, np.inf][restart], 1, "line_search_exhausted"
+
+        monkeypatch.setattr(steering, "_optimize_restart", fixed_restart)
+        cert = steer(su2_system, basis_state, basis_state, SteeringConfig(restarts=3))
+        assert cert.restart_index == 1
+        assert cert.achieved_distance == 0.5
 
 
 class CountingKernels:
