@@ -66,7 +66,7 @@ def test_tracer_bindings_resolve():
     assert missing == []
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_leaves_out_scipy_optimize():
     # scipy is a test-only dependency: importing scipy.linalg costs about
     # 0.2 s and 25 MB of RSS, scipy.optimize about 20 MB more, and the package
     # needs neither (its steering optimizer and exponential are written out).
