@@ -13,6 +13,8 @@ import argparse
 import sys as _sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dynamics import propagate, recurrence_scan
 from .fileio import (
@@ -108,11 +110,15 @@ def _load(system_path, *state_paths) -> tuple:
     return (sys_, *states)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(argv) -> int:
     """Parse ``argv``, execute one subcommand, and write its report.
 
     Returns the process exit code instead of raising, so it can be embedded
-    and tested without touching the interpreter's exit machinery.
+    and tested without touching the interpreter's exit machinery.  Floating
+    point overflow raises no numpy warning: the NaN it leaves in the result
+    is rejected by ``render``, whose diagnostic is then the one line on
+    stderr.
     """
     parser = _build_parser()
     try:

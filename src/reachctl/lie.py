@@ -95,8 +95,15 @@ def closure(generators) -> LieAlgebraBasis:
     ``dim x 2n^2`` real matrix with orthonormal rows (the interleaved real and
     imaginary parts of each element), allocated as elements are admitted and
     grown by doubling, so memory follows the algebra's dimension.  It is
-    seeded with the orthonormalized generators and grown breadth-first: a
-    FIFO worklist of unprocessed index pairs is consumed, each bracket is
+    seeded with the orthonormalized generators (the *seeds*) and grown
+    breadth-first.  The generated algebra is the smallest subspace that
+    contains the generators and is invariant under ``ad_s`` for every seed
+    ``s`` (Jacobi identity; Jurdjevic, *Geometric Control Theory*, 1997,
+    ch. 3), so only brackets ``[seed_i, e_j]`` are needed, never those of two
+    non-seed elements.  A FIFO worklist holds one ``(seed, element)`` pair
+    for each admitted seed below each newly admitted element, so provenance
+    words are right-normed, ``[g_k,word]``.  A generator that lies in the
+    span of the earlier ones is rejected and is not a seed.  Each bracket is
     projected onto the orthogonal complement of the current span by classical
     Gram-Schmidt applied twice (two matrix-vector products per pass), and the
     normalized residual is appended whenever its norm exceeds ``RANK_TOL``
@@ -104,9 +111,10 @@ def closure(generators) -> LieAlgebraBasis:
     The relative threshold keeps brackets of near-commuting generators from
     injecting noise dimensions.  Generation stops when the worklist empties
     or the count reaches n^2 (the dimension of u(n)), so termination is
-    certain.  Only the generators are validated; brackets of basis elements
-    are formed directly on the stacked array as ``P - P^dagger`` with
-    ``P = XY``, which is exactly skew-Hermitian in floating point.
+    certain and at most ``seeds x dim`` brackets are projected.  Only the
+    generators are validated; brackets of basis elements are formed directly
+    on the stacked array as ``P - P^dagger`` with ``P = XY``, which is
+    exactly skew-Hermitian in floating point.
 
     Parameters
     ----------
@@ -135,6 +143,9 @@ def closure(generators) -> LieAlgebraBasis:
     cap = n * n
     stack = np.empty((min(cap, len(gens)), n, n), dtype=complex)
     dim = 0
+    # Elements below ``seeds`` are the admitted generators; while they are
+    # being admitted every new element counts as a seed.
+    seeds = len(gens)
     words: list = []
     queue: deque = deque()
 
@@ -152,11 +163,12 @@ def closure(generators) -> LieAlgebraBasis:
             stack = grown
         stack[dim] = (residual / norm).view(complex).reshape(n, n)
         words.append(word)
-        queue.extend((i, dim) for i in range(dim))
+        queue.extend((i, dim) for i in range(min(dim, seeds)))
         dim += 1
 
     for k, g in enumerate(gens):
         admit(g, f"g{k}", float(np.linalg.norm(g)))
+    seeds = dim
 
     while queue and dim < cap:
         i, j = queue.popleft()

@@ -13,6 +13,7 @@ is a flagged optimizer failure and nothing more -- reachability of orbit
 points is a theorem, so non-convergence is never evidence against it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,9 @@ def _optimize_restart(cfg: SteeringConfig, restart: int):
     exploring = True
     iterations = 0
     while not f <= cfg.target_distance:  # a NaN distance never counts as converged
+        if not math.isfinite(f):
+            # An overflowed start: every trial along a NaN direction is NaN too.
+            return values, f, iterations, "line_search_exhausted"
         if iterations == cfg.max_iterations:
             return values, f, iterations, "max_iterations"
         if float(g @ g) <= 1e-28:
@@ -282,8 +286,9 @@ def steer(
     unit step.  A restart stops at the first evaluation within
     ``cfg.target_distance`` (``"converged"``), after ``cfg.max_iterations``
     line searches, at a zero gradient, or as ``"line_search_exhausted"`` when
-    the line search fails or a trial step changes the distance by at most a
-    relative 1e-12 (a stall, such as a moduli floor).
+    the line search fails, a trial step changes the distance by at most a
+    relative 1e-12 (a stall, such as a moduli floor), or the starting distance
+    is not finite (an overflow), which costs one evaluation.
 
     A non-converged certificate is a valid, flagged outcome: it reports that
     the optimizer failed (or the target is off the orbit), never that an

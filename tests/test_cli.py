@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reachctl
 from reachctl import ControlSchedule, ControlSystem, StateVector, steering
 from reachctl.cli import run
 from reachctl.fileio import save_schedule, save_state, save_system, state_payload, system_payload
@@ -156,6 +161,27 @@ class TestSimulate:
             "the computation overflowed double precision\n"
         )
         assert not out.exists()
+
+    def test_overflow_stderr_is_one_line(self, tmp_path, basis_state):
+        # Run as a process, so numpy's RuntimeWarnings would reach stderr too.
+        sys_path, state_path = tmp_path / "big.json", tmp_path / "state.json"
+        save_system(ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X), sys_path)
+        save_state(basis_state, state_path)
+        controls = tmp_path / "controls.json"
+        save_schedule(ControlSchedule.constant(0.5, 1e300), controls)
+        package_root = str(Path(reachctl.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reachctl.cli", "simulate", "--system", str(sys_path),
+             "--state", str(state_path), "--controls", str(controls), "--samples-per-segment", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "reachctl simulate: error: the result holds NaN or infinity: "
+            "the computation overflowed double precision\n"
+        )
 
 
 class TestSteer:

@@ -25,7 +25,7 @@ from reachctl.fileio import save_schedule, save_state, save_system
 import reachctl.lie
 import reachctl.matrices
 
-from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew, real_antisymmetric
+from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_unitary, random_skew, real_antisymmetric
 from oracles import bracket_flag_rank
 
 
@@ -33,11 +33,14 @@ def loop_closure(generators, rank_tol: float = RANK_TOL) -> tuple:
     """The closure worklist with modified Gram-Schmidt, one element at a time.
 
     A reference for ``closure``: the same FIFO order and admit rule with the
-    projection written as a plain loop over the pairing ``Re vdot``.
+    projection written as a plain loop over the pairing ``Re vdot``.  Every
+    admitted element is bracketed with the admitted generators only; while
+    the generators are being admitted, each one pairs with all before it.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     n = gens[0].shape[0]
     elements, words, queue = [], [], deque()
+    seeds = None
 
     def admit(W, word, ref):
         if len(elements) >= n * n:
@@ -48,12 +51,14 @@ def loop_closure(generators, rank_tol: float = RANK_TOL) -> tuple:
         norm = np.linalg.norm(W)
         if norm <= max(rank_tol * ref, rank_tol):
             return
-        queue.extend((i, len(elements)) for i in range(len(elements)))
+        partners = len(elements) if seeds is None else seeds
+        queue.extend((i, len(elements)) for i in range(partners))
         elements.append(W / norm)
         words.append(word)
 
     for k, g in enumerate(gens):
         admit(g, f"g{k}", np.linalg.norm(g))
+    seeds = len(elements)
     while queue and len(elements) < n * n:
         i, j = queue.popleft()
         W = elements[i] @ elements[j] - elements[j] @ elements[i]
@@ -403,13 +408,91 @@ class TestOracleEquivalence:
             assert np.max(np.abs(got - expected)) <= 1e-9
 
     def test_so6_provenance_words(self):
-        # The FIFO worklist fixes which bracket word names each element.
+        # The FIFO worklist fixes which bracket word names each element; only
+        # generators bracket, so every word is right-normed.  [g0,[g1,[g0,g1]]]
+        # is missing: by Jacobi it equals [g1,[g0,[g0,g1]]], already admitted.
         rng = np.random.default_rng(6)
         gens = [real_antisymmetric(rng, 6), real_antisymmetric(rng, 6)]
         assert closure(gens).provenance == [
             "g0", "g1", "[g0,g1]", "[g0,[g0,g1]]", "[g1,[g0,g1]]", "[g0,[g0,[g0,g1]]]",
-            "[g1,[g0,[g0,g1]]]", "[[g0,g1],[g0,[g0,g1]]]", "[g1,[g1,[g0,g1]]]",
-            "[[g0,g1],[g1,[g0,g1]]]", "[[g0,[g0,g1]],[g1,[g0,g1]]]", "[g0,[g0,[g0,[g0,g1]]]]",
-            "[g1,[g0,[g0,[g0,g1]]]]", "[[g0,g1],[g0,[g0,[g0,g1]]]]",
-            "[[g0,[g0,g1]],[g0,[g0,[g0,g1]]]]",
+            "[g1,[g0,[g0,g1]]]", "[g1,[g1,[g0,g1]]]", "[g0,[g0,[g0,[g0,g1]]]]",
+            "[g1,[g0,[g0,[g0,g1]]]]", "[g0,[g1,[g0,[g0,g1]]]]", "[g1,[g1,[g0,[g0,g1]]]]",
+            "[g0,[g1,[g1,[g0,g1]]]]", "[g1,[g1,[g1,[g0,g1]]]]",
+            "[g0,[g0,[g0,[g0,[g0,g1]]]]]",
         ]
+
+
+def count_projections(monkeypatch) -> list:
+    """Patch the closure's Gram-Schmidt projection to tally its calls; returns the one-item tally."""
+    tally, project = [0], reachctl.lie._orthogonal_residual
+
+    def counted(w, Q):
+        tally[0] += 1
+        return project(w, Q)
+
+    monkeypatch.setattr(reachctl.lie, "_orthogonal_residual", counted)
+    return tally
+
+
+def framed_generators(kind: str, n: int, seed: int) -> list:
+    """A generator pair of the given kind, conjugated into a Haar-random unitary frame."""
+    rng = np.random.default_rng(seed)
+    if kind == "so":
+        gens = [real_antisymmetric(rng, n) for _ in range(2)]
+    elif kind == "u":
+        gens = [random_skew(rng, n) for _ in range(2)]
+    elif kind == "sum":
+        p = n // 2
+        gens = [scipy.linalg.block_diag(random_skew(rng, p), random_skew(rng, n - p)) for _ in range(2)]
+    else:
+        gens = [np.diag(1j * rng.normal(size=n)) for _ in range(2)]
+    U = haar_unitary(rng, n)
+    return [U.conj().T @ g @ U for g in gens]
+
+
+class TestGeneratorOnlyClosure:
+    """Closure brackets with the generators only; the result is still closed under all pairs."""
+
+    @pytest.mark.parametrize(
+        "kind,n,expected",
+        [("so", 5, 10), ("so", 6, 15), ("u", 4, 16), ("u", 5, 25), ("sum", 5, 13), ("torus", 4, 2)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_closed_under_all_pairs(self, kind, n, expected, seed):
+        # The all-pairs definition of a Lie algebra, checked against the
+        # generator-only construction.
+        basis = closure(framed_generators(kind, n, seed))
+        assert basis.dim == expected
+        E = basis.elements
+        for i in range(basis.dim):
+            for W in E[i] @ E[i + 1 :] - E[i + 1 :] @ E[i]:
+                assert member(basis, W) <= 1e-9 * max(1.0, np.linalg.norm(W))
+
+    @pytest.mark.parametrize(
+        "pattern,admitted", [("A,2A,B", ["g0", "g2"]), ("A,B,A+B", ["g0", "g1"]), ("A,A,A,B", ["g0", "g3"])]
+    )
+    def test_dependent_generators(self, pattern, admitted, monkeypatch):
+        # A rejected generator is not a seed: only admitted generators open
+        # brackets, so every word is [g_k,...] with g_k admitted, and the
+        # projections stay within len(gens) + s(s-1)/2 + s(dim-s) for s seeds.
+        A, B = framed_generators("so", 5, 3)
+        gens = [{"A": A, "2A": 2.0 * A, "B": B, "A+B": A + B}[name] for name in pattern.split(",")]
+        tally = count_projections(monkeypatch)
+        basis = closure(gens)
+        assert basis.dim == bracket_flag_rank(gens, RANK_TOL) == 10
+        seeds = [word for word in basis.provenance if not word.startswith("[")]
+        assert seeds == admitted
+        for word in basis.provenance[len(seeds) :]:
+            assert word.split(",")[0][1:] in seeds
+        s, dim = len(seeds), basis.dim
+        assert tally[0] <= len(gens) + s * (s - 1) // 2 + s * (dim - s)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_projection_count(self, n, monkeypatch):
+        # Two generators, so at most 2 seed projections plus two brackets per
+        # element; all pairs took 992 projections at so(10) and 7,142 at so(16).
+        tally = count_projections(monkeypatch)
+        basis = closure(framed_generators("so", n, 10))
+        dim = n * (n - 1) // 2
+        assert basis.dim == dim
+        assert tally[0] <= 2 + 2 * dim

@@ -321,6 +321,33 @@ class TestStopReason:
         assert np.isnan(f)
         assert stop_reason == "line_search_exhausted"
 
+    def test_nan_trial_backtracks(self):
+        # A non-finite trial is one failed step of the line search, not the end of it.
+        restart = steering._optimize_restart(SteeringConfig(segments=3), 1)
+        values = next(restart)
+        first = restart.send((1.0, np.ones(3)))
+        second = restart.send((np.nan, np.full(3, np.nan)))
+        np.testing.assert_allclose(second - values, 0.5 * (first - values), rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_start_evaluates_once_per_restart(self, basis_state, monkeypatch):
+        # A NaN distance at the start ends the restart at once instead of
+        # line-searching along a NaN gradient (448 rows in 56 rounds before).
+        rows, forward = [0], steering.forward_pass
+
+        def counted(sys, durations, values, c0):
+            rows[0] += len(values)
+            return forward(sys, durations, values, c0)
+
+        monkeypatch.setattr(steering, "forward_pass", counted)
+        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cfg = SteeringConfig(horizon=1e300, segments=2)
+        cert = steer(sys, basis_state, target, cfg)
+        assert rows[0] <= cfg.restarts
+        assert cert.stop_reason == "line_search_exhausted"
+        assert cert.iterations_used == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_forward_pass_is_not_converged(self, basis_state):
         # 1e10-scale frequencies times 5e299-long segments overflow every phase
