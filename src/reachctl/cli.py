@@ -116,9 +116,9 @@ def run(argv) -> int:
 
     Returns the process exit code instead of raising, so it can be embedded
     and tested without touching the interpreter's exit machinery.  Floating
-    point overflow raises no numpy warning: the NaN it leaves in the result
-    is rejected by ``render``, whose diagnostic is then the one line on
-    stderr.
+    point overflow raises no numpy warning: ``propagate`` names the segment
+    whose flow overflowed, and a NaN left in any other result is rejected by
+    ``render``; either diagnostic is then the one line on stderr.
     """
     parser = _build_parser()
     try:

@@ -317,8 +317,11 @@ def propagate(
     Raises
     ------
     ValueError
-        On dimension mismatch, ``samples_per_segment < 1``, or a segment too
-        short for its sample times to advance past the one before.
+        On dimension mismatch, ``samples_per_segment < 1``, a segment too
+        short for its sample times to advance past the one before, or a
+        segment whose flow overflows double precision (checked once per
+        block, at the segment ends: an interior sample's phase is a fraction
+        of its segment's).
     """
     if int(samples_per_segment) != samples_per_segment or samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be a positive integer, got {samples_per_segment}")
@@ -345,6 +348,14 @@ def propagate(
         part = slice(lo, lo + SEGMENT_BLOCK)
         omega, V = _distinct_eigensystems(sys, sched.values[part])
         coords, ends = _carry(omega, V, durations[part], states[lo * (k + 1)])
+        overflowed = ~np.isfinite(ends).all(axis=1)
+        if overflowed.any():
+            # ends carry the state, so the first non-finite one names the segment that overflowed
+            j = lo + int(np.argmax(overflowed))
+            raise ValueError(
+                f"segment {j}: the flow over duration {float(durations[j])!r} at control value "
+                f"{float(sched.values[j])!r} overflows double precision"
+            )
         inner = np.exp(1j * omega[:, None, :] * taus[part, :, None]) * coords[:, None, :]
         grid[part, :k] = np.matmul(V[:, None], inner[..., None])[..., 0]
         grid[part, k] = ends

@@ -157,8 +157,8 @@ class TestSimulate:
                     "--controls", str(controls), "--samples-per-segment", "1", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "reachctl simulate: error: the result holds NaN or infinity: "
-            "the computation overflowed double precision\n"
+            f"reachctl simulate: error: {controls}: field 'segments': segment 0: the flow over "
+            "duration 1e+300 at control value 0.5 overflows double precision\n"
         )
         assert not out.exists()
 
@@ -179,8 +179,8 @@ class TestSimulate:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == (
-            "reachctl simulate: error: the result holds NaN or infinity: "
-            "the computation overflowed double precision\n"
+            f"reachctl simulate: error: {controls}: field 'segments': segment 0: the flow over "
+            "duration 1e+300 at control value 0.5 overflows double precision\n"
         )
 
 
@@ -373,6 +373,23 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "reachctl verify: error: seed must be a non-negative integer, got -1\n"
         )
+
+    def test_out_of_memory_exits_1(self, su2_files, tmp_path, capsys, monkeypatch):
+        # a lockstep round holds every sample's restarts, so many --samples can exhaust memory;
+        # the kernel is made to fail rather than allocating anything large
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(steering, "forward_pass", no_memory)
+        sys_path, state_path = su2_files
+        out = tmp_path / "verify.json"
+        code = run(["verify", "--system", sys_path, "--state", state_path, "--samples", "2",
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl verify: error: out of memory (Unable to allocate 8.00 GiB for an array)\n"
+        )
+        assert not out.exists()
 
 
 class TestArgumentHandling:

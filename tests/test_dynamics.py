@@ -424,6 +424,20 @@ class TestPropagate:
             propagate(su2_system, basis_state, sched, samples_per_segment=10)
         assert propagate(su2_system, basis_state, sched, samples_per_segment=1).times.size == 7
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("segments, j", [
+        ([(1.0, 0.5), (1e300, 0.5)], 1),  # omega * duration overflows
+        ([(1.0, 1e300), (1.0, 0.5)], 0),  # A + eps B overflows
+        ([(1.0, 0.5)] * (SEGMENT_BLOCK + 6) + [(1e300, 0.5)], SEGMENT_BLOCK + 6),  # in a later block
+    ], ids=["duration", "value", "second-block"])
+    def test_overflowing_segment_is_named(self, basis_state, segments, j):
+        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
+        duration, value = segments[j]
+        message = f"segment {j}: the flow over duration {duration!r} at control value {value!r} overflows double precision"
+        with pytest.raises(ValueError) as info:
+            propagate(sys, basis_state, ControlSchedule.from_segments(segments), samples_per_segment=2)
+        assert str(info.value) == message
+
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
         with pytest.raises(ValueError):

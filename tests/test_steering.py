@@ -415,7 +415,8 @@ def sequential_steer(sys, s0, target, cfg):
                 results.append(stop.value)
                 break
         evaluations.append(count)
-    best = min(range(cfg.restarts), key=lambda r: (results[r][1], r))
+    # steer's rule: least distance, ties to the lowest restart, a non-finite distance last
+    best = min(range(cfg.restarts), key=lambda r: (not np.isfinite(results[r][1]), results[r][1], r))
     values, achieved, iterations, stop_reason = results[best]
     return (values, achieved, iterations, best, stop_reason), evaluations
 
@@ -534,6 +535,29 @@ def off_moduli_torus():
     return ControlSystem(A, 2.0 * A), plus, StateVector(np.array([1.0, 0.0], dtype=complex))
 
 
+def assert_certificate_is(cert, reference, cfg):
+    values, achieved, iterations, best, stop_reason = reference
+    assert np.array_equal(cert.schedule.values, values)
+    assert cert.achieved_distance == achieved
+    assert cert.converged == (achieved <= cfg.target_distance)
+    assert cert.iterations_used == iterations
+    assert cert.restart_index == best
+    assert cert.stop_reason == stop_reason
+
+
+def su2_from_up():
+    return su2_up_to_down()[:2]
+
+
+def generic3_start():
+    rng = np.random.default_rng(3)
+    return ControlSystem(random_skew(rng, 3), random_skew(rng, 3)), StateVector(random_unit(rng, 3))
+
+
+def torus2_from_plus():
+    return off_moduli_torus()[:2]
+
+
 class TestLockstepEqualsSequential:
     """Advancing the restarts together changes no certificate field, bit for bit."""
 
@@ -556,13 +580,36 @@ class TestLockstepEqualsSequential:
         sys, s0, target = instance()
         cfg = SteeringConfig(phase_sensitive=phase_sensitive, **settings)
         cert = steer(sys, s0, target, cfg)
-        (values, achieved, iterations, best, stop_reason), _ = sequential_steer(sys, s0, target, cfg)
-        assert np.array_equal(cert.schedule.values, values)
-        assert cert.achieved_distance == achieved
-        assert cert.converged == (achieved <= cfg.target_distance)
-        assert cert.iterations_used == iterations
-        assert cert.restart_index == best
-        assert cert.stop_reason == stop_reason
+        reference, _ = sequential_steer(sys, s0, target, cfg)
+        assert_certificate_is(cert, reference, cfg)
+
+    @pytest.mark.parametrize(
+        "instance, samples",
+        [(su2_from_up, 4), (su2_from_up, 20), (generic3_start, 4), (torus2_from_plus, 4)],
+        ids=["su2x4", "su2x20", "generic3x4", "torus2x4"],
+    )
+    def test_verify_equals_one_steer_per_target(self, monkeypatch, instance, samples):
+        sys, s0 = instance()
+        counts = CountingKernels(monkeypatch)
+        targets, certs = verify_reachability(sys, s0, samples=samples)
+        rounds = counts.forward_calls
+        cfg = SteeringConfig()
+        longest = []
+        for target, cert in zip(targets, certs):
+            reference, evaluations = sequential_steer(sys, s0, target, cfg)
+            assert_certificate_is(cert, reference, cfg)
+            longest.append(max(evaluations))
+        # one lockstep round per evaluation of the longest restart of any target
+        assert rounds == max(longest) < sum(longest)
+        # verify steers phase-sensitively; the lockstep code it shares with steer also runs projectively
+        cfg = SteeringConfig(phase_sensitive=False)
+        for target, cert in zip(targets, steering._steer_all(sys, s0, targets, cfg)):
+            assert_certificate_is(cert, sequential_steer(sys, s0, target, cfg)[0], cfg)
+
+    def test_torus2_certificates_include_exhausted_restarts(self):
+        # so the torus2 cases above pin a winning restart that stopped as line_search_exhausted
+        _, certs = verify_reachability(*torus2_from_plus(), samples=4)
+        assert "line_search_exhausted" in {cert.stop_reason for cert in certs}
 
 
 class TestBatchedGradient:
