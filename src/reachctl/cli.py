@@ -10,6 +10,7 @@ reports byte for byte.
 """
 
 import argparse
+import functools
 import sys as _sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .fileio import (
     load_schedule,
     load_state,
     load_system,
+    read_input,
     recurrence_payload,
     render,
     report_payload,
@@ -35,6 +37,7 @@ from .steering import SteeringConfig, steer, verify_reachability
 __all__ = ["run", "main"]
 
 
+@functools.cache  # built on the first run, not at import, and reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reachctl",
@@ -99,15 +102,25 @@ def _emit(report: dict, out: str | None) -> None:
             raise ValueError(f"{out}: cannot write report ({exc.strerror or exc})") from exc
 
 
-def _load(system_path, *state_paths) -> tuple:
-    """The system and each state, with every state's dimension checked against the system's once."""
-    sys_ = load_system(system_path)
-    states = [load_state(path) for path in state_paths]
+def _load(system_path, *state_paths, controls=None) -> tuple:
+    """``(digest, system, *states[, schedule])``, every state's dimension checked against the system's once.
+
+    Each file is read once, so the digest covers exactly the bytes that were parsed.
+    """
+    blobs = []
+
+    def read(path):
+        blobs.append(read_input(path))
+        return blobs[-1]
+
+    sys_ = load_system(system_path, read(system_path))
+    states = [load_state(path, read(path)) for path in state_paths]
     for path, s in zip(state_paths, states):
         if s.n != sys_.n:
             raise ValueError(f"{path}: field 'n': {s.n} does not match the dimension {sys_.n} "
                              f"of system {system_path}")
-    return (sys_, *states)
+    schedule = [] if controls is None else [load_schedule(controls, read(controls))]
+    return (inputs_digest(blobs), sys_, *states, *schedule)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -117,8 +130,9 @@ def run(argv) -> int:
     Returns the process exit code instead of raising, so it can be embedded
     and tested without touching the interpreter's exit machinery.  Floating
     point overflow raises no numpy warning: ``propagate`` names the segment
-    whose flow overflowed, and a NaN left in any other result is rejected by
-    ``render``; either diagnostic is then the one line on stderr.
+    whose flow overflowed, ``steer`` the ``--horizon`` and ``--segments`` that
+    did, and a NaN left in any other result is rejected by ``render``; the
+    diagnostic is then the one line on stderr.
     """
     parser = _build_parser()
     try:
@@ -129,14 +143,11 @@ def run(argv) -> int:
 
     try:
         if args.command == "analyze":
-            sys_, s0 = _load(args.system, args.state)
-            digest = inputs_digest([args.system, args.state])
+            digest, sys_, s0 = _load(args.system, args.state)
             result = report_payload(controllability_report(sys_, s0))
             exit_code = 0
         elif args.command == "simulate":
-            sys_, s0 = _load(args.system, args.state)
-            sched = load_schedule(args.controls)
-            digest = inputs_digest([args.system, args.state, args.controls])
+            digest, sys_, s0, sched = _load(args.system, args.state, controls=args.controls)
             try:
                 traj = propagate(sys_, s0, sched, samples_per_segment=args.samples_per_segment)
             except ValueError as exc:
@@ -148,8 +159,7 @@ def run(argv) -> int:
             result = trajectory_payload(traj, sys_, sched)
             exit_code = 0
         elif args.command == "steer":
-            sys_, s0, target = _load(args.system, args.from_state, args.to_state)
-            digest = inputs_digest([args.system, args.from_state, args.to_state])
+            digest, sys_, s0, target = _load(args.system, args.from_state, args.to_state)
             cfg = SteeringConfig(
                 segments=args.segments,
                 horizon=args.horizon,
@@ -159,17 +169,19 @@ def run(argv) -> int:
                 phase_sensitive=not args.projective,
             )
             cert = steer(sys_, s0, target, cfg)
+            if not np.isfinite(cert.achieved_distance):
+                # Every restart overflowed: the flags set the segment duration, the schedule is not to blame.
+                raise ValueError(f"--horizon {cfg.horizon!r} / --segments {cfg.segments}: the flow over "
+                                 f"segments of duration {cfg.horizon / cfg.segments!r} overflows double precision")
             result = certificate_payload(cert)
             exit_code = 0 if cert.converged else 2
         elif args.command == "recurrence":
-            sys_, s0 = _load(args.system, args.state)
-            digest = inputs_digest([args.system, args.state])
+            digest, sys_, s0 = _load(args.system, args.state)
             rt = recurrence_scan(sys_, s0, tol=args.tol, t_max=args.t_max, dt=args.dt)
             result = recurrence_payload(rt, args.tol, args.t_max, args.dt)
             exit_code = 0
         else:
-            sys_, s0 = _load(args.system, args.state)
-            digest = inputs_digest([args.system, args.state])
+            digest, sys_, s0 = _load(args.system, args.state)
             targets, certs = verify_reachability(
                 sys_,
                 s0,

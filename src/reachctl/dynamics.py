@@ -7,7 +7,8 @@ drift part is, after diagonalization, a collection of phase rotations
 ``d_k -> exp(i lambda_k t) d_k``; in real coordinates this is a classical
 Hamiltonian system with energy ``H = sum_k lambda_k (a_k^2 + b_k^2)``, which
 is why the drift flow keeps returning near its starting point
-(:func:`recurrence_scan` finds such returns in Lipschitz-bounded time steps).
+(:func:`recurrence_scan` finds such returns, certifying whole gaps of its time
+grid at once by a Lipschitz bound).
 """
 
 import math
@@ -41,6 +42,13 @@ SEGMENT_BLOCK = 64
 
 # Golden-section steps of the recurrence refinement.
 GOLDEN_ITERATIONS = 60
+
+# Recurrence scan: samples per block and open gaps per refinement (bounding its memory whatever
+# the horizon), the distance the drift moves over the first stride, and the parts each open gap
+# is cut into.
+RECURRENCE_BLOCK = 1024
+RECURRENCE_REACH = 1.5
+RECURRENCE_FANOUT = 4
 
 
 @dataclass
@@ -270,8 +278,8 @@ def _carry(omega: np.ndarray, V: np.ndarray, durations: np.ndarray, c: np.ndarra
     ends = np.empty_like(phases)
     # Segment-first views with states as columns: matmul writes coords and ends in place and
     # one buffer takes every phase product, the cheapest per-segment step for one or many rows.
-    V_j, V_dagger_j = np.moveaxis(V, -3, 0), np.moveaxis(V.conj().swapaxes(-1, -2), -3, 0)
-    phase_j, coords_j, ends_j = (np.moveaxis(a[..., None], -3, 0) for a in (phases, coords, ends))
+    V_j, V_dagger_j = V.swapaxes(-3, 0), V.conj().swapaxes(-1, -2).swapaxes(-3, 0)
+    phase_j, coords_j, ends_j = (a[..., None].swapaxes(-3, 0) for a in (phases, coords, ends))
     c = c[:, None]
     product = np.empty(coords_j.shape[1:], dtype=complex)
     for V_dagger, V_seg, phase, x, end in zip(V_dagger_j, V_j, phase_j, coords_j, ends_j):
@@ -415,19 +423,23 @@ def recurrence_scan(
 
     The drift flow only rotates phases in its eigenbasis, so it moves at the
     constant speed ``v = sqrt(sum_k w_k lambda_k^2)`` and its distance ``D``
-    to the start is v-Lipschitz.  From a grid point the scan jumps
-    ``floor((|D - ref| - margin) / (v dt))`` points (at least one), ``ref``
-    being ``tol`` before departure and the closest distance after it, and
-    ``margin`` the rounding of ``D``.  No skipped point is a departure, a
-    return or a closer approach, so the answer is that of the full grid
-    scan, at a cost in Lipschitz steps rather than grid points.  A step costs
-    far more than a table entry, so a fast drift (``v dt`` a sizeable share
-    of the distance range) that never returns is slower than a table scan.
+    to the start is v-Lipschitz (Shubert's bound).  The scan sweeps the grid
+    in blocks: it evaluates ``D`` at samples ``stride`` points apart, all at
+    once, and bounds every grid distance between two samples ``a`` and ``b``
+    by ``(D_a + D_b)/2 -+ (v span/2 + margin)``, ``margin`` being the
+    rounding of ``D``.  Only a gap whose bounds admit an event -- the
+    departure, a return, or an approach closer than every distance before
+    it -- is cut into ``RECURRENCE_FANOUT`` parts and sampled again, down to
+    single grid steps.  No point left out is an event, so the answer is that
+    of the full grid scan; the cost is the samples, and memory is bounded by
+    ``RECURRENCE_BLOCK``, not by ``t_max / dt``.  The first stride moves the
+    state by about ``RECURRENCE_REACH``; a fast drift (``v dt`` above it)
+    has stride one, which is the plain table.
     """
     if not (0.0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not (0.0 < dt < t_max and np.isfinite(t_max / dt)):
-        raise ValueError(f"need finite 0 < dt < t_max, got dt={dt}, t_max={t_max}")
+    if not (0.0 < dt < t_max and t_max / dt < 2.0**53):
+        raise ValueError(f"need 0 < dt < t_max and fewer than 2**53 grid steps, got dt={dt}, t_max={t_max}")
     if sys.n != s0.n:
         raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
 
@@ -439,6 +451,11 @@ def recurrence_scan(
     def dist(t: float) -> float:
         return math.sqrt(max(2.0 * float((weights * (1.0 - np.cos(t * lam))).sum()), 0.0))
 
+    def dists(k: np.ndarray) -> np.ndarray:
+        # dist at the grid times k dt, one row of cosines per time: equal to dist bit for bit
+        x = np.cos(np.outer(k * dt, lam))
+        return np.sqrt(np.maximum(2.0 * np.sum((1.0 - x) * weights, axis=1), 0.0))
+
     count = int(np.floor(t_max / dt + 1e-12))
     v = math.hypot(*(np.sqrt(weights) * lam))  # hypot scales: no overflow or underflow
     if v == 0.0:
@@ -446,28 +463,75 @@ def recurrence_scan(
     # Twice the float64 error of one distance: rounding t * lam, the cosines and the sum put D^2
     # off by under eps (t_max max|lam| + 4n + 16), which reaches D as its square root near 0.
     margin = 2.0 * math.sqrt(np.finfo(float).eps * (t_max * float(np.max(np.abs(lam))) + 4 * lam.size + 16))
+    # The first stride moves the state by about RECURRENCE_REACH (a float division gives inf, not a
+    # warning, if v dt underflows).
+    stride = int(min(count, max(1.0, RECURRENCE_REACH / v / dt)))
+    fan = np.arange(RECURRENCE_FANOUT + 1)
 
-    departure = hit = best_t = None
-    best_d = np.inf
-    k = 1
-    while k <= count:
-        t = k * dt
-        d = dist(t)
-        if departure is None and d > tol:
-            departure = t
-        if departure is not None:
-            if d <= tol:
-                hit = t
-                break
-            if d < best_d:
-                best_t, best_d = t, d
-        gap = abs(d - (tol if departure is None else best_d)) - margin
-        # A gap of v t_max skips the whole horizon; clipping there keeps the step finite if v dt underflows.
-        k += int(max(1.0, min(gap, v * t_max) / v / dt))
+    def block(lo: int, size: int, best: float | None) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(hi, k, D)``: grid points ``k`` from ``lo`` to ``hi`` and their distances, the others certified.
 
+        Samples every ``stride`` points up to ``size`` strides ahead, then cuts each gap that may hold an
+        event into ``RECURRENCE_FANOUT`` and samples again, down to single steps.  Before departure
+        (``best`` None) the event is a point above ``tol``; after it, a point below the least distance
+        at or before it (``best`` is that of earlier blocks).  Past ``RECURRENCE_BLOCK`` open gaps the
+        block ends at the first one left over, which bounds its memory.
+        """
+        running = np.maximum if best is None else np.minimum
+        hi = min(count, lo + size * stride)
+        k = np.append(np.arange(lo, hi, stride), hi)
+        d = dists(k)
+        points, values = [k], [d]
+        a, span, d_a, d_b = k[:-1], np.diff(k), d[:-1], d[1:]
+        ahead = running.accumulate(np.append(0.0 if best is None else best, d_a))[1:]  # at each left end
+        while True:
+            mid, half = (d_a + d_b) / 2.0, span * (v * dt / 2.0) + margin
+            if best is None:
+                open_ = (ahead <= tol) & (mid + half > tol)
+            else:
+                open_ = mid - half < ahead
+            open_ &= span > 1
+            gaps = np.flatnonzero(open_)
+            if gaps.size > RECURRENCE_BLOCK:
+                hi = int(a[gaps[RECURRENCE_BLOCK]])
+                gaps = gaps[:RECURRENCE_BLOCK]
+            if gaps.size == 0:
+                k, d = np.concatenate(points), np.concatenate(values)
+                inside = k <= hi
+                return hi, k[inside], d[inside]
+            a, span, d_a, d_b, ahead = a[gaps], span[gaps], d_a[gaps], d_b[gaps], ahead[gaps]
+            k = a[:, None] + span[:, None] * fan // RECURRENCE_FANOUT
+            inner = dists(k[:, 1:-1].ravel()).reshape(len(a), -1)
+            points.append(k[:, 1:-1].ravel())
+            values.append(inner.ravel())
+            ahead = running.accumulate(np.column_stack((ahead, inner)), axis=1).ravel()
+            d = np.column_stack((d_a, inner, d_b))
+            a, span, d_a, d_b = k[:, :-1].ravel(), np.diff(k).ravel(), d[:, :-1].ravel(), d[:, 1:].ravel()
+
+    departure = hit = None
+    lo, size = 0, RECURRENCE_FANOUT
+    while departure is None and lo < count:
+        hi, k, d = block(lo, size, None)
+        above = d > tol
+        if above.any():
+            departure = int(k[above].min())
+            best_k, best_d = departure, float(d[k == departure][0])
+        lo, size = hi, min(2 * size, RECURRENCE_BLOCK)
     if departure is None:
         return float(dt)
-    center = best_t if hit is None else hit
+    lo = departure
+    while lo < count:
+        lo, k, d = block(lo, RECURRENCE_BLOCK, best_d)
+        within = d <= tol
+        if within.any():
+            hit = int(k[within].min()) * dt
+            break
+        low = float(d.min())
+        if low < best_d:
+            best_k, best_d = int(k[d == low].min()), low
+
+    departure *= dt
+    center = best_k * dt if hit is None else hit
     a = max(center - dt, departure)
     b = min(center + dt, count * dt)
     refined_t, refined_d = _golden_minimize(dist, a, b)

@@ -35,15 +35,22 @@ __all__ = [
     "verification_payload",
     "render",
     "inputs_digest",
+    "read_input",
 ]
 
 
-def _read_json(path) -> dict:
+def read_input(path) -> bytes:
+    """The raw bytes of an input file, for a loader to parse and :func:`inputs_digest` to hash."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{Path(path)}: cannot read file ({exc.strerror or exc})") from exc
+
+
+def _read_json(path, data: bytes | None) -> dict:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ValueError(f"{p}: cannot read file ({exc.strerror or exc})") from exc
+        text = (read_input(p) if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     try:
@@ -108,13 +115,15 @@ def _parse_n(doc: dict, path) -> int:
     return n
 
 
-def load_system(path) -> ControlSystem:
+def load_system(path, data: bytes | None = None) -> ControlSystem:
     """Parse a system file ``{"n", "A", "B"}`` into a validated ControlSystem.
 
     Skew-Hermiticity is enforced at load; violations raise ValueError naming
-    the file, the matrix, and the worst entry.
+    the file, the matrix, and the worst entry.  Like every loader, it parses
+    ``data`` when given (the file's bytes from :func:`read_input`) and reads
+    ``path`` otherwise; ``path`` names the file in diagnostics either way.
     """
-    doc = _read_json(path)
+    doc = _read_json(path, data)
     n = _parse_n(doc, path)
     A = _parse_matrix(_field(doc, "A", path), n, path, "A")
     B = _parse_matrix(_field(doc, "B", path), n, path, "B")
@@ -124,9 +133,9 @@ def load_system(path) -> ControlSystem:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_state(path) -> StateVector:
+def load_state(path, data: bytes | None = None) -> StateVector:
     """Parse a state file ``{"n", "c"}`` into a validated unit StateVector."""
-    doc = _read_json(path)
+    doc = _read_json(path, data)
     n = _parse_n(doc, path)
     c = _parse_vector(_field(doc, "c", path), n, path, "c")
     try:
@@ -135,9 +144,9 @@ def load_state(path) -> StateVector:
         raise ValueError(f"{path}: field 'c': {exc}") from exc
 
 
-def load_schedule(path) -> ControlSchedule:
+def load_schedule(path, data: bytes | None = None) -> ControlSchedule:
     """Parse a controls file ``{"segments": [{"duration", "value"}, ...]}``."""
-    doc = _read_json(path)
+    doc = _read_json(path, data)
     raw = _field(doc, "segments", path)
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path}: field 'segments' must be a non-empty list")
@@ -306,9 +315,9 @@ def render(payload: dict) -> str:
         raise ValueError("the result holds NaN or infinity: the computation overflowed double precision") from None
 
 
-def inputs_digest(paths) -> str:
-    """Order-sensitive sha256 digest over the raw bytes of the input files."""
+def inputs_digest(blobs) -> str:
+    """Order-sensitive sha256 digest over the raw bytes of the input files, as parsed."""
     h = hashlib.sha256()
-    for path in paths:
-        h.update(hashlib.sha256(Path(path).read_bytes()).digest())
+    for data in blobs:
+        h.update(hashlib.sha256(data).digest())
     return h.hexdigest()

@@ -164,8 +164,8 @@ def _batched_gradient(
     # adjoint[:, j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
     backward = np.exp(-1j * omega * durations[:, None])
     adjoint = np.empty_like(coords)
-    V_j, V_dagger_j = np.moveaxis(V, 1, 0), np.moveaxis(V_dagger, 1, 0)
-    backward_j, adjoint_j = (np.moveaxis(a[..., None], 1, 0) for a in (backward, adjoint))
+    V_j, V_dagger_j = V.swapaxes(1, 0), V_dagger.swapaxes(1, 0)
+    backward_j, adjoint_j = (a[..., None].swapaxes(1, 0) for a in (backward, adjoint))
     w = w[..., None]
     for j in range(durations.size - 1, -1, -1):
         x = np.matmul(V_dagger_j[j], w, out=adjoint_j[j])

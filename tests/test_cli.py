@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import reachctl
-from reachctl import ControlSchedule, ControlSystem, StateVector, steering
+from reachctl import ControlSchedule, ControlSystem, StateVector, cli, steering
 from reachctl.cli import run
 from reachctl.fileio import save_schedule, save_state, save_system, state_payload, system_payload
 
@@ -246,7 +247,10 @@ class TestSteer:
         code = run(["steer", "--system", str(sys_path), "--from", str(from_path), "--to", str(to_path),
                     "--horizon", "1e300", "--segments", "2", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("reachctl steer: error: the result holds NaN or infinity")
+        assert capsys.readouterr().err == (
+            "reachctl steer: error: --horizon 1e+300 / --segments 2: the flow over segments of "
+            "duration 5e+299 overflows double precision\n"
+        )
         assert not out.exists()
 
     def test_underflowing_horizon_exits_1_before_steering(self, su2_files, tmp_path, capsys, monkeypatch):
@@ -422,6 +426,43 @@ class TestArgumentHandling:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         assert "analyze" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_reused(self, su2_files, tmp_path, capsys):
+        # A parse error and --help leave nothing behind in the cached parser: the next
+        # run's report equals that of a fresh process.
+        sys_path, state_path = su2_files
+        fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+        argv = ["analyze", "--system", sys_path, "--state", state_path]
+        package_root = str(Path(reachctl.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "reachctl.cli", *argv, "--out", str(fresh)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert run(["analyze", "--system", sys_path, "--wat"]) == 1
+        assert run(["--help"]) == 0
+        assert run(argv + ["--out", str(reused)]) == 0
+        capsys.readouterr()
+        assert cli._build_parser() is cli._build_parser()
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_digest_covers_the_bytes_parsed(self, su2_files, tmp_path, monkeypatch):
+        # The state file changes after it was read and parsed; the report digests what was analyzed.
+        sys_path, state_path = su2_files
+        parsed = [Path(sys_path).read_bytes(), Path(state_path).read_bytes()]
+        load_state = cli.load_state
+
+        def load_then_rewrite(path, *args):
+            state = load_state(path, *args)
+            save_state(StateVector(np.array([0.0, 1.0], dtype=complex)), path)
+            return state
+
+        monkeypatch.setattr(cli, "load_state", load_then_rewrite)
+        out = tmp_path / "report.json"
+        assert run(["analyze", "--system", sys_path, "--state", state_path, "--out", str(out)]) == 0
+        assert Path(state_path).read_bytes() != parsed[1]
+        expected = hashlib.sha256(b"".join(hashlib.sha256(data).digest() for data in parsed)).hexdigest()
+        assert read_report(out)["inputs_digest"] == expected
 
     def test_non_skew_input_cites_entry(self, tmp_path, capsys):
         doc = {

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from reachctl import (
     recurrence_scan,
 )
 
+from reachctl import dynamics
 from reachctl.dynamics import SEGMENT_BLOCK, forward_pass
 from reachctl.matrices import skew_eigensystem
 
@@ -625,6 +627,54 @@ class TestRecurrenceScan:
         s0 = StateVector(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
         expected, _ = chunked_recurrence_scan(sys, s0, tol, t_max, 1e-3)
         assert recurrence_scan(sys, s0, tol, t_max, 1e-3) == expected
+
+    def test_fast_drift_without_grid_hit_matches_chunked_scan(self):
+        # v dt is about 0.4 of the distance range [0, 2], and no grid point returns into the ball.
+        sys = ControlSystem(np.diag([50j, -37.3j]), np.diag([1j, 1j]))
+        s0 = StateVector(np.array([0.6, 0.8], dtype=complex))
+        expected, outcome = chunked_recurrence_scan(sys, s0, 1e-3, 30.0, 1e-2)
+        assert outcome in ("none", "refined-hit")
+        assert recurrence_scan(sys, s0, 1e-3, 30.0, 1e-2) == expected
+
+    @pytest.mark.parametrize("block, fanout, reach", [(1, 2, 1.5), (2, 3, 10.0), (3, 7, 0.3)])
+    def test_small_blocks_match_chunked_scan(self, monkeypatch, block, fanout, reach):
+        # Tiny blocks end early at the open-gap cap; any fan-out and first stride give the same answer.
+        monkeypatch.setattr(dynamics, "RECURRENCE_BLOCK", block)
+        monkeypatch.setattr(dynamics, "RECURRENCE_FANOUT", fanout)
+        monkeypatch.setattr(dynamics, "RECURRENCE_REACH", reach)
+        for A, c, tol, t_max, dt in RECURRENCE_CASES[::3]:
+            sys, s0 = ControlSystem(A, A), StateVector(c)
+            expected, _ = chunked_recurrence_scan(sys, s0, tol, t_max, dt)
+            assert recurrence_scan(sys, s0, tol, t_max, dt) == expected, (np.diag(A), c, tol, t_max, dt)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # 1e8 grid steps in about 80 blocks, with no return: a table of their distances alone
+        # would take 800 MB.
+        sys = ControlSystem(np.diag([1j, np.sqrt(2.0) * 1j]), np.diag([1j, 1j]))
+        s0 = StateVector(np.full(2, 1.0 / np.sqrt(2.0), dtype=complex))
+        tracemalloc.start()
+        try:
+            assert recurrence_scan(sys, s0, tol=1e-9, t_max=1e5, dt=1e-3) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_torus8_evaluates_few_distances(self, monkeypatch):
+        # The bench's torus8 scan (2e6 grid points, no return) costs samples, not grid points:
+        # 3,832 distances with the golden refinement, where a one-point-at-a-time Lipschitz walk took 5,163.
+        evaluated, cos = [0], np.cos
+
+        def counted(x, *args, **kwargs):
+            evaluated[0] += int(np.prod(np.shape(x)[:-1], dtype=np.int64))
+            return cos(x, *args, **kwargs)
+
+        lam = np.sqrt(np.array([1, 2, 3, 5, 7, 11, 13, 17], dtype=float))
+        sys = ControlSystem(np.diag(1j * lam), np.diag(2j * lam))
+        s0 = StateVector(np.full(8, 1.0 / np.sqrt(8.0), dtype=complex))
+        monkeypatch.setattr(np, "cos", counted)
+        assert recurrence_scan(sys, s0, tol=0.3, t_max=2000.0, dt=1e-3) is None
+        assert evaluated[0] <= 4_500
 
     def test_tiny_grid_step_with_slow_drift(self):
         # v dt underflows to a subnormal here; the step is clipped before dividing.

@@ -19,6 +19,7 @@ from reachctl.fileio import (
     load_schedule,
     load_state,
     load_system,
+    read_input,
     recurrence_payload,
     render,
     report_payload,
@@ -301,16 +302,16 @@ class TestRender:
 
 class TestInputsDigest:
     def test_deterministic_and_order_sensitive(self, su2_files):
-        sys_path, state_path = su2_files
-        d1 = inputs_digest([sys_path, state_path])
-        d2 = inputs_digest([sys_path, state_path])
-        d3 = inputs_digest([state_path, sys_path])
+        sys_bytes, state_bytes = (read_input(path) for path in su2_files)
+        d1 = inputs_digest([sys_bytes, state_bytes])
+        d2 = inputs_digest([sys_bytes, state_bytes])
+        d3 = inputs_digest([state_bytes, sys_bytes])
         assert d1 == d2
         assert d1 != d3
         assert len(d1) == 64
 
     def test_content_sensitive(self, su2_files, tmp_path):
         sys_path, state_path = su2_files
-        before = inputs_digest([sys_path, state_path])
+        before = inputs_digest([read_input(sys_path), read_input(state_path)])
         save_state(StateVector(np.array([0.0, 1.0], dtype=complex)), state_path)
-        assert inputs_digest([sys_path, state_path]) != before
+        assert inputs_digest([read_input(sys_path), read_input(state_path)]) != before
