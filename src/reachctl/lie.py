@@ -107,11 +107,11 @@ def closure(generators) -> LieAlgebraBasis:
     projected onto the orthogonal complement of the current span by classical
     Gram-Schmidt applied twice (two matrix-vector products per pass), and the
     normalized residual is appended whenever its norm exceeds ``RANK_TOL``
-    times the bracket's own norm, with an absolute floor of ``RANK_TOL``.
-    The relative threshold keeps brackets of near-commuting generators from
-    injecting noise dimensions.  Generation stops when the worklist empties
-    or the count reaches n^2 (the dimension of u(n)), so termination is
-    certain and at most ``seeds x dim`` brackets are projected.  Only the
+    times its scale: a generator's own norm, or 1 for a bracket of two unit
+    basis elements (the product of their norms), so a zero candidate is never
+    admitted.  Generation stops when the worklist empties or the count
+    reaches n^2 (the dimension of u(n)), so termination is certain and at
+    most ``seeds x dim`` brackets are projected.  Only the
     generators are validated; brackets of basis elements are formed directly
     on the stacked array as ``P - P^dagger`` with ``P = XY``, which is
     exactly skew-Hermitian in floating point.
@@ -149,13 +149,13 @@ def closure(generators) -> LieAlgebraBasis:
     words: list = []
     queue: deque = deque()
 
-    def admit(candidate: np.ndarray, word: str, ref_norm: float) -> None:
+    def admit(candidate: np.ndarray, word: str, scale: float) -> None:
         nonlocal stack, dim
         if dim >= cap:
             return
         residual = _orthogonal_residual(_realify(candidate), _realify(stack[:dim]))
         norm = float(np.linalg.norm(residual))
-        if norm <= max(RANK_TOL * ref_norm, RANK_TOL):
+        if norm <= RANK_TOL * scale:
             return
         if dim == len(stack):
             grown = np.empty((min(cap, 2 * dim), n, n), dtype=complex)
@@ -176,11 +176,7 @@ def closure(generators) -> LieAlgebraBasis:
         # two, and a bracket skew-Hermitian to the last bit, so the rounding of
         # XY - YX no longer pushes an element past the SKEW_TOL check.
         P = stack[i] @ stack[j]
-        w = P - P.conj().T
-        ref = float(np.linalg.norm(w))
-        if ref == 0.0:
-            continue
-        admit(w, f"[{words[i]},{words[j]}]", ref)
+        admit(P - P.conj().T, f"[{words[i]},{words[j]}]", 1.0)
 
     return LieAlgebraBasis(n=n, elements=stack[:dim], provenance=words)
 
@@ -207,21 +203,21 @@ def classify(basis: LieAlgebraBasis) -> AlgebraClass:
     ``SPECIAL_UNITARY`` when it is n^2 - 1 with every element traceless
     (su(n)), ``ABELIAN`` when all pairwise brackets vanish, ``OTHER``
     otherwise.  For n = 1 the full and abelian conditions coincide and the
-    stronger ``FULL_UNITARY`` label wins.
+    stronger ``FULL_UNITARY`` label wins.  Traceless means
+    ``|tr E_i| <= RANK_TOL ||E_i||``; abelian, ``||[E_i, E_j]|| <= RANK_TOL ||E_i|| ||E_j||``.
     """
     E = basis.elements
     dim = basis.dim
     n = basis.n
     norms = np.linalg.norm(E, axis=(1, 2))
     traces = np.abs(np.trace(E, axis1=1, axis2=2))
-    traceless = bool(np.all(traces <= RANK_TOL * np.maximum(1.0, norms)))
+    traceless = bool(np.all(traces <= RANK_TOL * norms))
     # One row of brackets at a time, [E_i, E_j] for every j > i: the
     # temporary stays the size of the basis.
     abelian = True
     for i in range(dim - 1):
         W = E[i] @ E[i + 1 :] - E[i + 1 :] @ E[i]
-        scale = np.maximum(1.0, norms[i] * norms[i + 1 :])
-        if np.any(np.linalg.norm(W, axis=(1, 2)) > RANK_TOL * scale):
+        if np.any(np.linalg.norm(W, axis=(1, 2)) > RANK_TOL * norms[i] * norms[i + 1 :]):
             abelian = False
             break
 

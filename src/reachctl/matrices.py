@@ -27,10 +27,10 @@ __all__ = [
 ]
 
 
-# Numerical cutoffs shared across the toolkit, both relative to the input
-# magnitude so that verdicts do not change when the generators are rescaled:
-# the singular-value / residual cutoff of every span and rank decision, and
-# the largest entry deviation a skew-Hermiticity check allows.
+# Numerical cutoffs shared across the toolkit: the residual cutoff of every
+# span, rank and commutation decision, and the largest entry deviation a
+# skew-Hermiticity check allows.  Each decision is ``residual <= TOL * scale``
+# with ``scale`` the norm of its own operands, so rescaling changes no verdict.
 RANK_TOL = 1e-10
 SKEW_TOL = 1e-12
 
@@ -54,15 +54,15 @@ def square_matrix(X, name: str = "matrix") -> np.ndarray:
 def is_skew_hermitian(X, name: str | None = None) -> bool:
     """Test whether ``X + X^dagger`` vanishes to within ``SKEW_TOL``.
 
-    The deviation is measured in the max-entry norm, relative to
-    ``max(1, max-entry norm of X)`` so the verdict does not change under
-    rescaling.  Given a ``name``, a failing ``X`` raises ValueError naming it,
-    the worst violation and its entry, instead of returning False.
+    The deviation is measured in the max-entry norm, relative to that of
+    ``X``, so the verdict does not change under rescaling (zero passes).
+    Given a ``name``, a failing ``X`` raises ValueError naming it, the worst
+    violation and its entry, instead of returning False.
     """
     M = square_matrix(X)
     deviation = np.abs(M + M.conj().T)
     worst = float(np.max(deviation))
-    if worst <= SKEW_TOL * max(1.0, float(np.max(np.abs(M)))):
+    if worst <= SKEW_TOL * float(np.max(np.abs(M))):
         return True
     if name is not None:
         i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)

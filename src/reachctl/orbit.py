@@ -162,30 +162,30 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     eigenspace, diagonalizes the control generator's restriction, so the
     returned frame is a joint eigenbasis even when the drift alone does not
     determine one.  Blocks group indices with equal joint eigenvalue pairs.
+    The pair commutes when ``||[A, B]|| <= RANK_TOL ||A|| ||B||``; drift and
+    control eigenvalues split at gaps above ``RANK_TOL ||A||`` and
+    ``RANK_TOL ||B||``, so rounding noise where B vanishes stays one block.
     """
-    commutator = bracket(sys.A, sys.B)
-    scale = max(1.0, float(np.linalg.norm(sys.A) * np.linalg.norm(sys.B)))
-    if float(np.linalg.norm(commutator)) > RANK_TOL * scale:
+    norm_a = float(np.linalg.norm(sys.A))
+    norm_b = float(np.linalg.norm(sys.B))
+    if float(np.linalg.norm(bracket(sys.A, sys.B))) > RANK_TOL * norm_a * norm_b:
         return None
 
     spectrum = diagonalize_drift(sys.A)
     lam_a = spectrum.lambdas.copy()
     U = spectrum.U.copy()
-    n = sys.n
-    lam_b = np.zeros(n)
+    lam_b = np.zeros(sys.n)
 
     M = U.conj().T @ sys.B @ U
-    cluster_tol_a = RANK_TOL * max(1.0, float(np.max(np.abs(lam_a))) if n else 1.0)
     blocks = []
-    for span in _cluster_spans(lam_a, cluster_tol_a):
+    for span in _cluster_spans(lam_a, RANK_TOL * norm_a):
         idx = np.array(span)
         Mb = M[np.ix_(idx, idx)]
         Mb = 0.5 * (Mb - Mb.conj().T)  # strip commutator-sized noise
         omega_b, Vb = canonical_skew_eigensystem(Mb)
         U[:, idx] = U[:, idx] @ Vb
         lam_b[idx] = omega_b
-        cluster_tol_b = RANK_TOL * max(1.0, float(np.max(np.abs(omega_b))))
-        for sub in _cluster_spans(omega_b, cluster_tol_b):
+        for sub in _cluster_spans(omega_b, RANK_TOL * norm_b):
             blocks.append([int(idx[i]) for i in sub])
     return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
 
@@ -234,16 +234,15 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     ``OPERATOR_CONTROLLABLE`` when the algebra is all of u(n) or su(n) (every
     unitary, up to phase, is then reachable at the propagator level);
     ``STATE_CONTROLLABLE`` when the orbit fills the sphere (dimension 2n-1);
-    ``RESTRICTED`` otherwise, with the conserved moduli reported when the
-    generators commute.  The verdict rests on the rank of the generated
-    algebra's action alone; compactness or closedness of the generated group
-    is never consulted and never needed.
+    ``RESTRICTED`` otherwise, with the conserved moduli when the algebra is
+    abelian and the generators commute.  The verdict rests on the rank of the
+    generated algebra's action alone; compactness or closedness of the
+    generated group is never consulted and never needed.
     """
     basis = closure([sys.A, sys.B])
     algebra_class = classify(basis)
     orbit_dim = tangent_dimension(basis, s0)
     sphere_dim = 2 * sys.n - 1
-    moduli = conserved_moduli(sys)
 
     if algebra_class.label in (AlgebraLabel.FULL_UNITARY, AlgebraLabel.SPECIAL_UNITARY):
         verdict = Verdict.OPERATOR_CONTROLLABLE
@@ -251,6 +250,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
         verdict = Verdict.STATE_CONTROLLABLE
     else:
         verdict = Verdict.RESTRICTED
+    moduli = conserved_moduli(sys) if verdict is Verdict.RESTRICTED and algebra_class.abelian else None
 
     parts = [
         f"generated algebra has dimension {basis.dim} ({algebra_class.label.value}) "
@@ -260,7 +260,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
         "the verdict follows from the rank of the generated algebra's action alone; "
         "no compactness or closedness assumption on the generated group is used",
     ]
-    if verdict is Verdict.RESTRICTED and moduli is not None:
+    if moduli is not None:
         parts.append(
             "the reachable set is confined to the torus fixed by the conserved moduli "
             f"index groups {moduli}"

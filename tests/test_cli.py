@@ -63,6 +63,34 @@ class TestAnalyze:
         assert result["orbit_dim"] == 1
         assert result["conserved_moduli"] == [[0], [1]]
 
+    def test_small_scale_su2_has_no_moduli(self, tmp_path, basis_state):
+        sys_path = tmp_path / "su2_small.json"
+        state_path = tmp_path / "state.json"
+        save_system(ControlSystem(1e-6j * SIGMA_Z, 1e-6j * SIGMA_X), sys_path)
+        save_state(basis_state, state_path)
+        out = tmp_path / "report.json"
+        assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
+        result = read_report(out)["result"]
+        assert result["verdict"] == "OPERATOR_CONTROLLABLE"
+        assert result["algebra_dim"] == 3
+        assert result["conserved_moduli"] is None
+
+    def test_small_non_skew_input_exits_1(self, tmp_path, capsys):
+        # 1e-13 sigma_z is Hermitian, not skew-Hermitian, however small
+        doc = {
+            "n": 2,
+            "A": [[[1e-13, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e-13, 0.0]]],
+            "B": [[[0.0, 0.0], [0.0, 1e-13]], [[0.0, 1e-13], [0.0, 0.0]]],
+        }
+        sys_path = tmp_path / "tiny_hermitian.json"
+        sys_path.write_text(json.dumps(doc))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"n": 2, "c": [[1.0, 0.0], [0.0, 0.0]]}))
+        assert run(["analyze", "--system", str(sys_path), "--state", str(state_path)]) == 1
+        err = capsys.readouterr().err
+        assert "tiny_hermitian.json" in err
+        assert "A is not skew-Hermitian" in err
+
     def test_stdout_default(self, su2_files, capsys):
         sys_path, state_path = su2_files
         assert run(["analyze", "--system", sys_path, "--state", state_path]) == 0

@@ -179,6 +179,8 @@ class TestControlSystem:
     def test_non_skew_drift_names_entry(self):
         with pytest.raises(ValueError, match=r"A is not skew-Hermitian.*entry"):
             ControlSystem(SIGMA_X, 1j * SIGMA_X)
+        with pytest.raises(ValueError, match=r"A is not skew-Hermitian.*entry"):
+            ControlSystem(1e-13 * SIGMA_Z, 1e-13j * SIGMA_X)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,9 @@ class TestIsSkewHermitian:
         X = 1e8 * 1j * SIGMA_Z + 1e-6
         assert is_skew_hermitian(X)
         assert not is_skew_hermitian(1j * SIGMA_Z + 1e-6 * np.ones((2, 2)))
+        # no absolute floor: a small Hermitian matrix fails as a large one does
+        assert not is_skew_hermitian(1e-13 * SIGMA_Z)
+        assert is_skew_hermitian(1e-13j * SIGMA_Z)
 
 
 class TestBracket:

@@ -233,6 +233,19 @@ class TestControllabilityReport:
         if rep.verdict is Verdict.RESTRICTED and rep.algebra_class.abelian:
             if conserved_moduli(sys) is not None:
                 assert rep.conserved_moduli is not None
+        if rep.verdict is not Verdict.RESTRICTED:
+            assert rep.conserved_moduli is None
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+    def test_near_parallel_pair_reports_no_moduli(self, eps, basis_state):
+        # |[A, B]| is below 1e-11 |A| |B|, inside the raw pair's commutation
+        # gate, yet the orthonormalized closure resolves all of u(2)
+        A = 1j * np.diag([1.0, 1.0 + 1e-8])
+        rep = controllability_report(ControlSystem(A, A + eps * 1j * SIGMA_X), basis_state)
+        assert rep.verdict is Verdict.OPERATOR_CONTROLLABLE
+        assert rep.algebra_dim == 4
+        assert not rep.algebra_class.abelian
+        assert rep.conserved_moduli is None
 
 
 def _random_pair(rng: np.random.Generator, kind: str, n: int) -> tuple:
@@ -245,7 +258,23 @@ def _random_pair(rng: np.random.Generator, kind: str, n: int) -> tuple:
 
 def _decisions(A: np.ndarray, B: np.ndarray, c: np.ndarray) -> tuple:
     rep = controllability_report(ControlSystem(A, B), StateVector(c))
-    return rep.algebra_dim, rep.algebra_class.label, rep.orbit_dim, rep.verdict, rep.conserved_moduli
+    label, abelian = rep.algebra_class.label, rep.algebra_class.abelian
+    return rep.algebra_dim, label, abelian, rep.orbit_dim, rep.verdict, rep.conserved_moduli
+
+
+def _fixed_pair(kind: str) -> tuple:
+    rng = np.random.default_rng(7)
+    if kind == "su2":
+        return 1j * SIGMA_Z, 1j * SIGMA_X, np.array([1.0, 0.0], dtype=complex)
+    if kind == "u3":
+        return random_skew(rng, 3), random_skew(rng, 3), random_unit(rng, 3)
+    if kind == "so4":
+        return real_antisymmetric(rng, 4), real_antisymmetric(rng, 4), random_unit(rng, 4)
+    if kind == "torus2":
+        A = np.diag([1j, 1j * np.sqrt(2.0)])
+        return A, 2.0 * A, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    # a degenerate commuting triple: one joint block of multiplicity two
+    return np.diag([2j, 1j, 1j]), np.diag([1j, 3j, 3j]), np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
 
 
 class TestMetamorphic:
@@ -269,8 +298,8 @@ class TestMetamorphic:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 6),
         kind=st.sampled_from(["generic", "so", "torus"]),
-        log_a=st.floats(-2.0, 2.0),
-        log_b=st.floats(-2.0, 2.0),
+        log_a=st.floats(-12.0, 12.0),
+        log_b=st.floats(-12.0, 12.0),
     )
     @settings(max_examples=30, deadline=None)
     def test_positive_rescaling(self, seed, n, kind, log_a, log_b):
@@ -278,3 +307,9 @@ class TestMetamorphic:
         A, B = _random_pair(rng, kind, n)
         c = random_unit(rng, n)
         assert _decisions(10.0**log_a * A, 10.0**log_b * B, c) == _decisions(A, B, c)
+
+    @pytest.mark.parametrize("kind", ["su2", "u3", "so4", "torus2", "triple"])
+    @pytest.mark.parametrize("log_s", range(-12, 13, 3))
+    def test_report_is_the_same_at_every_scale(self, kind, log_s):
+        A, B, c = _fixed_pair(kind)
+        assert _decisions(10.0**log_s * A, 10.0**log_s * B, c) == _decisions(A, B, c)
