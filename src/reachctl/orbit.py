@@ -7,8 +7,9 @@ The group itself may therefore be impossible to materialize (think of a dense
 irrational winding on a torus), so everything here works infinitesimally or
 by construction: the orbit dimension is the rank of the algebra's action at
 the state, orbit points are produced as explicit products of one-parameter
-subgroup elements, and for commuting (torus) systems the conserved moduli
-that confine the orbit are computed outright.
+subgroup elements, and when the generated algebra is abelian -- the one
+commutation decision, which costs a closure on a non-commuting pair -- the
+conserved moduli that confine the orbit to a torus are computed outright.
 """
 
 import enum
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dynamics import ControlSystem, StateVector, diagonalize_drift
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import RANK_TOL, bracket, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems
+from .matrices import RANK_TOL, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems
 
 __all__ = [
     "GroupWord",
@@ -158,18 +159,19 @@ def _cluster_spans(values: np.ndarray, cluster_tol: float) -> list:
 def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     """Common eigenbasis of (A, B) when they commute, else None.
 
+    The pair commutes when the algebra it generates is abelian, the decision
+    ``analyze`` reports, so a call on a non-commuting pair costs one closure.
     Starts from the drift eigenbasis and, inside each degenerate drift
     eigenspace, diagonalizes the control generator's restriction, so the
     returned frame is a joint eigenbasis even when the drift alone does not
     determine one.  Blocks group indices with equal joint eigenvalue pairs.
-    The pair commutes when ``||[A, B]|| <= RANK_TOL ||A|| ||B||``; drift and
-    control eigenvalues split at gaps above ``RANK_TOL ||A||`` and
+    Drift and control eigenvalues split at gaps above ``RANK_TOL ||A||`` and
     ``RANK_TOL ||B||``, so rounding noise where B vanishes stays one block.
     """
+    if not classify(closure([sys.A, sys.B])).abelian:
+        return None
     norm_a = float(np.linalg.norm(sys.A))
     norm_b = float(np.linalg.norm(sys.B))
-    if float(np.linalg.norm(bracket(sys.A, sys.B))) > RANK_TOL * norm_a * norm_b:
-        return None
 
     spectrum = diagonalize_drift(sys.A)
     lam_a = spectrum.lambdas.copy()
@@ -199,11 +201,11 @@ def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
 def conserved_moduli(sys: ControlSystem) -> list | None:
     """Index groups whose amplitude norms every admissible control conserves.
 
-    Present exactly when A and B commute (within tolerance): every generator
-    ``A + eps B`` is then diagonal in the common eigenbasis, so each joint
-    eigenspace's modulus is invariant no matter what the control does, which
-    confines the reachable set to a torus inside the sphere.  Absent
-    (``None``) when ``[A, B] != 0``.
+    Present exactly when the generated algebra is abelian (see
+    :func:`commuting_frame`): every generator ``A + eps B`` is then diagonal
+    in the common eigenbasis, so each joint eigenspace's modulus is invariant
+    no matter what the control does, which confines the reachable set to a
+    torus inside the sphere.  Absent (``None``) otherwise.
     """
     frame = commuting_frame(sys)
     if frame is None:
@@ -217,8 +219,8 @@ def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVect
     For a commuting system every reachable state keeps the block moduli of
     ``s0``, and per block the reverse triangle inequality gives
     ``|c_block - t_block| >= |m0 - mt|``, so no control can bring the
-    half-squared distance below ``0.5 * sum (m0 - mt)^2``.  Returns 0 for
-    non-commuting systems (no moduli obstruction).
+    half-squared distance below ``0.5 * sum (m0 - mt)^2``.  Returns 0 when
+    the generated algebra is not abelian (no moduli obstruction).
     """
     frame = commuting_frame(sys)
     if frame is None:
@@ -235,9 +237,9 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     unitary, up to phase, is then reachable at the propagator level);
     ``STATE_CONTROLLABLE`` when the orbit fills the sphere (dimension 2n-1);
     ``RESTRICTED`` otherwise, with the conserved moduli when the algebra is
-    abelian and the generators commute.  The verdict rests on the rank of the
-    generated algebra's action alone; compactness or closedness of the
-    generated group is never consulted and never needed.
+    abelian.  The verdict rests on the rank of the generated algebra's action
+    alone; compactness or closedness of the generated group is never
+    consulted and never needed.
     """
     basis = closure([sys.A, sys.B])
     algebra_class = classify(basis)

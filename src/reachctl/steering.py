@@ -127,7 +127,6 @@ def gradient(
     s0: StateVector,
     target: StateVector,
     phase_sensitive: bool = True,
-    forward: tuple | None = None,
 ) -> np.ndarray:
     """Exact derivative of the terminal distance in each segment's control value.
 
@@ -135,16 +134,14 @@ def gradient(
     ``exp(dt_j (A + eps_j B))`` in ``eps_j`` is ``V_j (phi_j * V_j^dagger B V_j)
     V_j^dagger``, ``phi_j`` holding the divided differences of ``exp(dt_j z)``
     over pairs of ``i omega_j`` in sinc form (GRAPE in DYNAMO's form).  It is
-    stacked over segments; only the adjoint's backward sweep loops.  ``forward``
-    may pass in the :func:`forward_pass` of ``sched`` from ``s0``.  This is the
+    stacked over segments; only the adjoint's backward sweep loops.  This is the
     one-schedule form of the row-batched kernel with which :func:`steer`
     differentiates all its restarts' trials in one call per round, and it
     equals that kernel's row bit for bit.
     """
     if sys.n != s0.n or sys.n != target.n:
         raise ValueError("system, state, and target dimensions must agree")
-    forward = forward or forward_pass(sys, sched.durations, sched.values, s0.c)
-    rows = tuple(part[None] for part in forward)
+    rows = tuple(part[None] for part in forward_pass(sys, sched.durations, sched.values, s0.c))
     return _batched_gradient(sys.B, sched.durations, rows, target.c[None], phase_sensitive)[0]
 
 

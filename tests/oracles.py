@@ -29,7 +29,7 @@ def bracket_flag_rank(generators, rank_tol: float = 1e-10, max_depth: int | None
 
     Builds the flag V_1 = span(generators), V_{k+1} = V_k + [generators, V_k]
     up to depth max_depth (default n^2) and returns the final real rank.
-    Left-normed brackets span the generated algebra and the flag is
+    Right-normed brackets span the generated algebra and the flag is
     stationary once one step adds nothing, so stopping at rank stabilization
     is exact.  The frontier of each level is pruned to a rank-increasing
     subset, which preserves spans (the bracket is linear in its second slot)

@@ -16,6 +16,11 @@ from reachctl.fileio import save_schedule, save_state, save_system, state_payloa
 
 from helpers import SIGMA_X, SIGMA_Z
 
+# tests/golden/<case>.analyze.json is the report of
+# `reachctl analyze --system <case>.system.json --state <case>.state.json`.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = ["su2", "so4", "torus2", "triple", "zero_control", "near_parallel", "n1"]
+
 
 @pytest.fixture
 def su2_files(tmp_path, su2_system, basis_state):
@@ -90,6 +95,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "tiny_hermitian.json" in err
         assert "A is not skew-Hermitian" in err
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_report_matches_golden(self, case, tmp_path):
+        # Analyze reports hold only integers, booleans and strings, so their
+        # bytes do not depend on the BLAS build and are pinned exactly.
+        out = tmp_path / "report.json"
+        stem = GOLDEN / case
+        argv = ["analyze", "--system", f"{stem}.system.json", "--state", f"{stem}.state.json", "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_bytes() == Path(f"{stem}.analyze.json").read_bytes()
 
     def test_stdout_default(self, su2_files, capsys):
         sys_path, state_path = su2_files

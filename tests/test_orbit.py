@@ -230,22 +230,29 @@ class TestControllabilityReport:
         if rep.verdict is Verdict.OPERATOR_CONTROLLABLE:
             # operator controllability implies state controllability
             assert rep.orbit_dim == rep.sphere_dim
-        if rep.verdict is Verdict.RESTRICTED and rep.algebra_class.abelian:
-            if conserved_moduli(sys) is not None:
-                assert rep.conserved_moduli is not None
+        if rep.verdict is Verdict.RESTRICTED:
+            assert rep.conserved_moduli == conserved_moduli(sys)
+        # the generated algebra alone decides whether the pair commutes
+        assert (conserved_moduli(sys) is None) == (not rep.algebra_class.abelian)
         if rep.verdict is not Verdict.RESTRICTED:
             assert rep.conserved_moduli is None
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
-    def test_near_parallel_pair_reports_no_moduli(self, eps, basis_state):
-        # |[A, B]| is below 1e-11 |A| |B|, inside the raw pair's commutation
-        # gate, yet the orthonormalized closure resolves all of u(2)
+    def test_near_parallel_pair_reports_no_moduli(self, eps, basis_state, plus_state):
+        # |[A, B]| is below 1e-11 |A| |B|, yet the orthonormalized closure
+        # resolves all of u(2), so no modulus is conserved and no floor exists
         A = 1j * np.diag([1.0, 1.0 + 1e-8])
-        rep = controllability_report(ControlSystem(A, A + eps * 1j * SIGMA_X), basis_state)
+        B = A + eps * 1j * SIGMA_X
+        sys = ControlSystem(A, B)
+        rep = controllability_report(sys, basis_state)
         assert rep.verdict is Verdict.OPERATOR_CONTROLLABLE
         assert rep.algebra_dim == 4
         assert not rep.algebra_class.abelian
         assert rep.conserved_moduli is None
+        assert conserved_moduli(sys) is None
+        # the same control system written three ways: (A, B), (A - B, B), (A, -B)
+        for pair in ((A, B), (A - B, B), (A, -B)):
+            assert moduli_distance_bound(ControlSystem(*pair), plus_state, basis_state) == 0.0
 
 
 def _random_pair(rng: np.random.Generator, kind: str, n: int) -> tuple:
@@ -307,6 +314,33 @@ class TestMetamorphic:
         A, B = _random_pair(rng, kind, n)
         c = random_unit(rng, n)
         assert _decisions(10.0**log_a * A, 10.0**log_b * B, c) == _decisions(A, B, c)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        kind=st.sampled_from(["generic", "so", "torus"]),
+        beta=st.floats(-3.0, 3.0),
+        log_g=st.floats(-2.0, 2.0),
+        negate=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_control_shift(self, seed, n, kind, beta, log_g, negate):
+        # (A, B) -> (A + beta B, gamma B) leaves the family {A + eps B}, and so
+        # the reachable set, unchanged.  The moduli's indices name the shifted
+        # drift's eigenbasis, so only their sorted block sizes are compared.
+        rng = np.random.default_rng(seed)
+        A, B = _random_pair(rng, kind, n)
+        c, t = random_unit(rng, n), random_unit(rng, n)
+        gamma = (-1.0 if negate else 1.0) * 10.0**log_g
+        views = []
+        for sys in (ControlSystem(A, B), ControlSystem(A + beta * B, gamma * B)):
+            dims, moduli = _decisions(sys.A, sys.B, c)[:-1], conserved_moduli(sys)
+            sizes = None if moduli is None else sorted(len(block) for block in moduli)
+            views.append((dims, sizes, moduli_distance_bound(sys, StateVector(c), StateVector(t))))
+        (dims, sizes, bound), (shifted_dims, shifted_sizes, shifted_bound) = views
+        assert shifted_dims == dims
+        assert shifted_sizes == sizes
+        assert shifted_bound == pytest.approx(bound, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["su2", "u3", "so4", "torus2", "triple"])
     @pytest.mark.parametrize("log_s", range(-12, 13, 3))

@@ -135,18 +135,6 @@ class TestGradient:
         ref = block_expm_distance_gradient(sys, durations, values, s0, target, phase_sensitive)
         assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("phase_sensitive", [True, False])
-    def test_passed_in_forward_pass_gives_same_result(self, phase_sensitive):
-        rng = np.random.default_rng(31)
-        sys = ControlSystem(random_skew(rng, 4), random_skew(rng, 4))
-        s0 = StateVector(random_unit(rng, 4))
-        target = StateVector(random_unit(rng, 4))
-        sched = ControlSchedule(rng.uniform(0.2, 1.0, 7), rng.uniform(-1.0, 1.0, 7))
-        forward = forward_pass(sys, sched.durations, sched.values, s0.c)
-        fresh = gradient(sys, sched, s0, target, phase_sensitive)
-        reused = gradient(sys, sched, s0, target, phase_sensitive, forward=forward)
-        assert np.array_equal(fresh, reused)
-
     def test_vanishes_at_exact_minimum(self, su2_system, basis_state):
         sched = ControlSchedule(np.full(4, 0.5), np.array([0.2, -0.4, 0.8, 0.1]))
         target = propagate(su2_system, basis_state, sched, samples_per_segment=1).final_state
@@ -408,7 +396,7 @@ def sequential_steer(sys, s0, target, cfg):
             count += 1
             forward = forward_pass(sys, durations, trial, s0.c)
             f = distance(StateVector(forward[3][-1]), target, cfg.phase_sensitive)
-            g = gradient(sys, ControlSchedule(durations, trial), s0, target, cfg.phase_sensitive, forward)
+            g = gradient(sys, ControlSchedule(durations, trial), s0, target, cfg.phase_sensitive)
             try:
                 trial = restart.send((f, g))
             except StopIteration as stop:
