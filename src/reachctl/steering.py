@@ -7,13 +7,17 @@ reachability, with exact segment-wise derivatives taken in the segment
 eigenbases of the forward pass that the objective has already computed.  The
 restarts advance together, and so do those of every target of a
 :func:`verify_reachability` call: each round makes one stacked forward pass
-and one batched gradient over every ``(target, restart)`` still running, and
-gives the same certificates as running them one after another
-(``iterations_used`` still counts the winning restart's own line searches).
-A round holds several arrays of ``targets * restarts * segments * n**2``
-complex entries.  A certificate that fails to converge is a flagged optimizer
-failure and nothing more -- reachability of orbit points is a theorem, so
-non-convergence is never evidence against it.
+and one batched gradient over every ``(target, restart)`` still running.  A
+target's restarts race: in the round where one of them converges, the others
+leave the batch, and the certificate is the least distance among the
+restarts that converged in that round (ties to the lowest index).  A target
+that never converges runs every restart to its end and keeps the least
+distance.  Targets are independent, so a verify gives the certificates of
+one :func:`steer` per target.  The targets go in waves of as many as keep a
+round's largest complex array, ``rows * segments * n**2`` entries, within
+``ROUND_BYTES``; a lone target always runs.  A certificate that fails to
+converge is a flagged optimizer failure and nothing more -- reachability of
+orbit points is a theorem, so non-convergence is never evidence against it.
 """
 
 import math
@@ -39,6 +43,11 @@ _ARMIJO = 1e-4
 _ALPHA_MAX = 4.0
 _ALPHA_MIN = 1e-16
 _MEMORY = 8
+
+# The largest complex array of a lockstep round, ``rows * segments * n**2``
+# entries of 16 bytes, stays within this many bytes: several targets' restarts
+# share a round only while it does (a lone target's restarts always do).
+ROUND_BYTES = 2**25
 
 
 def _require_seed(seed) -> None:
@@ -88,9 +97,12 @@ class ReachabilityCertificate:
     certificates self-verifying.  ``stop_reason`` says why the winning
     restart stopped: ``"converged"``, ``"max_iterations"``,
     ``"zero_gradient"`` or ``"line_search_exhausted"`` (the line search
-    backtracked below its smallest step, or a trial step stalled).
-    ``iterations_used`` counts the winning restart's line searches, not its
-    objective evaluations: a line search evaluates one or more trial steps.
+    backtracked below its smallest step, or a trial step stalled).  A
+    converged certificate comes from the first round in which any restart
+    converged, so ``restart_index`` names the fastest restart, not the one
+    that would have got closest.  ``iterations_used`` counts the winning
+    restart's line searches, not its objective evaluations: a line search
+    evaluates one or more trial steps.
     """
 
     schedule: ControlSchedule
@@ -255,17 +267,26 @@ def _optimize_restart(cfg: SteeringConfig, restart: int):
 def _steer_all(
     sys: ControlSystem, s0: StateVector, targets: list[StateVector], cfg: SteeringConfig
 ) -> list[ReachabilityCertificate]:
+    """:func:`steer` for every target, in waves of targets that keep each round under ``ROUND_BYTES``."""
+    wave = max(1, ROUND_BYTES // (16 * cfg.restarts * cfg.segments * sys.n**2))
+    return [cert for lo in range(0, len(targets), wave) for cert in _race(sys, s0, targets[lo:lo + wave], cfg)]
+
+
+def _race(
+    sys: ControlSystem, s0: StateVector, targets: list[StateVector], cfg: SteeringConfig
+) -> list[ReachabilityCertificate]:
     """:func:`steer`'s lockstep rounds over every ``(target, restart)`` at once: one certificate per target."""
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
     goals = np.stack([target.c for target in targets])
     runs = {(t, r): _optimize_restart(cfg, r) for t in range(len(targets)) for r in range(cfg.restarts)}
     trials = {key: next(run) for key, run in runs.items()}
-    results = [[None] * cfg.restarts for _ in targets]
+    results = [{} for _ in targets]
     while trials:
         active = list(trials)
         forward = forward_pass(sys, durations, np.stack([trials[key] for key in active]), s0.c)
         rows = goals[[t for t, _ in active]]
         grads = _batched_gradient(sys.B, durations, forward, rows, cfg.phase_sensitive)
+        won = set()
         for i, (t, r) in enumerate(active):
             f = _raw_distance(forward[3][i, -1], rows[i], cfg.phase_sensitive)
             try:
@@ -273,10 +294,15 @@ def _steer_all(
             except StopIteration as stop:
                 results[t][r] = stop.value
                 del trials[t, r]
+                if stop.value[3] == "converged":
+                    won.add(t)
+        # The race: once a restart of t has converged, t's other restarts leave the batch.
+        trials = {key: trial for key, trial in trials.items() if key[0] not in won}
 
     certificates = []
     for outcomes in results:
-        best = min(range(cfg.restarts), key=lambda r: (not np.isfinite(outcomes[r][1]), outcomes[r][1], r))
+        # A converged distance is below every other one, so this picks among the winning round's.
+        best = min(outcomes, key=lambda r: (not np.isfinite(outcomes[r][1]), outcomes[r][1], r))
         values, achieved, iterations, stop_reason = outcomes[best]
         certificates.append(ReachabilityCertificate(
             schedule=ControlSchedule(durations, values),
@@ -301,18 +327,24 @@ def steer(
     segments spanning the horizon.  Restart 0 starts from the all-zeros
     schedule; restart ``r`` draws initial values uniformly from [-1, 1] with a
     generator derived from ``(cfg.seed, r)``, so results are reproducible.
-    The best certificate (smallest achieved distance, ties to the smallest
-    restart index, a non-finite distance from an overflow last) is returned.
+    The restarts race: the first certificate to converge is returned, and
+    when several converge in the same round, the smallest achieved distance,
+    ties to the smallest restart index.  If none converges, every restart
+    runs to its end and the best certificate (smallest achieved distance,
+    ties to the smallest restart index, a non-finite distance from an
+    overflow last) is returned.
 
     Each evaluation is one forward pass and the exact gradient on it.  The
     restarts advance together: each round stacks the pending trial of every
     running restart into one ``(r, segments)`` array for one
     :func:`forward_pass` and one batched gradient, and a restart that stops
-    leaves the batch.  Rows are computed bit for bit as lone evaluations, so
-    the result is that of running the restarts one after another, and
-    ``iterations_used`` still counts the winning restart's line searches.  A
-    round holds several arrays of ``restarts * segments * n**2`` complex
-    entries, so large settings can raise MemoryError.
+    leaves the batch, as do all of them in the round one converges.  Rows are
+    computed bit for bit as lone evaluations, and round k evaluates each
+    running restart's k-th trial, so the result is that of running the
+    restarts one after another and keeping the converged one with the fewest
+    evaluations.  ``iterations_used`` counts the winning restart's line
+    searches.  A round holds several arrays of ``restarts * segments * n**2``
+    complex entries, so large settings can raise MemoryError.
 
     The direction is the two-loop recursion over the last 8 curvature pairs
     (``-g`` when that is not a descent direction), and a backtracking
@@ -355,14 +387,16 @@ def verify_reachability(
     orbit by construction and the check never presupposes what it is testing.
     Per-sample seeds are drawn from a master generator seeded with ``seed``.
     Every target is steered to with the default :class:`SteeringConfig`, and
-    all targets' restarts advance together in the lockstep rounds of
-    :func:`steer`, so the certificates equal one :func:`steer` per target and
-    a pass costs as many rounds as its longest restart has evaluations.  A
-    round holds several arrays of ``samples * restarts * segments * n**2``
-    complex entries: the default 20 samples at n = 8 peak at about 61 MB of
-    resident memory where one target at a time peaked at 38 MB, and large
-    ``samples`` can raise MemoryError.  Returns the targets and one
-    certificate each, in order.
+    the targets' restarts advance together in the lockstep rounds of
+    :func:`steer`, each target racing its own restarts, so the certificates
+    equal one :func:`steer` per target.  A wave of targets costs as many
+    rounds as its longest race: the round its first restart converged in, or
+    its longest restart's evaluations if none converged.  Targets go in
+    waves of as many as keep a round's largest complex array, ``targets *
+    restarts * segments * n**2`` entries of 16 bytes, within ``ROUND_BYTES``
+    (32 MiB): the default 20 samples run in one wave up to n = 25, and more
+    samples or a larger n take more waves, not more memory per round.
+    Returns the targets and one certificate each, in order.
 
     Raises
     ------

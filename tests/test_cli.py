@@ -422,7 +422,7 @@ class TestVerify:
         )
 
     def test_out_of_memory_exits_1(self, su2_files, tmp_path, capsys, monkeypatch):
-        # a lockstep round holds every sample's restarts, so many --samples can exhaust memory;
+        # a lockstep round holds at least one sample's restarts, so a large system can exhaust memory;
         # the kernel is made to fail rather than allocating anything large
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")

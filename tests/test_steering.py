@@ -367,6 +367,7 @@ class CountingKernels:
 
     def __init__(self, monkeypatch):
         self.forward_passes = self.gradients = self.forward_calls = 0
+        self.goals = []  # the target rows of each round's gradient call
         forward, grad = steering.forward_pass, steering._batched_gradient
 
         def counted_forward(sys, durations, values, c):
@@ -376,6 +377,7 @@ class CountingKernels:
 
         def counted_gradient(B, durations, forward, targets, phase_sensitive):
             self.gradients += len(targets)
+            self.goals.append(np.array(targets))
             return grad(B, durations, forward, targets, phase_sensitive)
 
         monkeypatch.setattr(steering, "forward_pass", counted_forward)
@@ -383,9 +385,16 @@ class CountingKernels:
 
 
 def sequential_steer(sys, s0, target, cfg):
-    """``steer`` with its restarts run one after another, each evaluation a single-row call.
+    """``steer`` with its restarts run one after another to their own ends, each evaluation a single-row call.
 
-    The reference for the lockstep driver; also returns each restart's evaluation count.
+    The reference for the lockstep race.  Restart r's k-th evaluation is in
+    round k of the lockstep, so if any restart converged, the winner is the
+    converged restart with the fewest evaluations (the race ends in its
+    round), then the least distance, then the lowest index.  Otherwise every
+    restart runs to its end and steer's rule picks the least distance, ties to
+    the lowest restart, a non-finite distance last.  Also returns each
+    restart's evaluation count and the race's length in rounds: the winner's
+    count if it converged, else the longest count.
     """
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
     results, evaluations = [], []
@@ -403,10 +412,20 @@ def sequential_steer(sys, s0, target, cfg):
                 results.append(stop.value)
                 break
         evaluations.append(count)
-    # steer's rule: least distance, ties to the lowest restart, a non-finite distance last
-    best = min(range(cfg.restarts), key=lambda r: (not np.isfinite(results[r][1]), results[r][1], r))
+    converged = [r for r in range(cfg.restarts) if results[r][3] == "converged"]
+    if converged:
+        best = min(converged, key=lambda r: (evaluations[r], results[r][1], r))
+        length = evaluations[best]
+    else:
+        best = min(range(cfg.restarts), key=lambda r: (not np.isfinite(results[r][1]), results[r][1], r))
+        length = max(evaluations)
     values, achieved, iterations, stop_reason = results[best]
-    return (values, achieved, iterations, best, stop_reason), evaluations
+    return (values, achieved, iterations, best, stop_reason), evaluations, length
+
+
+def race_rows(evaluations, length):
+    """The evaluations a race of ``length`` rounds makes: each restart's own count, cut at the race's end."""
+    return sum(min(count, length) for count in evaluations)
 
 
 class TestEvaluationBudget:
@@ -436,13 +455,16 @@ class TestEvaluationBudget:
     def test_su2_up_to_down(self, monkeypatch, su2_system, basis_state):
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
         cfg = SteeringConfig(restarts=8)
-        _, evaluations = sequential_steer(su2_system, basis_state, target, cfg)
+        _, evaluations, length = sequential_steer(su2_system, basis_state, target, cfg)
         counts = CountingKernels(monkeypatch)
         cert = steer(su2_system, basis_state, target, cfg)
         assert cert.converged
-        assert counts.gradients == counts.forward_passes == sum(evaluations) <= 150
-        # one lockstep round per evaluation of the longest restart
-        assert counts.forward_calls == max(evaluations) < sum(evaluations)
+        # the race evaluates each restart until the first converged round (56 calls
+        # measured, 83 when every restart ran to its own end)
+        assert counts.gradients == counts.forward_passes == race_rows(evaluations, length) <= 150
+        assert race_rows(evaluations, length) < sum(evaluations)
+        # one lockstep round per round of the race
+        assert counts.forward_calls == length < race_rows(evaluations, length)
 
     def test_every_evaluated_segment_is_decomposed(self, monkeypatch):
         # optimizer iterates never repeat, so steering shares no eigensystem
@@ -568,7 +590,7 @@ class TestLockstepEqualsSequential:
         sys, s0, target = instance()
         cfg = SteeringConfig(phase_sensitive=phase_sensitive, **settings)
         cert = steer(sys, s0, target, cfg)
-        reference, _ = sequential_steer(sys, s0, target, cfg)
+        reference, _, _ = sequential_steer(sys, s0, target, cfg)
         assert_certificate_is(cert, reference, cfg)
 
     @pytest.mark.parametrize(
@@ -582,13 +604,13 @@ class TestLockstepEqualsSequential:
         targets, certs = verify_reachability(sys, s0, samples=samples)
         rounds = counts.forward_calls
         cfg = SteeringConfig()
-        longest = []
+        lengths = []
         for target, cert in zip(targets, certs):
-            reference, evaluations = sequential_steer(sys, s0, target, cfg)
+            reference, _, length = sequential_steer(sys, s0, target, cfg)
             assert_certificate_is(cert, reference, cfg)
-            longest.append(max(evaluations))
-        # one lockstep round per evaluation of the longest restart of any target
-        assert rounds == max(longest) < sum(longest)
+            lengths.append(length)
+        # one wave under the default ROUND_BYTES: one lockstep round per round of the longest race
+        assert rounds == max(lengths) < sum(lengths)
         # verify steers phase-sensitively; the lockstep code it shares with steer also runs projectively
         cfg = SteeringConfig(phase_sensitive=False)
         for target, cert in zip(targets, steering._steer_all(sys, s0, targets, cfg)):
@@ -598,6 +620,93 @@ class TestLockstepEqualsSequential:
         # so the torus2 cases above pin a winning restart that stopped as line_search_exhausted
         _, certs = verify_reachability(*torus2_from_plus(), samples=4)
         assert "line_search_exhausted" in {cert.stop_reason for cert in certs}
+
+
+def scripted_restarts(outcomes):
+    """An ``_optimize_restart`` stand-in: restart r asks for ``rounds`` evaluations, then returns.
+
+    ``outcomes[r]`` is ``(rounds, distance, stop_reason)``; restart r's trial is the constant schedule r.
+    """
+
+    def restart(cfg, r):
+        rounds, achieved, stop_reason = outcomes[r]
+        values = np.full(cfg.segments, float(r))
+        for _ in range(rounds):
+            yield values
+        return values, achieved, rounds, stop_reason
+
+    return restart
+
+
+class TestRace:
+    """A target's restarts race: the first round in which one converges ends them all."""
+
+    @pytest.mark.parametrize(
+        "outcomes, winner",
+        [
+            ([(3, 5e-7, "converged"), (3, 2e-7, "converged"), (5, 0.1, "max_iterations")], 1),
+            ([(4, 0.5, "max_iterations"), (3, 3e-7, "converged"), (3, 3e-7, "converged")], 1),
+            ([(2, 9e-7, "converged"), (3, 1e-9, "converged")], 0),
+        ],
+        ids=["least-distance", "tie-to-lowest-index", "later-round-loses"],
+    )
+    def test_winner_among_first_converged_round(self, monkeypatch, su2_system, basis_state, outcomes, winner):
+        monkeypatch.setattr(steering, "_optimize_restart", scripted_restarts(outcomes))
+        counts = CountingKernels(monkeypatch)
+        cert = steer(su2_system, basis_state, basis_state, SteeringConfig(restarts=len(outcomes)))
+        rounds, achieved, stop_reason = outcomes[winner]
+        assert (cert.restart_index, cert.achieved_distance, cert.stop_reason) == (winner, achieved, stop_reason)
+        assert cert.converged
+        # every restart is evaluated up to the winning round, and none after it
+        assert counts.forward_calls == rounds
+        assert counts.forward_passes == sum(min(r, rounds) for r, _, _ in outcomes)
+
+    def test_converged_target_leaves_the_batch(self, monkeypatch, su2_system, basis_state):
+        # the drift alone carries |0> to `early`, so restart 0 (the zero schedule) converges in round 1
+        early = propagate(su2_system, basis_state, ControlSchedule.constant(0.0, 5.0, 20),
+                          samples_per_segment=1).final_state
+        late = StateVector(np.array([0.0, 1.0], dtype=complex))
+        cfg = SteeringConfig()
+        counts = CountingKernels(monkeypatch)
+        certs = steering._steer_all(su2_system, basis_state, [early, late], cfg)
+        assert (certs[0].converged, certs[0].restart_index, certs[0].iterations_used) == (True, 0, 0)
+        rows_of_early = [int(np.all(goals == early.c, axis=1).sum()) for goals in counts.goals]
+        assert rows_of_early[0] == cfg.restarts
+        assert sum(rows_of_early[1:]) == 0
+        assert len(counts.goals) > 1
+        for target, cert in zip([early, late], certs):
+            assert_certificate_is(cert, sequential_steer(su2_system, basis_state, target, cfg)[0], cfg)
+
+    def test_off_moduli_torus_runs_every_restart(self, monkeypatch):
+        # no restart converges, so the race never ends early: the default-config
+        # certificate is the least distance over every restart run to its own end
+        sys, s0, target = off_moduli_torus()
+        cfg = SteeringConfig()
+        reference, evaluations, length = sequential_steer(sys, s0, target, cfg)
+        assert reference[4] != "converged"
+        counts = CountingKernels(monkeypatch)
+        assert_certificate_is(steer(sys, s0, target, cfg), reference, cfg)
+        assert counts.forward_passes == sum(evaluations)
+        assert counts.forward_calls == length == max(evaluations)
+
+    # One su(2) target's restarts at the default config: 8 restarts x 20 segments x 2**2 complex entries.
+    SU2_TARGET_BYTES = 16 * 8 * 20 * 2**2
+
+    @pytest.mark.parametrize("round_bytes, per_wave", [(1, 1), (3 * SU2_TARGET_BYTES, 3)],
+                             ids=["below-one-target", "three-targets"])
+    def test_waves_change_no_certificate(self, monkeypatch, round_bytes, per_wave):
+        sys, s0 = su2_from_up()
+        counts = CountingKernels(monkeypatch)
+        targets, certs = verify_reachability(sys, s0, samples=20)
+        one_wave = len(counts.goals)
+        monkeypatch.setattr(steering, "ROUND_BYTES", round_bytes)
+        waved = steering._steer_all(sys, s0, targets, SteeringConfig())
+        rounds = counts.goals[one_wave:]
+        assert len(rounds) > one_wave
+        assert max(len(goals) for goals in rounds) <= per_wave * 8
+        for cert, ref in zip(waved, certs):
+            assert_certificate_is(cert, (ref.schedule.values, ref.achieved_distance, ref.iterations_used,
+                                         ref.restart_index, ref.stop_reason), SteeringConfig())
 
 
 class TestBatchedGradient:
