@@ -40,8 +40,8 @@ SPHERE_TOL = 1e-9
 # Segments per stacked eigendecomposition; bounds memory on long schedules.
 SEGMENT_BLOCK = 64
 
-# Golden-section steps of the recurrence refinement.
-GOLDEN_ITERATIONS = 60
+# Times per round of the recurrence refinement's bracket.
+REFINE_POINTS = 33
 
 # Recurrence scan: samples per block and open gaps per refinement (bounding its memory whatever
 # the horizon), the distance the drift moves over the first stride, and the parts each open gap
@@ -387,24 +387,6 @@ def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray
     return U
 
 
-def _golden_minimize(f, a: float, b: float) -> tuple[float, float]:
-    # Plain golden-section minimization on [a, b]; deterministic iteration count.
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_ITERATIONS):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def recurrence_scan(
     sys: ControlSystem,
     s0: StateVector,
@@ -416,10 +398,10 @@ def recurrence_scan(
 
     Scans the grid ``k dt`` up to ``t_max``.  The state must first leave the
     ball before a grid time counts as a return; the first return, or without
-    one the closest approach after departure, is sharpened by one local
-    golden-section refinement.  A state that never leaves the ball (a drift
-    fixed point) reports ``dt``; None means no return before ``t_max`` --
-    absence is a valid outcome, not an error.
+    one the closest approach after departure, is sharpened by a vectorized
+    bracket through the same distance kernel.  A state that never leaves the
+    ball (a drift fixed point) reports ``dt``; None means no return before
+    ``t_max`` -- absence is a valid outcome, not an error.
 
     The drift flow only rotates phases in its eigenbasis, so it moves at the
     constant speed ``v = sqrt(sum_k w_k lambda_k^2)`` and its distance ``D``
@@ -443,17 +425,12 @@ def recurrence_scan(
     if sys.n != s0.n:
         raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
 
-    spectrum = diagonalize_drift(sys.A)
-    d0 = spectrum.U.conj().T @ s0.c
-    weights = np.abs(d0) ** 2
-    lam = spectrum.lambdas
+    lam, U = canonical_skew_eigensystem(sys.A)
+    weights = np.abs(U.conj().T @ s0.c) ** 2
 
-    def dist(t: float) -> float:
-        return math.sqrt(max(2.0 * float((weights * (1.0 - np.cos(t * lam))).sum()), 0.0))
-
-    def dists(k: np.ndarray) -> np.ndarray:
-        # dist at the grid times k dt, one row of cosines per time: equal to dist bit for bit
-        x = np.cos(np.outer(k * dt, lam))
+    def dists(t: np.ndarray) -> np.ndarray:
+        # the distance to the start at each time, one row of cosines per time
+        x = np.cos(np.outer(t, lam))
         return np.sqrt(np.maximum(2.0 * np.sum((1.0 - x) * weights, axis=1), 0.0))
 
     count = int(np.floor(t_max / dt + 1e-12))
@@ -480,7 +457,7 @@ def recurrence_scan(
         running = np.maximum if best is None else np.minimum
         hi = min(count, lo + size * stride)
         k = np.append(np.arange(lo, hi, stride), hi)
-        d = dists(k)
+        d = dists(k * dt)
         points, values = [k], [d]
         a, span, d_a, d_b = k[:-1], np.diff(k), d[:-1], d[1:]
         ahead = running.accumulate(np.append(0.0 if best is None else best, d_a))[1:]  # at each left end
@@ -501,7 +478,7 @@ def recurrence_scan(
                 return hi, k[inside], d[inside]
             a, span, d_a, d_b, ahead = a[gaps], span[gaps], d_a[gaps], d_b[gaps], ahead[gaps]
             k = a[:, None] + span[:, None] * fan // RECURRENCE_FANOUT
-            inner = dists(k[:, 1:-1].ravel()).reshape(len(a), -1)
+            inner = dists(k[:, 1:-1].ravel() * dt).reshape(len(a), -1)
             points.append(k[:, 1:-1].ravel())
             values.append(inner.ravel())
             ahead = running.accumulate(np.column_stack((ahead, inner)), axis=1).ravel()
@@ -534,7 +511,15 @@ def recurrence_scan(
     center = best_k * dt if hit is None else hit
     a = max(center - dt, departure)
     b = min(center + dt, count * dt)
-    refined_t, refined_d = _golden_minimize(dist, a, b)
+    while True:  # each round's least distance and its two neighbours bracket the next round
+        t = np.linspace(a, b, REFINE_POINTS)
+        d = dists(t)
+        i = int(np.argmin(d))  # ties go to the first index
+        a_next, b_next = t[max(i - 1, 0)], t[min(i + 1, REFINE_POINTS - 1)]
+        if b_next - a_next >= b - a:
+            break
+        a, b = a_next, b_next
+    refined_t, refined_d = float(t[i]), float(d[i])
     if refined_d > tol:
         return hit
     return refined_t if hit is None else min(hit, refined_t)

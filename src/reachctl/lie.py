@@ -167,6 +167,9 @@ def closure(generators) -> LieAlgebraBasis:
         dim += 1
 
     for k, g in enumerate(gens):
+        # An exact power of two keeps g's norm and projection finite and nonzero at any scale.
+        w = _realify(g)
+        g = np.ldexp(w, -np.frexp(np.max(np.abs(w)))[1]).view(complex).reshape(n, n)
         admit(g, f"g{k}", float(np.linalg.norm(g)))
     seeds = dim
 

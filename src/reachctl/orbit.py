@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlSystem, StateVector, diagonalize_drift
+from .dynamics import ControlSystem, StateVector
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
 from .matrices import RANK_TOL, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems
 
@@ -170,12 +170,9 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     """
     if not classify(closure([sys.A, sys.B])).abelian:
         return None
-    norm_a = float(np.linalg.norm(sys.A))
-    norm_b = float(np.linalg.norm(sys.B))
+    norm_a, norm_b = (float(np.hypot.reduce(np.abs(M).ravel())) for M in (sys.A, sys.B))  # cannot overflow
 
-    spectrum = diagonalize_drift(sys.A)
-    lam_a = spectrum.lambdas.copy()
-    U = spectrum.U.copy()
+    lam_a, U = canonical_skew_eigensystem(sys.A)
     lam_b = np.zeros(sys.n)
 
     M = U.conj().T @ sys.B @ U

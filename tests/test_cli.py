@@ -17,9 +17,15 @@ from reachctl.fileio import save_schedule, save_state, save_system, state_payloa
 from helpers import SIGMA_X, SIGMA_Z
 
 # tests/golden/<case>.analyze.json is the report of
-# `reachctl analyze --system <case>.system.json --state <case>.state.json`.
+# `reachctl analyze --system <case>.system.json --state <case>.state.json`, and
+# tests/golden/torus2.recurrence.<flags>.json that of `reachctl recurrence` on torus2 with the flags
+# of GOLDEN_RECURRENCE: demo 03's tolerances and horizon, and a tolerance too tight to return.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = ["su2", "so4", "torus2", "triple", "zero_control", "near_parallel", "n1"]
+GOLDEN_RECURRENCE = {
+    **{f"tol{tol}": ["--tol", tol, "--tmax", "3000", "--dt", "1e-3"] for tol in ("0.3", "0.1", "0.05", "0.01")},
+    "tol1e-6.tmax50": ["--tol", "1e-6", "--tmax", "50"],
+}
 
 
 @pytest.fixture
@@ -105,6 +111,15 @@ class TestAnalyze:
         argv = ["analyze", "--system", f"{stem}.system.json", "--state", f"{stem}.state.json", "--out", str(out)]
         assert run(argv) == 0
         assert out.read_bytes() == Path(f"{stem}.analyze.json").read_bytes()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_matches_golden(self, scale, tmp_path, basis_state):
+        # Squaring these entries over- or underflows; the verdict must not notice.
+        sys_path, state_path, out = tmp_path / "su2.json", tmp_path / "state.json", tmp_path / "report.json"
+        save_system(ControlSystem(scale * 1j * SIGMA_Z, scale * 1j * SIGMA_X), sys_path)
+        save_state(basis_state, state_path)
+        assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
+        assert read_report(out)["result"] == read_report(GOLDEN / "su2.analyze.json")["result"]
 
     def test_stdout_default(self, su2_files, capsys):
         sys_path, state_path = su2_files
@@ -363,6 +378,16 @@ class TestRecurrence:
         result = read_report(out)["result"]
         assert result["found"] is False
         assert result["return_time"] is None
+
+    @pytest.mark.parametrize("flags", GOLDEN_RECURRENCE)
+    def test_report_matches_golden(self, flags, tmp_path):
+        # A return on the grid, or none at all, does not depend on the refinement: these bytes are pinned.
+        out = tmp_path / "rec.json"
+        stem = GOLDEN / "torus2"
+        argv = ["recurrence", "--system", f"{stem}.system.json", "--state", f"{stem}.state.json",
+                *GOLDEN_RECURRENCE[flags], "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_bytes() == Path(f"{stem}.recurrence.{flags}.json").read_bytes()
 
     def test_fixed_point_returns_at_once(self, tmp_path):
         sys_path, state_path = tmp_path / "fixed.json", tmp_path / "up.json"

@@ -43,23 +43,16 @@ def chunked_recurrence_scan(sys, s0, tol, t_max, dt):
         x = np.cos(np.outer(ts, lam))
         return np.sqrt(np.maximum(2.0 * np.sum((1.0 - x) * weights, axis=1), 0.0))
 
-    def dist_scalar(t):
-        return float(dist_array(np.array([t]))[0])
-
-    def golden(f, a, b):
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-        f1, f2 = f(x1), f(x2)
-        for _ in range(60):
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = f(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = f(x2)
-        return (x1, f1) if f1 <= f2 else (x2, f2)
+    def bracket(a, b):
+        # 33 times across [a, b] per round; the least distance's neighbours are the next bracket
+        while True:
+            ts = np.linspace(a, b, 33)
+            ds = dist_array(ts)
+            k = int(np.argmin(ds))
+            a_next, b_next = ts[max(k - 1, 0)], ts[min(k + 1, 32)]
+            if b_next - a_next >= b - a:
+                return float(ts[k]), float(ds[k])
+            a, b = a_next, b_next
 
     count = int(np.floor(t_max / dt + 1e-12))
     chunk = 1 << 17
@@ -84,7 +77,7 @@ def chunked_recurrence_scan(sys, s0, tol, t_max, dt):
     if departure_time is None:
         return float(dt), "stays"
     center = candidate if candidate is not None else best_t
-    refined_t, refined_d = golden(dist_scalar, max(center - dt, departure_time), min(center + dt, count * dt))
+    refined_t, refined_d = bracket(max(center - dt, departure_time), min(center + dt, count * dt))
     if candidate is not None:
         return (min(candidate, refined_t) if refined_d <= tol else candidate), "grid-hit"
     return (refined_t, "refined-hit") if refined_d <= tol else (None, "none")
@@ -549,14 +542,14 @@ class TestRecurrenceScan:
         s0 = StateVector.normalized(np.array([0.6, 0.8], dtype=complex))
         rt = recurrence_scan(sys, s0, tol=1e-6, t_max=10.0, dt=1e-3)
         assert rt is not None
-        assert rt == pytest.approx(2.0 * np.pi, abs=1e-3)
+        assert rt == pytest.approx(2.0 * np.pi, abs=1e-7)
 
     def test_degenerate_frequencies(self):
         sys = ControlSystem(np.diag([1j, 1j]), np.diag([1j, 1j]))
         s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
         rt = recurrence_scan(sys, s0, tol=1e-6, t_max=10.0, dt=1e-3)
         assert rt is not None
-        assert rt == pytest.approx(2.0 * np.pi, abs=1e-3)
+        assert rt == pytest.approx(2.0 * np.pi, abs=1e-7)
 
     def test_incommensurate_pair_returns_before_140_pi(self, torus_system, plus_state):
         rt = recurrence_scan(torus_system, plus_state, tol=0.05, t_max=450.0, dt=1e-3)
@@ -664,7 +657,7 @@ class TestRecurrenceScan:
 
     def test_torus8_evaluates_few_distances(self, monkeypatch):
         # The bench's torus8 scan (2e6 grid points, no return) costs samples, not grid points:
-        # 3,832 distances with the golden refinement, where a one-point-at-a-time Lipschitz walk took 5,163.
+        # 4,133 distances with the bracket refinement, where a one-point-at-a-time Lipschitz walk took 5,163.
         evaluated, cos = [0], np.cos
 
         def counted(x, *args, **kwargs):
@@ -677,6 +670,22 @@ class TestRecurrenceScan:
         monkeypatch.setattr(np, "cos", counted)
         assert recurrence_scan(sys, s0, tol=0.3, t_max=2000.0, dt=1e-3) is None
         assert evaluated[0] <= 4_500
+
+    def test_torus2_batches_its_cosines(self, monkeypatch):
+        # The bench's torus2 scan makes 22 np.cos calls: the grid's blocks and the refinement's
+        # rounds, each a batch of times; a refinement one time at a time would take 62 more.
+        calls, cos = [0], np.cos
+
+        def counted(x, *args, **kwargs):
+            calls[0] += 1
+            return cos(x, *args, **kwargs)
+
+        lam = np.array([1.0, np.sqrt(2.0)])
+        sys = ControlSystem(np.diag(1j * lam), np.diag(2j * lam))
+        s0 = StateVector(np.full(2, 1.0 / np.sqrt(2.0), dtype=complex))
+        monkeypatch.setattr(np, "cos", counted)
+        assert recurrence_scan(sys, s0, tol=0.05, t_max=450.0, dt=1e-3) == 182.145
+        assert calls[0] <= 30
 
     def test_tiny_grid_step_with_slow_drift(self):
         # v dt underflows to a subnormal here; the step is clipped before dividing.
