@@ -171,24 +171,18 @@ def load_schedule(path, data: bytes | None = None) -> ControlSchedule:
         raise ValueError(f"{path}: field 'segments': {exc}") from exc
 
 
-def _pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vector_pairs(v: np.ndarray) -> list:
-    return [_pair(z) for z in np.asarray(v)]
-
-
-def _matrix_pairs(M: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(M)]
+def _pairs(a) -> list:
+    # Each complex entry as [re, im] floats, nested as the array is.
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def system_payload(sys: ControlSystem) -> dict:
-    return {"n": sys.n, "A": _matrix_pairs(sys.A), "B": _matrix_pairs(sys.B)}
+    return {"n": sys.n, "A": _pairs(sys.A), "B": _pairs(sys.B)}
 
 
 def state_payload(s: StateVector) -> dict:
-    return {"n": s.n, "c": _vector_pairs(s.c)}
+    return {"n": s.n, "c": _pairs(s.c)}
 
 
 def schedule_payload(sched: ControlSchedule) -> dict:
@@ -242,7 +236,7 @@ def trajectory_payload(traj: Trajectory, sys: ControlSystem, sched: ControlSched
     """
     payload = {
         "final_time": float(traj.times[-1]),
-        "final_state": _vector_pairs(traj.states[-1]),
+        "final_state": _pairs(traj.states[-1]),
         "max_norm_drift": float(traj.max_norm_drift()),
         "n_samples": int(traj.times.size),
         "max_hamiltonian_drift": None,
@@ -285,7 +279,7 @@ def verification_payload(targets, certificates) -> dict:
         rows.append(
             {
                 "index": k,
-                "target": _vector_pairs(target.c),
+                "target": _pairs(target.c),
                 "achieved_distance": float(cert.achieved_distance),
                 "converged": bool(cert.converged),
                 "restart_index": int(cert.restart_index),

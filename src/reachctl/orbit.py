@@ -8,8 +8,8 @@ irrational winding on a torus), so everything here works infinitesimally or
 by construction: the orbit dimension is the rank of the algebra's action at
 the state, orbit points are produced as explicit products of one-parameter
 subgroup elements, and when the generated algebra is abelian -- the one
-commutation decision, which costs a closure on a non-commuting pair -- the
-conserved moduli that confine the orbit to a torus are computed outright.
+commutation decision, which the report takes from its own closure -- one
+builder computes the conserved moduli that confine the orbit to a torus.
 """
 
 import enum
@@ -144,32 +144,8 @@ def sample_orbit(
     return word.apply(s0), word
 
 
-def _cluster_spans(values: np.ndarray, cluster_tol: float) -> list:
-    # Split a descending-sorted value list into runs of consecutive entries
-    # whose gaps stay within cluster_tol; returns index lists.
-    spans = []
-    start = 0
-    for k in range(1, values.size + 1):
-        if k == values.size or abs(values[k - 1] - values[k]) > cluster_tol:
-            spans.append(list(range(start, k)))
-            start = k
-    return spans
-
-
-def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
-    """Common eigenbasis of (A, B) when they commute, else None.
-
-    The pair commutes when the algebra it generates is abelian, the decision
-    ``analyze`` reports, so a call on a non-commuting pair costs one closure.
-    Starts from the drift eigenbasis and, inside each degenerate drift
-    eigenspace, diagonalizes the control generator's restriction, so the
-    returned frame is a joint eigenbasis even when the drift alone does not
-    determine one.  Blocks group indices with equal joint eigenvalue pairs.
-    Drift and control eigenvalues split at gaps above ``RANK_TOL ||A||`` and
-    ``RANK_TOL ||B||``, so rounding noise where B vanishes stays one block.
-    """
-    if not classify(closure([sys.A, sys.B])).abelian:
-        return None
+def _joint_frame(sys: ControlSystem) -> CommutingFrame:
+    # The joint eigenbasis of a pair already known to commute: see commuting_frame.
     norm_a, norm_b = (float(np.hypot.reduce(np.abs(M).ravel())) for M in (sys.A, sys.B))  # cannot overflow
 
     lam_a, U = canonical_skew_eigensystem(sys.A)
@@ -177,20 +153,38 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
 
     M = U.conj().T @ sys.B @ U
     blocks = []
-    for span in _cluster_spans(lam_a, RANK_TOL * norm_a):
-        idx = np.array(span)
+    for idx in np.split(np.arange(sys.n), np.flatnonzero(np.abs(np.diff(lam_a)) > RANK_TOL * norm_a) + 1):
         Mb = M[np.ix_(idx, idx)]
-        Mb = 0.5 * (Mb - Mb.conj().T)  # strip commutator-sized noise
-        omega_b, Vb = canonical_skew_eigensystem(Mb)
+        omega_b, Vb = skew_eigensystems(1j * (0.5 * (Mb - Mb.conj().T)))  # strip commutator-sized noise
         U[:, idx] = U[:, idx] @ Vb
         lam_b[idx] = omega_b
-        for sub in _cluster_spans(omega_b, RANK_TOL * norm_b):
-            blocks.append([int(idx[i]) for i in sub])
+        cuts = np.flatnonzero(np.abs(np.diff(omega_b)) > RANK_TOL * norm_b) + 1
+        blocks += [block.tolist() for block in np.split(idx, cuts)]
     return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
+
+
+def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
+    """Common eigenbasis of (A, B) when they commute, else None.
+
+    The pair commutes when the algebra it generates is abelian, the decision
+    ``analyze`` reports, so a call on a non-commuting pair costs one closure;
+    the report decides it once, from its own closure, and reads its moduli
+    from the same frame builder.  Starts from the drift eigenbasis and, inside
+    each degenerate drift eigenspace, diagonalizes the control generator's
+    restriction, so the returned frame is a joint eigenbasis even when the
+    drift alone does not determine one; inside a cluster of several equal
+    drift frequencies the basis is ``eigh``'s.  Blocks group indices with
+    equal joint eigenvalue pairs.  Drift and control eigenvalues split at gaps
+    above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise where B
+    vanishes stays one block.
+    """
+    return _joint_frame(sys) if classify(closure([sys.A, sys.B])).abelian else None
 
 
 def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
     """Per-block amplitude norms ``sqrt(sum_{k in block} |d_k|^2)``, ``d = U^dagger c``."""
+    if frame.U.shape[0] != s.n:
+        raise ValueError(f"frame dimension {frame.U.shape[0]} does not match state dimension {s.n}")
     d = frame.U.conj().T @ s.c
     return np.array([float(np.sqrt(np.sum(np.abs(d[block]) ** 2))) for block in frame.blocks])
 
@@ -205,9 +199,7 @@ def conserved_moduli(sys: ControlSystem) -> list | None:
     torus inside the sphere.  Absent (``None``) otherwise.
     """
     frame = commuting_frame(sys)
-    if frame is None:
-        return None
-    return [list(block) for block in frame.blocks]
+    return None if frame is None else frame.blocks
 
 
 def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVector) -> float:
@@ -217,8 +209,12 @@ def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVect
     ``s0``, and per block the reverse triangle inequality gives
     ``|c_block - t_block| >= |m0 - mt|``, so no control can bring the
     half-squared distance below ``0.5 * sum (m0 - mt)^2``.  Returns 0 when
-    the generated algebra is not abelian (no moduli obstruction).
+    the generated algebra is not abelian (no moduli obstruction).  A state
+    whose dimension is not the system's raises ValueError.
     """
+    for s in (s0, target):
+        if s.n != sys.n:
+            raise ValueError(f"system dimension {sys.n} does not match state dimension {s.n}")
     frame = commuting_frame(sys)
     if frame is None:
         return 0.0
@@ -249,7 +245,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
         verdict = Verdict.STATE_CONTROLLABLE
     else:
         verdict = Verdict.RESTRICTED
-    moduli = conserved_moduli(sys) if verdict is Verdict.RESTRICTED and algebra_class.abelian else None
+    moduli = _joint_frame(sys).blocks if verdict is Verdict.RESTRICTED and algebra_class.abelian else None
 
     parts = [
         f"generated algebra has dimension {basis.dim} ({algebra_class.label.value}) "

@@ -21,7 +21,9 @@ from helpers import SIGMA_X, SIGMA_Z
 # tests/golden/torus2.recurrence.<flags>.json that of `reachctl recurrence` on torus2 with the flags
 # of GOLDEN_RECURRENCE: demo 03's tolerances and horizon, and a tolerance too tight to return.
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_CASES = ["su2", "so4", "torus2", "triple", "zero_control", "near_parallel", "n1"]
+# torus8 is the benchmark's torus from the uniform state; triple_frame is the triple in a fixed
+# non-diagonal unitary frame, so its degenerate drift cluster carries a frame eigh picks.
+GOLDEN_CASES = ["su2", "so4", "torus2", "torus8", "triple", "triple_frame", "zero_control", "near_parallel", "n1"]
 GOLDEN_RECURRENCE = {
     **{f"tol{tol}": ["--tol", tol, "--tmax", "3000", "--dt", "1e-3"] for tol in ("0.3", "0.1", "0.05", "0.01")},
     "tol1e-6.tmax50": ["--tol", "1e-6", "--tmax", "50"],

@@ -1,4 +1,4 @@
-"""Module-level imports are all used, the benchmark tracer's bindings all exist, and the CLI imports no optimizer."""
+"""Module-level imports and private names are all used, the benchmark tracer's bindings all exist, and the CLI imports no optimizer."""
 
 import ast
 import importlib
@@ -43,6 +43,45 @@ def test_no_unused_imports(path):
 def test_finds_unused_alias():
     source = "import numpy as np\nimport os.path\nfrom x import y, z\n__all__ = ['z']\nos.path.join(y)\n"
     assert unused_imports(source) == ["line 1: np"]
+
+
+def unread_privates(sources: dict) -> list:
+    """Module-level private names (``_name``, not dunder) that no module of ``sources`` reads.
+
+    A function, class or constant counts as read when any module loads the
+    name, reaches it as an attribute, or imports it by name.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [f"{module}: {name}" for name in names if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return sorted(d for d in defined if d.split(": ")[1] not in read)
+
+
+def test_every_private_name_is_read():
+    assert unread_privates({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_finds_unread_private():
+    helper = "def _cluster_spans(values, tol):\n    return [values]\n"
+    reader = "from .a import _used\n_LIMIT: int = 3\n_used(_LIMIT)\n"
+    sources = {"a.py": helper + "def _used(x):\n    return x\n", "b.py": reader}
+    assert unread_privates(sources) == ["a.py: _cluster_spans"]
 
 
 def tracer_bindings() -> list:

@@ -19,6 +19,7 @@ from reachctl import (
     sample_orbit,
     tangent_dimension,
 )
+from reachctl import orbit
 from reachctl.orbit import DURATION_SCALE
 
 from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric
@@ -182,8 +183,73 @@ class TestModuli:
         target = StateVector(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0))
         assert moduli_distance_bound(torus_system, plus_state, target) <= 1e-15
 
+    @pytest.mark.parametrize("system", ["su2_system", "torus_system"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_distance_bound_names_mismatched_dimensions(self, system, swap, request, basis_state):
+        # su(2) is not abelian, so without the check this returned a floor of 0.0
+        sys = request.getfixturevalue(system)
+        third = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
+        states = (third, basis_state) if swap else (basis_state, third)
+        with pytest.raises(ValueError, match="system dimension 2 does not match state dimension 3"):
+            moduli_distance_bound(sys, *states)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_block_moduli_names_mismatched_dimensions(self, n, m, torus_system):
+        sys = torus_system if n == 2 else ControlSystem(*_fixed_pair("triple")[:2])
+        state = StateVector.normalized(np.ones(m, dtype=complex))
+        with pytest.raises(ValueError, match=f"frame dimension {n} does not match state dimension {m}"):
+            block_moduli(commuting_frame(sys), state)
+
+
+def _joint_runs(a, b) -> list:
+    """Index runs of equal (a_k, b_k) pairs once the pairs are sorted by (-a, -b)."""
+    pairs = sorted(zip(a.tolist(), b.tolist()), key=lambda p: (-p[0], -p[1]))
+    runs = []
+    for k, pair in enumerate(pairs):
+        if k and pair == pairs[k - 1]:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
+class TestRandomFrameOracle:
+    """Commuting pairs W diag(i a) W^dagger, W diag(i b) W^dagger: the moduli are the runs of equal (a_k, b_k)."""
+
+    @pytest.mark.parametrize("family", ["integer", "torus"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_moduli_and_frame(self, family, n):
+        rng = np.random.default_rng([n, 19, family == "torus"])
+        for _ in range(4):
+            if family == "integer":
+                a, b = rng.integers(-2, 3, size=(2, n)).astype(float)
+            else:
+                a = rng.permutation(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0][:n]))
+                b = 2.0 * a
+            W = haar_unitary(rng, n)
+            sys = ControlSystem(W @ np.diag(1j * a) @ W.conj().T, W @ np.diag(1j * b) @ W.conj().T)
+            assert conserved_moduli(sys) == _joint_runs(a, b)
+            frame = commuting_frame(sys)
+            for M, lambdas in ((sys.A, frame.lambdas_a), (sys.B, frame.lambdas_b)):
+                assert np.max(np.abs(frame.U.conj().T @ M @ frame.U - np.diag(1j * lambdas))) <= 1e-9
+
 
 class TestControllabilityReport:
+    @pytest.mark.parametrize("kind", ["torus2", "triple_frame", "su2"])
+    def test_one_closure_and_one_classify(self, kind, monkeypatch):
+        # The report decides commutation from its own closure; the moduli reuse that verdict.
+        calls = {"closure": 0, "classify": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(orbit, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(orbit, name, counted)
+        A, B, c = _fixed_pair(kind)
+        rep = controllability_report(ControlSystem(A, B), StateVector(c))
+        assert calls == {"closure": 1, "classify": 1}
+        assert rep.conserved_moduli == {"torus2": [[0], [1]], "triple_frame": [[0], [1, 2]], "su2": None}[kind]
+
     def test_su2_is_operator_controllable(self, su2_system, basis_state):
         rep = controllability_report(su2_system, basis_state)
         assert rep.algebra_dim == 3
@@ -281,7 +347,11 @@ def _fixed_pair(kind: str) -> tuple:
         A = np.diag([1j, 1j * np.sqrt(2.0)])
         return A, 2.0 * A, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     # a degenerate commuting triple: one joint block of multiplicity two
-    return np.diag([2j, 1j, 1j]), np.diag([1j, 3j, 3j]), np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
+    A, B, c = np.diag([2j, 1j, 1j]), np.diag([1j, 3j, 3j]), np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
+    if kind == "triple_frame":  # the same triple in a fixed non-diagonal unitary frame
+        W = haar_unitary(rng, 3)
+        return W @ A @ W.conj().T, W @ B @ W.conj().T, W @ c
+    return A, B, c
 
 
 class TestMetamorphic:
