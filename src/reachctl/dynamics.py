@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import canonical_skew_eigensystem, eigensystem_exp, is_skew_hermitian, skew_eigensystems, square_matrix
+from .matrices import (
+    _check_count, _check_dimension, _check_positive, canonical_skew_eigensystem, eigensystem_exp, is_skew_hermitian,
+    skew_eigensystems, square_matrix,
+)
 
 __all__ = [
     "SPHERE_TOL",
@@ -169,16 +172,9 @@ class ControlSchedule:
         return [(float(d), float(v)) for d, v in zip(self.durations, self.values)]
 
     @classmethod
-    def from_segments(cls, pairs) -> "ControlSchedule":
-        pairs = list(pairs)
-        return cls(
-            durations=np.array([p[0] for p in pairs], dtype=float),
-            values=np.array([p[1] for p in pairs], dtype=float),
-        )
-
-    @classmethod
     def constant(cls, value: float, duration: float, n_segments: int = 1) -> "ControlSchedule":
         """Constant control ``value`` over ``duration`` split into equal segments."""
+        _check_count(n_segments, "n_segments")
         return cls(
             durations=np.full(n_segments, duration / n_segments),
             values=np.full(n_segments, float(value)),
@@ -325,17 +321,15 @@ def propagate(
     Raises
     ------
     ValueError
-        On dimension mismatch, ``samples_per_segment < 1``, a segment too
-        short for its sample times to advance past the one before, or a
+        Naming both dimensions when they differ or ``samples_per_segment``
+        when it is not a positive integer; on a segment too short for its
+        sample times to advance past the one before; or on a
         segment whose flow overflows double precision (checked once per
         block, at the segment ends: an interior sample's phase is a fraction
         of its segment's).
     """
-    if int(samples_per_segment) != samples_per_segment or samples_per_segment < 1:
-        raise ValueError(f"samples_per_segment must be a positive integer, got {samples_per_segment}")
-    k = int(samples_per_segment)
-    if sys.n != s0.n:
-        raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
+    k = _check_count(samples_per_segment, "samples_per_segment")
+    _check_dimension("system", sys.n, s0.n)
 
     durations = sched.durations
     t_end = np.cumsum(durations)
@@ -418,12 +412,11 @@ def recurrence_scan(
     state by about ``RECURRENCE_REACH``; a fast drift (``v dt`` above it)
     has stride one, which is the plain table.
     """
-    if not (0.0 < tol < np.inf):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not (0.0 < dt < t_max and t_max / dt < 2.0**53):
+    for value, name in ((tol, "tol"), (dt, "dt"), (t_max, "t_max")):
+        _check_positive(value, name)
+    if not (dt < t_max and t_max / dt < 2.0**53):
         raise ValueError(f"need 0 < dt < t_max and fewer than 2**53 grid steps, got dt={dt}, t_max={t_max}")
-    if sys.n != s0.n:
-        raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
+    _check_dimension("system", sys.n, s0.n)
 
     lam, U = canonical_skew_eigensystem(sys.A)
     weights = np.abs(U.conj().T @ s0.c) ** 2

@@ -251,15 +251,19 @@ def trajectory_payload(traj: Trajectory, sys: ControlSystem, sched: ControlSched
     return payload
 
 
-def certificate_payload(cert: ReachabilityCertificate) -> dict:
+def _certificate_fields(cert: ReachabilityCertificate) -> dict:
+    # A certificate's outcome, shared by its own payload and its verify row.
     return {
-        "schedule": schedule_payload(cert.schedule),
         "achieved_distance": float(cert.achieved_distance),
         "converged": bool(cert.converged),
         "iterations_used": int(cert.iterations_used),
         "restart_index": int(cert.restart_index),
         "stop_reason": cert.stop_reason,
     }
+
+
+def certificate_payload(cert: ReachabilityCertificate) -> dict:
+    return {"schedule": schedule_payload(cert.schedule), **_certificate_fields(cert)}
 
 
 def recurrence_payload(return_time: float | None, tol: float, t_max: float, dt: float) -> dict:
@@ -274,19 +278,10 @@ def recurrence_payload(return_time: float | None, tol: float, t_max: float, dt: 
 
 def verification_payload(targets, certificates) -> dict:
     """Achieved-distance table plus the overall PASS/FAIL verdict."""
-    rows = []
-    for k, (target, cert) in enumerate(zip(targets, certificates)):
-        rows.append(
-            {
-                "index": k,
-                "target": _pairs(target.c),
-                "achieved_distance": float(cert.achieved_distance),
-                "converged": bool(cert.converged),
-                "restart_index": int(cert.restart_index),
-                "iterations_used": int(cert.iterations_used),
-                "stop_reason": cert.stop_reason,
-            }
-        )
+    rows = [
+        {"index": k, "target": _pairs(target.c), **_certificate_fields(cert)}
+        for k, (target, cert) in enumerate(zip(targets, certificates))
+    ]
     n_converged = sum(1 for cert in certificates if cert.converged)
     return {
         "samples": rows,

@@ -35,6 +35,28 @@ RANK_TOL = 1e-10
 SKEW_TOL = 1e-12
 
 
+# The argument rules of every public entry: a count, a finite positive real, a state's dimension.
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, never a bool, of at least ``least`` (1 or 0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+    return int(value)
+
+
+def _check_positive(value, name: str) -> None:
+    """A real number, never a bool, in (0, inf): an ``int`` too large for a float counts as infinite."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0 < value <= float(np.finfo(float).max)):  # a Python float: compares any int exactly
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_dimension(what: str, n: int, *dims: int) -> None:
+    """Each state dimension of ``dims`` is the ``what`` dimension ``n``."""
+    for m in dims:
+        if m != n:
+            raise ValueError(f"{what} dimension {n} does not match state dimension {m}")
+
+
 def square_matrix(X, name: str = "matrix") -> np.ndarray:
     """Coerce ``X`` to a validated square complex array.
 

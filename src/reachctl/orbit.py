@@ -19,7 +19,9 @@ import numpy as np
 
 from .dynamics import ControlSystem, StateVector
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import RANK_TOL, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems
+from .matrices import (
+    RANK_TOL, _check_count, _check_dimension, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems,
+)
 
 __all__ = [
     "GroupWord",
@@ -106,14 +108,11 @@ def tangent_dimension(basis: LieAlgebraBasis, s: StateVector) -> int:
     dimension.  No group enumeration is involved, so the answer is unaffected
     by the group being non-compact or non-closed.
     """
-    if basis.n != s.n:
-        raise ValueError(f"basis dimension {basis.n} does not match state dimension {s.n}")
+    _check_dimension("basis", basis.n, s.n)
     if basis.dim == 0:
         return 0
     V = (basis.elements @ s.c).T
     sv = np.linalg.svd(np.vstack((V.real, V.imag)), compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
@@ -132,12 +131,13 @@ def sample_orbit(
     The result lies on the orbit by construction, which is what makes it a
     trustworthy steering target: no reachability is presupposed.
     """
-    if int(word_length) != word_length or word_length < 0:
-        raise ValueError(f"word_length must be a nonnegative integer, got {word_length}")
+    word_length = _check_count(word_length, "word_length", 0)
+    _check_count(seed, "seed", 0)
+    _check_dimension("basis", basis.n, s0.n)
     rng = np.random.default_rng(seed)
     factors = []
     if basis.dim > 0:
-        for _ in range(int(word_length)):
+        for _ in range(word_length):
             gi = int(rng.integers(basis.dim))
             factors.append((basis.elements[gi], float(rng.uniform(-DURATION_SCALE, DURATION_SCALE))))
     word = GroupWord(factors)
@@ -183,8 +183,7 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
 
 def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
     """Per-block amplitude norms ``sqrt(sum_{k in block} |d_k|^2)``, ``d = U^dagger c``."""
-    if frame.U.shape[0] != s.n:
-        raise ValueError(f"frame dimension {frame.U.shape[0]} does not match state dimension {s.n}")
+    _check_dimension("frame", frame.U.shape[0], s.n)
     d = frame.U.conj().T @ s.c
     return np.array([float(np.sqrt(np.sum(np.abs(d[block]) ** 2))) for block in frame.blocks])
 
@@ -212,9 +211,7 @@ def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVect
     the generated algebra is not abelian (no moduli obstruction).  A state
     whose dimension is not the system's raises ValueError.
     """
-    for s in (s0, target):
-        if s.n != sys.n:
-            raise ValueError(f"system dimension {sys.n} does not match state dimension {s.n}")
+    _check_dimension("system", sys.n, s0.n, target.n)
     frame = commuting_frame(sys)
     if frame is None:
         return 0.0
@@ -234,6 +231,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     alone; compactness or closedness of the generated group is never
     consulted and never needed.
     """
+    _check_dimension("system", sys.n, s0.n)
     basis = closure([sys.A, sys.B])
     algebra_class = classify(basis)
     orbit_dim = tangent_dimension(basis, s0)

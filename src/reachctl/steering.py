@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
 from .lie import closure
+from .matrices import _check_count, _check_dimension, _check_positive
 from .orbit import sample_orbit
 
 __all__ = [
@@ -50,11 +51,6 @@ _MEMORY = 8
 ROUND_BYTES = 2**25
 
 
-def _require_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class SteeringConfig:
     """Optimizer settings for :func:`steer`.
@@ -73,19 +69,14 @@ class SteeringConfig:
     phase_sensitive: bool = True
 
     def __post_init__(self):
-        if int(self.segments) != self.segments or self.segments < 1:
-            raise ValueError(f"segments must be a positive integer, got {self.segments}")
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        _check_count(self.segments, "segments")
+        _check_positive(self.horizon, "horizon")
         if not self.horizon / self.segments > 0:
             raise ValueError(f"horizon / segments underflows to 0: {self.horizon!r} / {self.segments}")
-        if int(self.restarts) != self.restarts or self.restarts < 1:
-            raise ValueError(f"restarts must be a positive integer, got {self.restarts}")
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
-        if not (0 < self.target_distance < np.inf):
-            raise ValueError(f"target_distance must be positive and finite, got {self.target_distance}")
-        _require_seed(self.seed)
+        _check_count(self.restarts, "restarts")
+        _check_count(self.max_iterations, "max_iterations")
+        _check_positive(self.target_distance, "target_distance")
+        _check_count(self.seed, "seed", 0)
 
 
 @dataclass
@@ -128,8 +119,7 @@ def distance(s: StateVector, target: StateVector, phase_sensitive: bool = True) 
     chordal distance on the sphere.  Projective: ``1 - |<c_target, c>|^2`` in
     [0, 1], which quotients the global phase.
     """
-    if s.n != target.n:
-        raise ValueError(f"state dimensions differ: {s.n} vs {target.n}")
+    _check_dimension("target", target.n, s.n)
     return _raw_distance(s.c, target.c, phase_sensitive)
 
 
@@ -151,8 +141,7 @@ def gradient(
     differentiates all its restarts' trials in one call per round, and it
     equals that kernel's row bit for bit.
     """
-    if sys.n != s0.n or sys.n != target.n:
-        raise ValueError("system, state, and target dimensions must agree")
+    _check_dimension("system", sys.n, s0.n, target.n)
     rows = tuple(part[None] for part in forward_pass(sys, sched.durations, sched.values, s0.c))
     return _batched_gradient(sys.B, sched.durations, rows, target.c[None], phase_sensitive)[0]
 
@@ -366,11 +355,10 @@ def steer(
     Raises
     ------
     ValueError
-        If dimensions mismatch.
+        Naming both dimensions when a state's is not the system's.
     """
     cfg = cfg or SteeringConfig()
-    if sys.n != s0.n or sys.n != target.n:
-        raise ValueError("system, state, and target dimensions must agree")
+    _check_dimension("system", sys.n, s0.n, target.n)
     return _steer_all(sys, s0, [target], cfg)[0]
 
 
@@ -401,13 +389,13 @@ def verify_reachability(
     Raises
     ------
     ValueError
-        If ``samples`` or ``seed`` is invalid or the dimensions mismatch.
+        Before the closure runs, naming a bad count (``samples``,
+        ``word_length``, ``seed``) or both dimensions when they differ.
     """
-    if int(samples) != samples or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
-    _require_seed(seed)
-    if sys.n != s0.n:
-        raise ValueError(f"system dimension {sys.n} does not match state dimension {s0.n}")
+    _check_count(samples, "samples")
+    _check_count(word_length, "word_length", 0)
+    _check_count(seed, "seed", 0)
+    _check_dimension("system", sys.n, s0.n)
     basis = closure([sys.A, sys.B])
     master = np.random.default_rng(seed)
     sample_seeds = [int(x) for x in master.integers(0, 2**63 - 1, size=samples)]

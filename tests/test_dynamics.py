@@ -198,10 +198,15 @@ class TestControlSchedule:
             assert str(info.value) == message
 
     def test_total_duration(self):
-        sched = ControlSchedule.from_segments([(0.5, 1.0), (1.5, -1.0)])
+        sched = ControlSchedule([0.5, 1.5], [1.0, -1.0])
         assert sched.total_duration == pytest.approx(2.0)
         assert sched.n_segments == 2
         assert sched.segments == [(0.5, 1.0), (1.5, -1.0)]
+
+    @pytest.mark.parametrize("count", [0, 2.0, True, None])
+    def test_constant_segment_count_validated(self, count):
+        with pytest.raises(ValueError, match=f"^n_segments must be a positive integer, got {count!r}$"):
+            ControlSchedule.constant(0.25, 2.0, n_segments=count)
 
     def test_constant_splits_equally(self):
         sched = ControlSchedule.constant(0.25, 2.0, n_segments=4)
@@ -327,7 +332,7 @@ class TestPropagate:
         assert np.max(np.abs(traj.final_state.c - expected)) <= 1e-12
 
     def test_sample_layout(self, su2_system, basis_state):
-        sched = ControlSchedule.from_segments([(0.4, 0.0), (0.6, 1.0)])
+        sched = ControlSchedule([0.4, 0.6], [0.0, 1.0])
         traj = propagate(su2_system, basis_state, sched, samples_per_segment=3)
         # initial + per segment (3 interior + endpoint)
         assert traj.times.size == 1 + 2 * 4
@@ -408,7 +413,7 @@ class TestPropagate:
     @pytest.mark.parametrize("k", [1, 10])
     def test_too_short_segment_is_named(self, su2_system, basis_state, k):
         # a positive duration that cannot move the clock past t = 1.0
-        sched = ControlSchedule.from_segments([(1.0, 0.0), (1e-300, 1.0), (0.5, 0.0)])
+        sched = ControlSchedule([1.0, 1e-300, 0.5], [0.0, 1.0, 0.0])
         message = f"segment 1: duration 1e-300 starting at t = 1.0 is too short for its {k + 1} sample times to advance"
         with pytest.raises(ValueError) as info:
             propagate(su2_system, basis_state, sched, samples_per_segment=k)
@@ -416,7 +421,7 @@ class TestPropagate:
 
     def test_short_interior_steps_are_named(self, su2_system, basis_state):
         # the segment ends advance the clock, but its ten interior samples cannot
-        sched = ControlSchedule.from_segments([(0.25, 0.0), (1.0, 1.0), (5e-16, 0.0)])
+        sched = ControlSchedule([0.25, 1.0, 5e-16], [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match=r"^segment 2: duration 5e-16 starting at t = 1.25 is too short"):
             propagate(su2_system, basis_state, sched, samples_per_segment=10)
         assert propagate(su2_system, basis_state, sched, samples_per_segment=1).times.size == 7
@@ -432,17 +437,22 @@ class TestPropagate:
         duration, value = segments[j]
         message = f"segment {j}: the flow over duration {duration!r} at control value {value!r} overflows double precision"
         with pytest.raises(ValueError) as info:
-            propagate(sys, basis_state, ControlSchedule.from_segments(segments), samples_per_segment=2)
+            propagate(sys, basis_state, ControlSchedule(*zip(*segments)), samples_per_segment=2)
         assert str(info.value) == message
 
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^system dimension 2 does not match state dimension 3$"):
             propagate(su2_system, s0, ControlSchedule.constant(0.0, 1.0))
 
     def test_rejects_bad_sample_count(self, su2_system, basis_state):
         with pytest.raises(ValueError):
             propagate(su2_system, basis_state, ControlSchedule.constant(0.0, 1.0), samples_per_segment=0)
+
+    @pytest.mark.parametrize("bad", [2.0, True, None, "3"])
+    def test_sample_count_must_be_an_integer(self, su2_system, basis_state, bad):
+        with pytest.raises(ValueError, match=f"^samples_per_segment must be a positive integer, got {bad!r}$"):
+            propagate(su2_system, basis_state, ControlSchedule.constant(0.0, 1.0), samples_per_segment=bad)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
     @settings(max_examples=15, deadline=None)
@@ -589,6 +599,18 @@ class TestRecurrenceScan:
     def test_rejects_non_finite_parameters(self, torus_system, plus_state, tol, t_max, dt):
         with pytest.raises(ValueError):
             recurrence_scan(torus_system, plus_state, tol=tol, t_max=t_max, dt=dt)
+
+    @pytest.mark.parametrize("name", ["tol", "t_max", "dt"])
+    @pytest.mark.parametrize("bad", ["5", None, True, pytest.param(10**400, id="10**400")])
+    def test_real_parameter_diagnostic_names_it(self, torus_system, plus_state, name, bad):
+        kwargs = {"tol": 0.1, "t_max": 1.0, "dt": 1e-3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+            recurrence_scan(torus_system, plus_state, **kwargs)
+
+    def test_dimension_mismatch(self, torus_system):
+        s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
+        with pytest.raises(ValueError, match="^system dimension 2 does not match state dimension 3$"):
+            recurrence_scan(torus_system, s0, tol=0.1, t_max=1.0, dt=1e-3)
 
     def test_parameter_validation(self, torus_system, plus_state):
         with pytest.raises(ValueError):

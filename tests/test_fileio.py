@@ -109,7 +109,7 @@ class TestLoadState:
 
 class TestLoadSchedule:
     def test_round_trip(self, tmp_path):
-        sched = ControlSchedule.from_segments([(0.5, 1.0), (1.0, -0.25)])
+        sched = ControlSchedule([0.5, 1.0], [1.0, -0.25])
         path = tmp_path / "controls.json"
         save_schedule(sched, path)
         loaded = load_schedule(path)

@@ -1,4 +1,5 @@
-"""Module-level imports and private names are all used, the benchmark tracer's bindings all exist, and the CLI imports no optimizer."""
+"""Module-level imports and private names are all used, no count is checked inline, the benchmark tracer's bindings
+all exist, and the CLI imports no optimizer."""
 
 import ast
 import importlib
@@ -82,6 +83,28 @@ def test_finds_unread_private():
     reader = "from .a import _used\n_LIMIT: int = 3\n_used(_LIMIT)\n"
     sources = {"a.py": helper + "def _used(x):\n    return x\n", "b.py": reader}
     assert unread_privates(sources) == ["a.py: _cluster_spans"]
+
+
+def int_comparisons(source: str) -> list:
+    """Lines that compare ``int(x)`` by ``==`` or ``!=``: a count check that floats, bools and None get round."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name) and x.func.id == "int" for x in operands):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_counts_use_the_shared_check(path):
+    # Every count goes through matrices._check_count.
+    assert int_comparisons(path.read_text()) == []
+
+
+def test_finds_int_comparison():
+    source = "def f(k):\n    if int(k) != k or int(k) < 1:\n        raise ValueError\n    return k == int(k)\n"
+    assert int_comparisons(source) == [2, 4]
 
 
 def tracer_bindings() -> list:

@@ -92,6 +92,27 @@ class TestSampleOrbit:
         assert tangent_dimension(basis, s) == base_dim
 
 
+    @pytest.mark.parametrize("name, bad", [
+        *(("word_length", bad) for bad in (-1, 2.0, True, None, "3")),
+        *(("seed", bad) for bad in (-1, 2.0, True, None)),
+    ])
+    def test_count_diagnostic_names_it(self, su2_basis, basis_state, name, bad):
+        kwargs = {"word_length": 3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {bad!r}$"):
+            sample_orbit(su2_basis, basis_state, **kwargs)
+
+
+@pytest.mark.parametrize("entry, what", [
+    (lambda sys, s: tangent_dimension(closure([sys.A, sys.B]), s), "basis"),
+    (lambda sys, s: sample_orbit(closure([sys.A, sys.B]), s, word_length=3), "basis"),
+    (controllability_report, "system"),
+], ids=["tangent_dimension", "sample_orbit", "controllability_report"])
+def test_dimension_diagnostic_names_both(entry, what, su2_system):
+    wide = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match=f"^{what} dimension 2 does not match state dimension 3$"):
+        entry(su2_system, wide)
+
+
 class TestGroupWord:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_stacked_apply_matches_matrix_exp_loop(self, n):

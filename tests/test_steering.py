@@ -51,13 +51,16 @@ class TestSteeringConfig:
             {"target_distance": 0.0},
             {"target_distance": float("inf")},
             {"target_distance": float("nan")},
-        ],
+        ]
+        + [{name: bad} for name in ("segments", "restarts", "max_iterations") for bad in (2.0, True, None, "3")]
+        + [{name: bad} for name in ("horizon", "target_distance") for bad in ("5", None, True, 10**400)],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             SteeringConfig(**kwargs)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", 2.0, True, None])
     def test_seed_diagnostic_names_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SteeringConfig(seed=seed)
@@ -84,7 +87,7 @@ class TestDistance:
         assert distance(a, b, False) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self, basis_state):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^target dimension 3 does not match state dimension 2$"):
             distance(basis_state, StateVector(np.array([1.0, 0, 0], dtype=complex)))
 
 
@@ -230,6 +233,17 @@ class TestSteer:
         s0 = StateVector(np.array([1.0, 0, 0], dtype=complex))
         with pytest.raises(ValueError):
             steer(su2_system, s0, s0, SteeringConfig(restarts=1, max_iterations=1))
+
+    @pytest.mark.parametrize("entry", [
+        steer,
+        lambda sys, s0, target: gradient(sys, ControlSchedule.constant(0.0, 1.0), s0, target),
+    ], ids=["steer", "gradient"])
+    @pytest.mark.parametrize("wide_target", [False, True])
+    def test_dimension_diagnostic_names_both(self, su2_system, basis_state, entry, wide_target):
+        wide = StateVector(np.array([1.0, 0, 0], dtype=complex))
+        states = (basis_state, wide) if wide_target else (wide, basis_state)
+        with pytest.raises(ValueError, match="^system dimension 2 does not match state dimension 3$"):
+            entry(su2_system, *states)
 
 
 def generic4():
@@ -747,6 +761,18 @@ class TestVerifyReachability:
     def test_sample_count_validated(self, su2_system, basis_state):
         with pytest.raises(ValueError):
             verify_reachability(su2_system, basis_state, samples=0)
+
+    @pytest.mark.parametrize("name, bad", [
+        *((name, bad) for name in ("samples", "word_length", "seed") for bad in (2.0, True, None, "3")),
+        ("word_length", -1),
+    ])
+    def test_counts_raise_before_closure(self, su2_system, basis_state, monkeypatch, name, bad):
+        def no_closure(generators):
+            raise AssertionError("closure ran before the argument check")
+
+        monkeypatch.setattr(steering, "closure", no_closure)
+        with pytest.raises(ValueError, match=f"^{name} must be a (positive|non-negative) integer, got {bad!r}$"):
+            verify_reachability(su2_system, basis_state, **{name: bad})
 
     def test_dimension_mismatch_raises_before_closure(self, su2_system, monkeypatch):
         def no_closure(generators):
