@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    _check_count, _check_dimension, _check_positive, canonical_skew_eigensystem, eigensystem_exp, is_skew_hermitian,
-    skew_eigensystems, square_matrix,
+    _check_count, _check_dimension, _check_positive, _check_real, canonical_skew_eigensystem, eigensystem_exp,
+    is_skew_hermitian, skew_eigensystems, square_matrix,
 )
 
 __all__ = [
@@ -174,6 +174,8 @@ class ControlSchedule:
     @classmethod
     def constant(cls, value: float, duration: float, n_segments: int = 1) -> "ControlSchedule":
         """Constant control ``value`` over ``duration`` split into equal segments."""
+        _check_real(value, "value")
+        _check_positive(duration, "duration")
         _check_count(n_segments, "n_segments")
         return cls(
             durations=np.full(n_segments, duration / n_segments),

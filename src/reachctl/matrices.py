@@ -35,7 +35,11 @@ RANK_TOL = 1e-10
 SKEW_TOL = 1e-12
 
 
-# The argument rules of every public entry: a count, a finite positive real, a state's dimension.
+# A Python float, so that it compares any int exactly.
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+# The argument rules of every public entry: a count, a finite positive real, a finite real, a state's dimension.
 def _check_count(value, name: str, least: int = 1) -> int:
     """``value`` as an ``int``: a Python or numpy integer, never a bool, of at least ``least`` (1 or 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -43,11 +47,21 @@ def _check_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_positive(value, name: str) -> None:
     """A real number, never a bool, in (0, inf): an ``int`` too large for a float counts as infinite."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and 0 < value <= float(np.finfo(float).max)):  # a Python float: compares any int exactly
+    if not (_is_real(value) and 0 < value <= _FLOAT_MAX):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    """A real number, never a bool, of either sign and finite: an ``int`` too large for a float counts as infinite."""
+    if not (_is_real(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _check_dimension(what: str, n: int, *dims: int) -> None:
@@ -180,12 +194,11 @@ def matrix_exp(X, t: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``X`` has non-finite entries, ``t`` is not finite, or ``t != 0``
-        and ``X`` is not skew-Hermitian.
+        If ``X`` has non-finite entries, ``t`` is not a finite real number,
+        or ``t != 0`` and ``X`` is not skew-Hermitian.
     """
     M = square_matrix(X)
-    if not np.isfinite(t):
-        raise ValueError(f"exponential parameter must be finite, got {t}")
+    _check_real(t, "t")
     if t == 0.0:
         return np.eye(M.shape[0], dtype=complex)
     is_skew_hermitian(M, "matrix_exp generator")

@@ -7,7 +7,12 @@ reachability, with exact segment-wise derivatives taken in the segment
 eigenbases of the forward pass that the objective has already computed.  The
 restarts advance together, and so do those of every target of a
 :func:`verify_reachability` call: each round makes one stacked forward pass
-and one batched gradient over every ``(target, restart)`` still running.  A
+and one batched gradient over every ``(target, restart)`` still running.  The
+L-BFGS itself holds its state as arrays with one row per running ``(target,
+restart)``: points, distances, gradients, line-search steps and the last
+curvature pairs.  A round computes every row's direction and line-search
+decision with a few vector operations whatever its row count, each row bit for
+bit as a restart run alone, and a row that stops leaves through a mask.  A
 target's restarts race: in the round where one of them converges, the others
 leave the batch, and the certificate is the least distance among the
 restarts that converged in that round (ties to the lowest index).  A target
@@ -20,7 +25,6 @@ converge is a flagged optimizer failure and nothing more -- reachability of
 orbit points is a theorem, so non-convergence is never evidence against it.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,79 +182,145 @@ def _batched_gradient(
     return np.real(prefactor * pairing[..., 0, 0])
 
 
-def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
-    """The L-BFGS step ``-H g``: the two-loop recursion over ``(s, y, 1 / s.y)`` pairs, oldest first.
+def _dots(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row-wise ``x[i] @ z[i]``: a stack of ``(1, m) @ (m, 1)`` products, each bit for bit the 1-d product."""
+    return (x[:, None, :] @ z[:, :, None])[:, 0, 0]
 
-    The initial inverse Hessian is ``gamma I`` with ``gamma = s.y / y.y`` of the newest pair.
+
+def _distances(ends: np.ndarray, goals: np.ndarray, phase_sensitive: bool) -> np.ndarray:
+    """:func:`_raw_distance` of each row ``ends[i]`` to ``goals[i]``, bit for bit."""
+    if phase_sensitive:
+        diff = ends - goals
+        return 0.5 * _dots(diff.conj(), diff).real
+    # A batched overlap, or its square, can differ from the lone one in the last bit.
+    return np.array([_raw_distance(c, t, False) for c, t in zip(ends, goals)])
+
+
+def _lbfgs_directions(g: np.ndarray, pairs: np.ndarray, rho: np.ndarray, gamma: np.ndarray, depth: int) -> np.ndarray:
+    """Each row's L-BFGS step ``-H g``: the two-loop recursion over its curvature pairs.
+
+    ``pairs[:, j]`` holds each row's j-th newest ``(s, y)`` and ``rho[:, j]`` its ``1 / s.y``, for
+    ``j < depth``.  The initial inverse Hessian is ``gamma I``, with ``gamma = s.y / y.y`` of the
+    newest pair (1 with none).  An absent pair has ``rho = 0``, so its coefficient and both its
+    updates are exact zeros.
     """
-    q = g.copy()
-    coefficients = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
-        coefficients.append(a)
-    if pairs:
-        s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
-    for (s, y, rho), a in zip(pairs, reversed(coefficients)):
-        q += (a - rho * float(y @ q)) * s
-    return -q
+    # The recursion on -g is the negated recursion on g, exactly up to the sign of a zero: every
+    # step is odd in q.  Each row is a (1, segments) matrix, so every product is one batched matmul.
+    q = -g[:, None, :]
+    vectors, columns, rho = pairs[:, :, :, None, :], pairs[..., None], rho[:, :, None, None]
+    a = []
+    for j in range(depth):
+        a.append(rho[:, j] * (q @ columns[:, j, 0]))
+        q -= a[j] * vectors[:, j, 1]
+    q *= gamma[:, None, None]
+    for j in range(depth - 1, -1, -1):
+        q += (a[j] - rho[:, j] * (q @ columns[:, j, 1])) * vectors[:, j, 0]
+    return q[:, 0]
 
 
-def _optimize_restart(cfg: SteeringConfig, restart: int):
-    """One restart's L-BFGS: ``f, g = yield trial`` evaluates; returns ``(values, f, iterations, stop_reason)``."""
-    if restart == 0:
-        # The zero schedule: the pure-drift baseline is always examined.
-        values = np.zeros(cfg.segments)
-    else:
-        rng = np.random.default_rng((cfg.seed, restart))
-        values = rng.uniform(-1.0, 1.0, cfg.segments)
+# Why a row stopped: an index into _STOP_REASONS, or _RUNNING while it runs on.
+_STOP_REASONS = ("converged", "max_iterations", "zero_gradient", "line_search_exhausted")
+_RUNNING, _CONVERGED, _MAX_ITERATIONS, _ZERO_GRADIENT, _EXHAUSTED = range(-1, 4)
 
-    f, g = yield values
-    pairs = []  # the last _MEMORY (s, y, 1 / s.y) curvature pairs, oldest first
-    step = 1.0
-    exploring = True
-    iterations = 0
-    while not f <= cfg.target_distance:  # a NaN distance never counts as converged
-        if not math.isfinite(f):
-            # An overflowed start: every trial along a NaN direction is NaN too.
-            return values, f, iterations, "line_search_exhausted"
-        if iterations == cfg.max_iterations:
-            return values, f, iterations, "max_iterations"
-        if float(g @ g) <= 1e-28:
-            return values, f, iterations, "zero_gradient"
-        iterations += 1
-        d = _lbfgs_direction(g, pairs)
-        slope = float(g @ d)
-        if not slope < 0.0:
-            pairs.clear()
-            d, slope = -g, -float(g @ g)
-        # Exploratory phase: until the first backtrack, double the last step
-        # (up to _ALPHA_MAX) so early steps can cross shallow local minima.
-        step = min(2.0 * step, _ALPHA_MAX) if exploring else 1.0
-        while step >= _ALPHA_MIN:
-            trial = values + step * d
-            f_trial, g_trial = yield trial
-            if f_trial <= cfg.target_distance:
-                return trial, f_trial, iterations, "converged"
-            if abs(f - f_trial) <= 1e-12 * f:
-                # A stall, such as a moduli floor: the trial moved f by rounding only.
-                if f_trial < f:
-                    values, f = trial, f_trial
-                return values, f, iterations, "line_search_exhausted"
-            if f_trial < f and f_trial <= f + _ARMIJO * step * slope:
-                break
-            step *= 0.5
-            exploring = False
-        else:
-            return values, f, iterations, "line_search_exhausted"
-        s, y = trial - values, g_trial - g
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
-            del pairs[:-_MEMORY]
-        values, f, g = trial, f_trial, g_trial
-    return values, f, iterations, "converged"
+
+class _Lbfgs:
+    """The L-BFGS descents of a lockstep round's rows, each attribute an array with one entry per row.
+
+    Row ``i`` descends from ``starts[i]``; ``row`` holds its index into ``starts``.  ``trial`` is
+    the schedule it waits to have evaluated: its start, then ``values + step * d``, with
+    ``values``, ``f`` and ``g`` its current point, distance and gradient, ``slope`` the line
+    search's ``g . d``, ``exploring`` true until its first backtrack, and ``iterations`` its count
+    of line searches.  ``pairs``, of shape
+    ``(rows, _MEMORY, 2, segments)``, and ``rho`` hold its last ``count`` curvature pairs ``(s,
+    y)`` and their ``1 / s.y``, newest first, and ``gamma`` scales its initial inverse Hessian.
+    Every row takes its first evaluation in :meth:`start` and each later one in :meth:`advance`.
+    """
+
+    def __init__(self, starts: np.ndarray):
+        rows, segments = starts.shape
+        self.row, self.trial = np.arange(rows), starts
+        self.values, self.g, self.d = starts, np.zeros((rows, segments)), np.zeros((rows, segments))
+        self.f, self.slope, self.step, self.gamma = np.zeros(rows), np.zeros(rows), np.ones(rows), np.ones(rows)
+        self.exploring, self.iterations, self.count = np.ones(rows, bool), np.zeros(rows, int), np.zeros(rows, int)
+        self.pairs, self.rho = np.zeros((rows, _MEMORY, 2, segments)), np.zeros((rows, _MEMORY))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows outside ``mask``."""
+        self.__dict__.update({name: array[mask] for name, array in vars(self).items()})
+
+    def start(self, f: np.ndarray, g: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
+        """Take each row's evaluation at its start and set its first trial; returns each row's stop code."""
+        self.f, self.g = f, g
+        gg = _dots(g, g)
+        # A NaN distance never counts as converged.  An overflowed start stops
+        # at once: every trial along a NaN direction is NaN too.
+        stop = np.where(f <= cfg.target_distance, _CONVERGED, np.where(
+            ~np.isfinite(f), _EXHAUSTED, np.where(gg <= 1e-28, _ZERO_GRADIENT, _RUNNING)))
+        self._search(stop == _RUNNING, gg)
+        return stop
+
+    def advance(self, f_trial: np.ndarray, g_trial: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
+        """Take each row's trial evaluation and set its next trial; returns each row's stop code.
+
+        A stopped row's ``values``, ``f`` and ``iterations`` are its outcome.
+        """
+        f, step = self.f, self.step
+        converged = f_trial <= cfg.target_distance
+        # Converged, or stalled (such as on a moduli floor): the trial moved f by rounding only.
+        settled = converged | (np.abs(f - f_trial) <= 1e-12 * f)
+        decrease = f_trial < f
+        # Armijo's sufficient decrease; a settled row stops whatever this says.
+        accepted = decrease & (f_trial <= f + _ARMIJO * step * self.slope)
+        failed = ~(settled | accepted)
+        if np.count_nonzero(accepted):
+            self._remember(accepted, g_trial)
+
+        moved = accepted | settled & decrease
+        self.values = np.where(moved[:, None], self.trial, self.values)
+        self.g = np.where(accepted[:, None], g_trial, self.g)
+        self.f = np.where(moved, f_trial, f)
+        self.step = step = np.where(failed, 0.5 * step, step)
+        self.exploring &= ~failed
+        gg = _dots(self.g, self.g)
+        go = accepted & ~settled & (self.iterations != cfg.max_iterations) & ~(gg <= 1e-28)
+        running = go | failed & (step >= _ALPHA_MIN)
+        self._search(go, gg)
+        if np.count_nonzero(running) == len(running):
+            return np.full(len(running), _RUNNING)
+        return np.where(running, _RUNNING, np.where(converged, _CONVERGED, np.where(
+            ~accepted | settled, _EXHAUSTED, np.where(self.iterations == cfg.max_iterations, _MAX_ITERATIONS, _ZERO_GRADIENT))))
+
+    def _remember(self, accepted: np.ndarray, g_trial: np.ndarray) -> None:
+        """Push the curvature pair ``(s, y)`` of each accepted step whose ``s.y`` is clearly positive."""
+        pair = np.empty_like(self.pairs[:, 0])
+        s = np.subtract(self.trial, self.values, out=pair[:, 0])
+        y = np.subtract(g_trial, self.g, out=pair[:, 1])
+        sy, yy = _dots(s, y), _dots(y, y)
+        curved = accepted & (sy > 1e-12 * np.sqrt(_dots(s, s)) * np.sqrt(yy))
+        # Each curved row's pairs move one slot older (copyto buffers the overlap), the oldest dropping out.
+        np.copyto(self.pairs[:, 1:], self.pairs[:, :-1], where=curved[:, None, None, None])
+        np.copyto(self.rho[:, 1:], self.rho[:, :-1], where=curved[:, None])
+        np.copyto(self.pairs[:, 0], pair, where=curved[:, None, None])
+        rho = np.divide(1.0, sy, out=self.rho[:, 0], where=curved)
+        np.divide(1.0, rho * yy, out=self.gamma, where=curved)
+        self.count = np.minimum(self.count + curved, _MEMORY)
+
+    def _search(self, go: np.ndarray, gg: np.ndarray) -> None:
+        """Start a line search on each ``go`` row, then set every row's trial."""
+        if np.count_nonzero(go):
+            # Every row gets its direction: one mid-search gets its own again, bit for bit.
+            g = self.g
+            self.d = d = _lbfgs_directions(g, self.pairs, self.rho, self.gamma, int(self.count.max()))
+            self.slope = slope = _dots(g, d)
+            reset = ~(slope < 0.0)
+            if np.count_nonzero(reset):  # not a descent direction: forget the pairs and go down the gradient
+                d[reset], slope[reset] = -g[reset], -gg[reset]
+                self.count[reset], self.rho[reset], self.gamma[reset] = 0, 0.0, 1.0
+            self.iterations += go
+            # Exploratory phase: until the first backtrack, double the last step
+            # (up to _ALPHA_MAX) so early steps can cross shallow local minima.
+            self.step = np.where(go, np.where(self.exploring, np.minimum(2.0 * self.step, _ALPHA_MAX), 1.0), self.step)
+        self.trial = self.values + self.step[:, None] * self.d
 
 
 def _steer_all(
@@ -267,39 +337,46 @@ def _race(
     """:func:`steer`'s lockstep rounds over every ``(target, restart)`` at once: one certificate per target."""
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
     goals = np.stack([target.c for target in targets])
-    runs = {(t, r): _optimize_restart(cfg, r) for t in range(len(targets)) for r in range(cfg.restarts)}
-    trials = {key: next(run) for key, run in runs.items()}
-    results = [{} for _ in targets]
-    while trials:
-        active = list(trials)
-        forward = forward_pass(sys, durations, np.stack([trials[key] for key in active]), s0.c)
-        rows = goals[[t for t, _ in active]]
-        grads = _batched_gradient(sys.B, durations, forward, rows, cfg.phase_sensitive)
-        won = set()
-        for i, (t, r) in enumerate(active):
-            f = _raw_distance(forward[3][i, -1], rows[i], cfg.phase_sensitive)
-            try:
-                trials[t, r] = runs[t, r].send((f, grads[i]))
-            except StopIteration as stop:
-                results[t][r] = stop.value
-                del trials[t, r]
-                if stop.value[3] == "converged":
-                    won.add(t)
-        # The race: once a restart of t has converged, t's other restarts leave the batch.
-        trials = {key: trial for key, trial in trials.items() if key[0] not in won}
+    # The zero schedule (the pure-drift baseline is always examined), then seeded uniform draws.
+    starts = [np.zeros(cfg.segments)] + [
+        np.random.default_rng((cfg.seed, r)).uniform(-1.0, 1.0, cfg.segments) for r in range(1, cfg.restarts)
+    ]
+    # Row t * restarts + r is restart r of target t; a row that stops leaves its outcome here.
+    lbfgs = _Lbfgs(np.tile(np.stack(starts), (len(targets), 1)))
+    update = lbfgs.start  # the first round evaluates the starts, every later one the trials
+    values, achieved = np.empty_like(lbfgs.trial), np.empty(len(lbfgs.row))
+    iterations, stops = np.zeros(len(lbfgs.row), int), np.full(len(lbfgs.row), _RUNNING)
+    target = lbfgs.row // cfg.restarts
+    aims = goals[target]
+    while target.size:
+        forward = forward_pass(sys, durations, lbfgs.trial, s0.c)
+        grads = _batched_gradient(sys.B, durations, forward, aims, cfg.phase_sensitive)
+        stop = update(_distances(forward[3][:, -1], aims, cfg.phase_sensitive), grads, cfg)
+        update = lbfgs.advance
+        done = stop != _RUNNING
+        if np.count_nonzero(done):
+            rows = lbfgs.row[done]
+            values[rows], achieved[rows], iterations[rows], stops[rows] = (
+                lbfgs.values[done], lbfgs.f[done], lbfgs.iterations[done], stop[done])
+            # The race: once a restart of t has converged, t's other restarts leave the batch.
+            won = np.zeros(len(targets), bool)
+            won[target[stop == _CONVERGED]] = True
+            lbfgs.keep(~done & ~won[target])
+            target = lbfgs.row // cfg.restarts
+            aims = goals[target]
 
-    certificates = []
-    for outcomes in results:
+    certificates, finite = [], np.isfinite(achieved)
+    for t in range(len(targets)):
+        rows = [row for row in range(t * cfg.restarts, (t + 1) * cfg.restarts) if stops[row] != _RUNNING]
         # A converged distance is below every other one, so this picks among the winning round's.
-        best = min(outcomes, key=lambda r: (not np.isfinite(outcomes[r][1]), outcomes[r][1], r))
-        values, achieved, iterations, stop_reason = outcomes[best]
+        best = min(rows, key=lambda row: (not finite[row], achieved[row] if finite[row] else 0.0, row))
         certificates.append(ReachabilityCertificate(
-            schedule=ControlSchedule(durations, values),
-            achieved_distance=achieved,
-            converged=achieved <= cfg.target_distance,
-            iterations_used=iterations,
-            restart_index=best,
-            stop_reason=stop_reason,
+            schedule=ControlSchedule(durations, values[best]),
+            achieved_distance=float(achieved[best]),
+            converged=bool(achieved[best] <= cfg.target_distance),
+            iterations_used=int(iterations[best]),
+            restart_index=best - t * cfg.restarts,
+            stop_reason=_STOP_REASONS[stops[best]],
         ))
     return certificates
 
@@ -327,11 +404,13 @@ def steer(
     restarts advance together: each round stacks the pending trial of every
     running restart into one ``(r, segments)`` array for one
     :func:`forward_pass` and one batched gradient, and a restart that stops
-    leaves the batch, as do all of them in the round one converges.  Rows are
-    computed bit for bit as lone evaluations, and round k evaluates each
-    running restart's k-th trial, so the result is that of running the
-    restarts one after another and keeping the converged one with the fewest
-    evaluations.  ``iterations_used`` counts the winning restart's line
+    leaves the batch, as do all of them in the round one converges.  The
+    optimizer's state is arrays over those rows too, so a round's directions,
+    Armijo tests and step halvings are a few vector operations over the rows,
+    not a loop over restarts.  Rows are computed bit for bit as lone
+    evaluations, and round k evaluates each running restart's k-th trial, so
+    the result is that of running the restarts one after another and keeping
+    the converged one with the fewest evaluations.  ``iterations_used`` counts the winning restart's line
     searches.  A round holds several arrays of ``restarts * segments * n**2``
     complex entries, so large settings can raise MemoryError.
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -207,6 +208,16 @@ class TestControlSchedule:
     def test_constant_segment_count_validated(self, count):
         with pytest.raises(ValueError, match=f"^n_segments must be a positive integer, got {count!r}$"):
             ControlSchedule.constant(0.25, 2.0, n_segments=count)
+
+    @pytest.mark.parametrize("name, value, duration", [
+        *(("value", bad, 2.0) for bad in (None, "1", True, np.nan, -np.inf, 10**400)),
+        *(("duration", 0.25, bad) for bad in (None, "2", True, 0.0, -1.0, np.inf, np.nan)),
+    ])
+    def test_constant_value_and_duration_validated(self, name, value, duration):
+        bad = value if name == "value" else duration
+        rule = "a finite real number" if name == "value" else "positive and finite"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {re.escape(repr(bad))}$"):
+            ControlSchedule.constant(value, duration, 2)
 
     def test_constant_splits_equally(self):
         sched = ControlSchedule.constant(0.25, 2.0, n_segments=4)

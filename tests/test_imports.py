@@ -1,5 +1,6 @@
-"""Module-level imports and private names are all used, no count is checked inline, the benchmark tracer's bindings
-all exist, and the CLI imports no optimizer."""
+"""Module-level imports and private names are all used, no count is checked inline, the optimizer uses no reduction
+that can round differently from its per-row form, the benchmark tracer's bindings all exist, and the CLI imports no
+optimizer."""
 
 import ast
 import importlib
@@ -105,6 +106,32 @@ def test_counts_use_the_shared_check(path):
 def test_finds_int_comparison():
     source = "def f(k):\n    if int(k) != k or int(k) < 1:\n        raise ValueError\n    return k == int(k)\n"
     assert int_comparisons(source) == [2, 4]
+
+
+def inexact_reductions(source: str) -> list:
+    """Lines that call ``einsum``, or ``norm`` with an axis: row reductions that can differ from the 1-d product."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            with_axis = len(node.args) > 2 or any(keyword.arg == "axis" for keyword in node.keywords)
+            if name == "einsum" or name == "norm" and with_axis:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_steering_reductions_are_exact():
+    # The array L-BFGS must equal the per-row one bit for bit: its dot products
+    # are batched matmuls, which equal the 1-d products on this build, while
+    # einsum and an axis-wise norm sum in another order.
+    assert inexact_reductions((MODULES[0].parent / "steering.py").read_text()) == []
+
+
+def test_finds_inexact_reduction():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\n"
+              "a = np.einsum('ij,ij->i', s, y)\nb = np.linalg.norm(s)\nc = np.linalg.norm(s, axis=1)\n"
+              "d = norm(s, None, 1)\ne = np.sum(s * y, axis=1)\n")
+    assert inexact_reductions(source) == [3, 5, 6]
 
 
 def tracer_bindings() -> list:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,15 @@ class TestMatrixExp:
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="matrix_exp generator is not skew-Hermitian"):
             matrix_exp(N, 2.0)
+
+    @pytest.mark.parametrize("t", ["1", None, True, np.nan, np.inf, -np.inf, 10**400])
+    def test_time_must_be_a_finite_real(self, t):
+        with pytest.raises(ValueError, match=f"^t must be a finite real number, got {re.escape(repr(t))}$"):
+            matrix_exp(1j * SIGMA_X, t)
+
+    @pytest.mark.parametrize("t", [-2, np.int64(3), np.float64(-0.5)])
+    def test_time_of_any_real_type_and_sign(self, t):
+        assert np.allclose(matrix_exp(1j * SIGMA_X, t), np.cos(t) * EYE2 + 1j * np.sin(t) * SIGMA_X, atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), t=st.floats(-100.0, 100.0))
     @settings(max_examples=40, deadline=None)

@@ -21,7 +21,7 @@ from reachctl import (
 from reachctl import steering
 from reachctl.dynamics import forward_pass
 
-from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, random_skew, random_unit
+from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, lbfgs_direction, optimize_restart, random_skew, random_unit
 from oracles import block_expm_distance_gradient, fd_distance_gradient
 
 
@@ -314,22 +314,22 @@ class TestStopReason:
         assert cert.iterations_used == 1
 
     def test_nan_distance_is_never_converged(self):
-        restart = steering._optimize_restart(SteeringConfig(segments=3), 0)
-        next(restart)
-        with pytest.raises(StopIteration) as stop:
-            while True:
-                restart.send((np.nan, np.full(3, np.nan)))
-        _, f, _, stop_reason = stop.value.value
-        assert np.isnan(f)
-        assert stop_reason == "line_search_exhausted"
+        # A NaN start stops after its one evaluation, with its NaN distance.
+        lbfgs = steering._Lbfgs(np.zeros((1, 3)))
+        stop = lbfgs.start(np.array([np.nan]), np.full((1, 3), np.nan), SteeringConfig(segments=3))
+        assert [steering._STOP_REASONS[code] for code in stop] == ["line_search_exhausted"]
+        assert np.isnan(lbfgs.f[0])
 
     def test_nan_trial_backtracks(self):
         # A non-finite trial is one failed step of the line search, not the end of it.
-        restart = steering._optimize_restart(SteeringConfig(segments=3), 1)
-        values = next(restart)
-        first = restart.send((1.0, np.ones(3)))
-        second = restart.send((np.nan, np.full(3, np.nan)))
-        np.testing.assert_allclose(second - values, 0.5 * (first - values), rtol=0, atol=1e-15)
+        cfg = SteeringConfig(segments=3)
+        values = np.random.default_rng((cfg.seed, 1)).uniform(-1.0, 1.0, 3)
+        lbfgs = steering._Lbfgs(values[None].copy())
+        lbfgs.start(np.array([1.0]), np.ones((1, 3)), cfg)
+        first = lbfgs.trial[0].copy()
+        stop = lbfgs.advance(np.array([np.nan]), np.full((1, 3), np.nan), cfg)
+        assert stop[0] == steering._RUNNING
+        np.testing.assert_allclose(lbfgs.trial[0] - values, 0.5 * (first - values), rtol=0, atol=1e-15)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_start_evaluates_once_per_restart(self, basis_state, monkeypatch):
@@ -361,14 +361,39 @@ class TestStopReason:
         assert cert.stop_reason != "converged"
 
     def test_non_finite_distance_ranks_last(self, monkeypatch, su2_system, basis_state):
-        def fixed_restart(cfg, restart):
-            yield np.zeros(cfg.segments)
-            return np.zeros(cfg.segments), [np.nan, 0.5, np.inf][restart], 1, "line_search_exhausted"
-
-        monkeypatch.setattr(steering, "_optimize_restart", fixed_restart)
+        monkeypatch.setattr(steering, "_Lbfgs", scripted_lbfgs(
+            [(1, np.nan, "line_search_exhausted"), (1, 0.5, "line_search_exhausted"),
+             (1, np.inf, "line_search_exhausted")]))
         cert = steer(su2_system, basis_state, basis_state, SteeringConfig(restarts=3))
         assert cert.restart_index == 1
         assert cert.achieved_distance == 0.5
+
+
+def scripted_lbfgs(outcomes):
+    """An ``_Lbfgs`` stand-in: restart r's rows evaluate ``rounds`` trials, then stop.
+
+    ``outcomes[r]`` is ``(rounds, distance, stop_reason)``; restart r's trial is the constant
+    schedule r, and its outcome is that schedule, ``distance``, ``rounds`` iterations and
+    ``stop_reason``.
+    """
+    rounds, achieved, reasons = (np.array(column) for column in zip(*outcomes))
+    codes = np.array([steering._STOP_REASONS.index(reason) for reason in reasons])
+
+    class Scripted(steering._Lbfgs):
+        def __init__(self, starts):
+            super().__init__(starts)
+            self.restart = self.row % len(outcomes)
+            self.trial[:] = self.restart[:, None]
+            self.evaluations = np.zeros(len(self.row), int)
+
+        def advance(self, f_trial, g_trial, cfg):
+            self.evaluations += 1
+            self.values, self.f, self.iterations = self.trial, achieved[self.restart], rounds[self.restart]
+            return np.where(self.evaluations == self.iterations, codes[self.restart], steering._RUNNING)
+
+        start = advance
+
+    return Scripted
 
 
 class CountingKernels:
@@ -413,7 +438,7 @@ def sequential_steer(sys, s0, target, cfg):
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
     results, evaluations = [], []
     for r in range(cfg.restarts):
-        restart = steering._optimize_restart(cfg, r)
+        restart = optimize_restart(cfg, r)
         trial, count = next(restart), 0
         while True:
             count += 1
@@ -582,6 +607,123 @@ def torus2_from_plus():
     return off_moduli_torus()[:2]
 
 
+def generic5():
+    rng = np.random.default_rng(1)
+    sys = ControlSystem(random_skew(rng, 5), random_skew(rng, 5))
+    return sys, StateVector(random_unit(rng, 5)), StateVector(random_unit(rng, 5))
+
+
+def generic5_start():
+    return generic5()[:2]
+
+
+class PhaseTally:
+    """Counts the phases that the rows of ``steer``'s lockstep rounds go through.
+
+    ``wrapped``: curvature pairs pushed past the memory's ``_MEMORY`` slots;
+    ``rejected``: accepted steps whose pair failed the ``s.y`` test; ``resets``:
+    non-empty memories cleared by a non-descent direction; ``mixed``: rounds in
+    which some running rows backtrack while others start a line search.
+    """
+
+    def __init__(self, monkeypatch):
+        self.wrapped = self.rejected = self.resets = self.mixed = 0
+        tally, pushes = self, {}
+
+        class Probe(steering._Lbfgs):
+            def advance(self, f_trial, g_trial, cfg):
+                newest, count, values = self.rho[:, 0].copy(), self.count.copy(), self.values.copy()
+                stop = super().advance(f_trial, g_trial, cfg)
+                reset = (count > 0) & (self.count == 0)
+                pushed = (self.rho[:, 0] != newest) & ~reset
+                moved = np.any(self.values != values, axis=1)
+                running = stop == steering._RUNNING
+                for row in self.row[pushed]:  # keyed by race, each an _Lbfgs of its own
+                    pushes[id(self), row] = pushes.get((id(self), row), 0) + 1
+                    tally.wrapped += pushes[id(self), row] > steering._MEMORY
+                tally.rejected += int(np.count_nonzero(moved & running & ~pushed & ~reset))
+                tally.resets += int(np.count_nonzero(reset))
+                tally.mixed += bool(np.any(running & moved) and np.any(running & ~moved))
+                return stop
+
+        monkeypatch.setattr(steering, "_Lbfgs", Probe)
+
+
+def lockstep_reference(sys, s0, targets, cfg):
+    """The per-restart reference optimizer advanced in lockstep rounds, as ``steer``'s race advances its rows.
+
+    Each round evaluates every running restart's trial in one ``forward_pass``
+    and one batched gradient, so each row sees the kernel outputs ``steer``'s
+    row does however large the round; each restart is its own
+    ``optimize_restart`` generator.  Returns ``sequential_steer``'s reference
+    tuple per target.
+    """
+    durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
+    goals = np.stack([target.c for target in targets])
+    runs = {(t, r): optimize_restart(cfg, r) for t in range(len(targets)) for r in range(cfg.restarts)}
+    trials = {key: next(run) for key, run in runs.items()}
+    results = [{} for _ in targets]
+    while trials:
+        active = list(trials)
+        forward = forward_pass(sys, durations, np.stack([trials[key] for key in active]), s0.c)
+        rows = goals[[t for t, _ in active]]
+        grads = steering._batched_gradient(sys.B, durations, forward, rows, cfg.phase_sensitive)
+        won = set()
+        for i, (t, r) in enumerate(active):
+            f = distance(StateVector(forward[3][i, -1]), StateVector(rows[i]), cfg.phase_sensitive)
+            try:
+                trials[t, r] = runs[t, r].send((f, grads[i]))
+            except StopIteration as stop:
+                results[t][r] = stop.value
+                del trials[t, r]
+                won |= {t} if stop.value[3] == "converged" else set()
+        trials = {key: trial for key, trial in trials.items() if key[0] not in won}
+    references = []
+    for outcomes in results:
+        # steer's rule: the least distance, a non-finite one last, ties to the lowest restart
+        finite = {r: np.isfinite(outcomes[r][1]) for r in outcomes}
+        best = min(outcomes, key=lambda r: (not finite[r], outcomes[r][1] if finite[r] else 0.0, r))
+        values, achieved, iterations, stop_reason = outcomes[best]
+        references.append((values, achieved, iterations, best, stop_reason))
+    return references
+
+
+def scripted_objectives(starts):
+    """Objectives of the controls, one per restart, whose descents from ``starts`` go through different phases.
+
+    0: an ill-conditioned quadratic, long enough to wrap the pair memory;
+    1: a periodic landscape with restart 1's start near a crest, so that its
+    first step crosses negative curvature and fails the ``s.y`` test;
+    2: the quadratic of 0, its gradient overflowing once the distance drops
+    below 1, so that a non-finite direction clears a non-empty memory;
+    3: a well-conditioned quadratic that converges;
+    4: a quadratic whose gradient overstates its slope 1e4-fold, so that
+    trials that lower the distance still fail Armijo's test.
+    Each returns ``(f, g)`` at a schedule.
+    """
+    m = starts.shape[1]
+    scale, centre = np.logspace(0, 3, m), np.linspace(-0.5, 0.5, m)
+
+    def conditioned(x):
+        return 0.25 + 0.5 * float(scale @ (x - centre) ** 2), scale * (x - centre)
+
+    def periodic(x):
+        phase = 2.0 * (x - starts[1]) + 0.3
+        return 4.5 + float(np.sum(np.cos(phase))), -2.0 * np.sin(phase)
+
+    def overflowing(x):
+        f, g = conditioned(x)
+        return f, np.where(np.arange(m) == 0, np.inf, g) if f < 1.0 else g
+
+    def converging(x):
+        return 1.5 * float(np.sum((x - centre) ** 2)), 3.0 * (x - centre)
+
+    def misscaled(x):
+        return 1.0 + 0.5 * float(np.sum((x - centre) ** 2)), 1e4 * (x - centre)
+
+    return [conditioned, periodic, overflowing, converging, misscaled]
+
+
 class TestLockstepEqualsSequential:
     """Advancing the restarts together changes no certificate field, bit for bit."""
 
@@ -596,9 +738,11 @@ class TestLockstepEqualsSequential:
             (lambda: held_out_torus(np.sqrt(5.0), 7.0), {}),
             (lambda: held_out_random(6, 1), {}),
             (lambda: held_out_torus(np.sqrt(3.0), -6.0), {}),
+            (generic4, {"restarts": 4, "max_iterations": 60}),
+            (generic5, {}),
         ],
         ids=["su2", "torus-off-moduli", "torus-off-moduli-10x2", "generic4",
-             "torus-sqrt5-theta7", "random-n6-1", "torus-sqrt3-theta-6"],
+             "torus-sqrt5-theta7", "random-n6-1", "torus-sqrt3-theta-6", "generic4-wrapped", "generic5-rejected"],
     )
     def test_certificate_fields(self, instance, settings, phase_sensitive):
         sys, s0, target = instance()
@@ -606,6 +750,80 @@ class TestLockstepEqualsSequential:
         cert = steer(sys, s0, target, cfg)
         reference, _, _ = sequential_steer(sys, s0, target, cfg)
         assert_certificate_is(cert, reference, cfg)
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    @pytest.mark.parametrize("instance, settings, phase", [
+        (generic4, {"restarts": 4, "max_iterations": 60}, "wrapped"),
+        (generic5, {}, "rejected"),
+    ], ids=["generic4-wrapped", "generic5-rejected"])
+    def test_certificate_cases_mix_phases(self, monkeypatch, instance, settings, phase, phase_sensitive):
+        # so the cases above pin rounds whose rows wrap the pair memory, or
+        # reject a pair, while other rows backtrack or start a line search
+        tally = PhaseTally(monkeypatch)
+        steer(*instance(), SteeringConfig(phase_sensitive=phase_sensitive, **settings))
+        assert getattr(tally, phase) > 0
+        assert tally.mixed > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scripted_rows_equal_reference_every_round(self, monkeypatch):
+        # Five restarts on scripted objectives share one _Lbfgs: every round's
+        # trials and every outcome equal the per-restart reference's.
+        cfg = SteeringConfig(segments=4, restarts=5, max_iterations=80)
+        tally = PhaseTally(monkeypatch)
+        references = [optimize_restart(cfg, r) for r in range(cfg.restarts)]
+        pending = [next(reference) for reference in references]
+        objectives = scripted_objectives(np.array(pending))
+        lbfgs = steering._Lbfgs(np.array(pending))
+        update, reasons = lbfgs.start, set()
+        while lbfgs.row.size:
+            outcomes = {}
+            for i, r in enumerate(lbfgs.row):
+                assert np.array_equal(lbfgs.trial[i], pending[r])
+            f, g = (np.array(column) for column in zip(*(objectives[r](x) for r, x in zip(lbfgs.row, lbfgs.trial))))
+            for i, r in enumerate(lbfgs.row):
+                try:
+                    pending[r] = references[r].send((float(f[i]), g[i]))
+                except StopIteration as stop:
+                    outcomes[r] = stop.value
+            stop = update(f, g, cfg)
+            update = lbfgs.advance
+            assert {int(r) for r in lbfgs.row[stop != steering._RUNNING]} == set(outcomes)
+            for i in np.flatnonzero(stop != steering._RUNNING):
+                values, achieved, iterations, reason = outcomes[lbfgs.row[i]]
+                assert np.array_equal(lbfgs.values[i], values)
+                assert (lbfgs.f[i], lbfgs.iterations[i], steering._STOP_REASONS[stop[i]]) == (achieved, iterations, reason)
+                reasons.add(reason)
+            lbfgs.keep(stop == steering._RUNNING)
+        assert min(tally.wrapped, tally.rejected, tally.resets, tally.mixed) > 0
+        assert {"converged", "line_search_exhausted"} <= reasons
+
+    def test_non_descent_row_forgets_its_pairs(self):
+        # No stored pair has s.y <= 0, so -H g is always a descent direction up
+        # to rounding; a negative rho makes row 0's an ascent one.  That row
+        # goes down the gradient with an empty memory, beside row 1's two-loop.
+        g = np.array([[1.0, 0.5, -0.25], [1.0, 0.5, -0.25]])
+        s, y, rho = np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), [-1.0, 0.5]
+        lbfgs = steering._Lbfgs(np.zeros((2, 3)))
+        lbfgs.g, lbfgs.pairs[:, 0, 0], lbfgs.pairs[:, 0, 1], lbfgs.count[:] = g, s, y, 1
+        lbfgs.rho[:, 0], lbfgs.gamma[:] = rho, [1.0 / (r * float(y @ y)) for r in rho]
+        assert float(g[0] @ lbfgs_direction(g[0], [(s, y, rho[0])])) > 0.0
+        lbfgs._search(np.ones(2, bool), steering._dots(g, g))
+        assert np.array_equal(lbfgs.d, [-g[0], lbfgs_direction(g[1], [(s, y, rho[1])])])
+        assert lbfgs.slope[0] == -float(g[0] @ g[0])
+        assert (lbfgs.count.tolist(), lbfgs.gamma[0], np.count_nonzero(lbfgs.rho[0])) == ([0, 1], 1.0, 0)
+
+    def test_generic5_verify_equals_per_restart_race(self, monkeypatch):
+        # 20 targets of a generic n = 5 pair: 160 rows a round, in both phase
+        # modes, against the per-restart reference fed the same kernel outputs
+        sys, s0 = generic5_start()
+        tally = PhaseTally(monkeypatch)
+        targets, certs = verify_reachability(sys, s0, samples=20)
+        for cfg in (SteeringConfig(), SteeringConfig(phase_sensitive=False)):
+            if not cfg.phase_sensitive:
+                certs = steering._steer_all(sys, s0, targets, cfg)
+            for cert, reference in zip(certs, lockstep_reference(sys, s0, targets, cfg)):
+                assert_certificate_is(cert, reference, cfg)
+        assert min(tally.wrapped, tally.rejected, tally.mixed) > 0
 
     @pytest.mark.parametrize(
         "instance, samples",
@@ -636,22 +854,6 @@ class TestLockstepEqualsSequential:
         assert "line_search_exhausted" in {cert.stop_reason for cert in certs}
 
 
-def scripted_restarts(outcomes):
-    """An ``_optimize_restart`` stand-in: restart r asks for ``rounds`` evaluations, then returns.
-
-    ``outcomes[r]`` is ``(rounds, distance, stop_reason)``; restart r's trial is the constant schedule r.
-    """
-
-    def restart(cfg, r):
-        rounds, achieved, stop_reason = outcomes[r]
-        values = np.full(cfg.segments, float(r))
-        for _ in range(rounds):
-            yield values
-        return values, achieved, rounds, stop_reason
-
-    return restart
-
-
 class TestRace:
     """A target's restarts race: the first round in which one converges ends them all."""
 
@@ -665,7 +867,7 @@ class TestRace:
         ids=["least-distance", "tie-to-lowest-index", "later-round-loses"],
     )
     def test_winner_among_first_converged_round(self, monkeypatch, su2_system, basis_state, outcomes, winner):
-        monkeypatch.setattr(steering, "_optimize_restart", scripted_restarts(outcomes))
+        monkeypatch.setattr(steering, "_Lbfgs", scripted_lbfgs(outcomes))
         counts = CountingKernels(monkeypatch)
         cert = steer(su2_system, basis_state, basis_state, SteeringConfig(restarts=len(outcomes)))
         rounds, achieved, stop_reason = outcomes[winner]
