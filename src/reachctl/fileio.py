@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, Trajectory, diagonalize_drift, drift_hamiltonian
+from .matrices import _check_count
 from .orbit import ControllabilityReport
 from .steering import ReachabilityCertificate
 
@@ -70,23 +71,28 @@ def _field(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
-def _pair_floats(row: list, out: list, path, field: str, where) -> None:
-    """Append the ``re, im`` floats of each ``[re, im]`` pair of ``row`` to ``out``.
+def _float(x: int, path, field: str, where, *at) -> float:
+    """A JSON integer as a float; ``where(*at)`` names it in the diagnostic if it is too large for one.
 
-    ``where(j)`` names entry ``j`` in a diagnostic.  JSON numbers load as exactly ``int`` or
-    ``float`` (a ``bool`` is neither), and only an ``int`` can overflow ``float``.
+    JSON numbers load as exactly ``int`` or ``float`` (a ``bool`` is neither), and only an ``int``
+    needs converting or can overflow ``float``.
     """
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{path}: field '{field}': {where(*at)} is too large for a float") from None
+
+
+def _pair_floats(row: list, out: list, path, field: str, where) -> None:
+    """Append the ``re, im`` floats of each ``[re, im]`` pair of ``row`` to ``out``; ``where(j)`` names entry ``j``."""
     for j, pair in enumerate(row):
         if type(pair) is not list or len(pair) != 2:
             raise ValueError(f"{path}: field '{field}': {where(j)} must be a [re, im] number pair")
         re, im = pair
         if (type(re) is not float and type(re) is not int) or (type(im) is not float and type(im) is not int):
             raise ValueError(f"{path}: field '{field}': {where(j)} must be a [re, im] number pair")
-        try:
-            out.append(float(re))
-            out.append(float(im))
-        except OverflowError:
-            raise ValueError(f"{path}: field '{field}': {where(j)} is too large for a float") from None
+        out.append(re if type(re) is float else _float(re, path, field, where, j))
+        out.append(im if type(im) is float else _float(im, path, field, where, j))
 
 
 def _parse_vector(raw, n: int, path, field: str) -> np.ndarray:
@@ -108,13 +114,6 @@ def _parse_matrix(raw, n: int, path, field: str) -> np.ndarray:
     return np.array(flat).view(complex).reshape(n, n)
 
 
-def _parse_n(doc: dict, path) -> int:
-    n = _field(doc, "n", path)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{path}: field 'n' must be a positive integer")
-    return n
-
-
 def load_system(path, data: bytes | None = None) -> ControlSystem:
     """Parse a system file ``{"n", "A", "B"}`` into a validated ControlSystem.
 
@@ -124,7 +123,7 @@ def load_system(path, data: bytes | None = None) -> ControlSystem:
     ``path`` otherwise; ``path`` names the file in diagnostics either way.
     """
     doc = _read_json(path, data)
-    n = _parse_n(doc, path)
+    n = _check_count(_field(doc, "n", path), f"{path}: field 'n'")
     A = _parse_matrix(_field(doc, "A", path), n, path, "A")
     B = _parse_matrix(_field(doc, "B", path), n, path, "B")
     try:
@@ -136,7 +135,7 @@ def load_system(path, data: bytes | None = None) -> ControlSystem:
 def load_state(path, data: bytes | None = None) -> StateVector:
     """Parse a state file ``{"n", "c"}`` into a validated unit StateVector."""
     doc = _read_json(path, data)
-    n = _parse_n(doc, path)
+    n = _check_count(_field(doc, "n", path), f"{path}: field 'n'")
     c = _parse_vector(_field(doc, "c", path), n, path, "c")
     try:
         return StateVector(c)
@@ -160,10 +159,7 @@ def load_schedule(path, data: bytes | None = None) -> ControlSchedule:
             x = seg[key]
             if type(x) is not float and type(x) is not int:
                 raise ValueError(f"{path}: field 'segments': segment {k}: '{key}' must be a number")
-            try:
-                flat.append(float(x))
-            except OverflowError:
-                raise ValueError(f"{path}: field 'segments': segment {k}: '{key}' is too large for a float") from None
+            flat.append(x if type(x) is float else _float(x, path, "segments", "segment {}: '{}'".format, k, key))
     durations, values = np.array(flat).reshape(-1, 2).T.copy()
     try:
         return ControlSchedule(durations, values)

@@ -6,8 +6,10 @@ piecewise-constant schedules produces a concrete control witnessing
 reachability, with exact segment-wise derivatives taken in the segment
 eigenbases of the forward pass that the objective has already computed.  The
 restarts advance together, and so do those of every target of a
-:func:`verify_reachability` call: each round makes one stacked forward pass
-and one batched gradient over every ``(target, restart)`` still running.  The
+:func:`verify_reachability` call: each round makes one evaluation call over
+every ``(target, restart)`` still running, one stacked forward pass and one
+adjoint sweep giving every row's distance and gradient, each row bit for bit
+a lone :func:`distance` and :func:`gradient` whatever the round's size.  The
 L-BFGS itself holds its state as arrays with one row per running ``(target,
 restart)``: points, distances, gradients, line-search steps and the last
 curvature pairs.  A round computes every row's direction and line-search
@@ -108,12 +110,22 @@ class ReachabilityCertificate:
     stop_reason: str
 
 
-def _raw_distance(c: np.ndarray, t: np.ndarray, phase_sensitive: bool) -> float:
+def _dots(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row-wise ``x[i] @ z[i]``: a stack of ``(1, m) @ (m, 1)`` products, each bit for bit the 1-d product."""
+    return (x[:, None, :] @ z[:, :, None])[:, 0, 0]
+
+
+def _objective(ends: np.ndarray, targets: np.ndarray, phase_sensitive: bool) -> tuple:
+    """Each row's distance from ``ends[i]`` to ``targets[i]``, and the seed of its adjoint sweep.
+
+    Returns ``(f, w, prefactor)``: ``f[i]`` moves with the end state by ``Re(prefactor[i] * <w[i], dc>)``.
+    """
     if phase_sensitive:
-        diff = c - t
-        return float(0.5 * np.real(np.vdot(diff, diff)))
-    overlap = np.vdot(t, c)
-    return float(1.0 - np.abs(overlap) ** 2)
+        w = ends - targets
+        return 0.5 * _dots(w.conj(), w).real, w, 1.0 + 0.0j
+    # A batched overlap, or its square, can differ from the lone one in the last bit.
+    overlaps = np.array([np.vdot(t, c) for t, c in zip(targets, ends)])
+    return np.array([1.0 - np.abs(overlap) ** 2 for overlap in overlaps]), targets, -2.0 * np.conj(overlaps)[:, None]
 
 
 def distance(s: StateVector, target: StateVector, phase_sensitive: bool = True) -> float:
@@ -124,7 +136,7 @@ def distance(s: StateVector, target: StateVector, phase_sensitive: bool = True) 
     [0, 1], which quotients the global phase.
     """
     _check_dimension("target", target.n, s.n)
-    return _raw_distance(s.c, target.c, phase_sensitive)
+    return float(_objective(s.c[None], target.c[None], phase_sensitive)[0][0])
 
 
 def gradient(
@@ -141,27 +153,28 @@ def gradient(
     V_j^dagger``, ``phi_j`` holding the divided differences of ``exp(dt_j z)``
     over pairs of ``i omega_j`` in sinc form (GRAPE in DYNAMO's form).  It is
     stacked over segments; only the adjoint's backward sweep loops.  This is the
-    one-schedule form of the row-batched kernel with which :func:`steer`
-    differentiates all its restarts' trials in one call per round, and it
-    equals that kernel's row bit for bit.
+    one-row call of the kernel with which :func:`steer` evaluates all its
+    restarts' trials in one call per round, and every row of that kernel equals
+    it bit for bit, whatever the round's size.  An empty schedule has the empty
+    gradient.
     """
     _check_dimension("system", sys.n, s0.n, target.n)
-    rows = tuple(part[None] for part in forward_pass(sys, sched.durations, sched.values, s0.c))
-    return _batched_gradient(sys.B, sched.durations, rows, target.c[None], phase_sensitive)[0]
+    if not sched.durations.size:
+        return np.zeros(0)
+    return _evaluate(sys, sched.durations, sched.values[None], s0.c, target.c[None], phase_sensitive)[1][0]
 
 
-def _batched_gradient(
-    B: np.ndarray, durations: np.ndarray, forward: tuple, targets: np.ndarray, phase_sensitive: bool
-) -> np.ndarray:
-    """:func:`gradient` of each row ``i`` of an ``(r, m)`` :func:`forward_pass` toward ``targets[i]``."""
-    omega, V, coords, ends = forward
+def _evaluate(
+    sys: ControlSystem, durations: np.ndarray, values: np.ndarray, c0: np.ndarray, targets: np.ndarray,
+    phase_sensitive: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, g)``: :func:`distance` and :func:`gradient` of each schedule ``values[i]`` toward ``targets[i]``.
+
+    One :func:`forward_pass` of the ``(r, m)`` schedules from ``c0``, then one adjoint sweep.
+    """
+    omega, V, coords, ends = forward_pass(sys, durations, values, c0)
     V_dagger = V.conj().swapaxes(-1, -2)
-
-    if phase_sensitive:
-        w, prefactor = ends[:, -1] - targets, 1.0 + 0.0j
-    else:
-        overlaps = [np.vdot(t, c) for t, c in zip(targets, ends[:, -1])]
-        w, prefactor = targets, -2.0 * np.conj(np.array(overlaps))[:, None]
+    f, w, prefactor = _objective(ends[:, -1], targets, phase_sensitive)
 
     # adjoint[:, j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
     backward = np.exp(-1j * omega * durations[:, None])
@@ -177,23 +190,11 @@ def _batched_gradient(
     mean = omega[..., :, None] + omega[..., None, :]
     gap = omega[..., :, None] - omega[..., None, :]
     phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
-    frechet = phi * (V_dagger @ B @ V)
+    # Not ``phi * (...)``: on a large stack numpy would multiply in place on the temporary with
+    # the operands swapped, and complex products are not bitwise commutative.
+    frechet = np.multiply(phi, V_dagger @ sys.B @ V)
     pairing = adjoint.conj()[..., None, :] @ (frechet @ coords[..., None])
-    return np.real(prefactor * pairing[..., 0, 0])
-
-
-def _dots(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row-wise ``x[i] @ z[i]``: a stack of ``(1, m) @ (m, 1)`` products, each bit for bit the 1-d product."""
-    return (x[:, None, :] @ z[:, :, None])[:, 0, 0]
-
-
-def _distances(ends: np.ndarray, goals: np.ndarray, phase_sensitive: bool) -> np.ndarray:
-    """:func:`_raw_distance` of each row ``ends[i]`` to ``goals[i]``, bit for bit."""
-    if phase_sensitive:
-        diff = ends - goals
-        return 0.5 * _dots(diff.conj(), diff).real
-    # A batched overlap, or its square, can differ from the lone one in the last bit.
-    return np.array([_raw_distance(c, t, False) for c, t in zip(ends, goals)])
+    return f, np.real(prefactor * pairing[..., 0, 0])
 
 
 def _lbfgs_directions(g: np.ndarray, pairs: np.ndarray, rho: np.ndarray, gamma: np.ndarray, depth: int) -> np.ndarray:
@@ -346,12 +347,9 @@ def _race(
     update = lbfgs.start  # the first round evaluates the starts, every later one the trials
     values, achieved = np.empty_like(lbfgs.trial), np.empty(len(lbfgs.row))
     iterations, stops = np.zeros(len(lbfgs.row), int), np.full(len(lbfgs.row), _RUNNING)
-    target = lbfgs.row // cfg.restarts
-    aims = goals[target]
-    while target.size:
-        forward = forward_pass(sys, durations, lbfgs.trial, s0.c)
-        grads = _batched_gradient(sys.B, durations, forward, aims, cfg.phase_sensitive)
-        stop = update(_distances(forward[3][:, -1], aims, cfg.phase_sensitive), grads, cfg)
+    while lbfgs.row.size:
+        target = lbfgs.row // cfg.restarts
+        stop = update(*_evaluate(sys, durations, lbfgs.trial, s0.c, goals[target], cfg.phase_sensitive), cfg)
         update = lbfgs.advance
         done = stop != _RUNNING
         if np.count_nonzero(done):
@@ -362,23 +360,23 @@ def _race(
             won = np.zeros(len(targets), bool)
             won[target[stop == _CONVERGED]] = True
             lbfgs.keep(~done & ~won[target])
-            target = lbfgs.row // cfg.restarts
-            aims = goals[target]
 
-    certificates, finite = [], np.isfinite(achieved)
-    for t in range(len(targets)):
-        rows = [row for row in range(t * cfg.restarts, (t + 1) * cfg.restarts) if stops[row] != _RUNNING]
-        # A converged distance is below every other one, so this picks among the winning round's.
-        best = min(rows, key=lambda row: (not finite[row], achieved[row] if finite[row] else 0.0, row))
-        certificates.append(ReachabilityCertificate(
-            schedule=ControlSchedule(durations, values[best]),
-            achieved_distance=float(achieved[best]),
-            converged=bool(achieved[best] <= cfg.target_distance),
-            iterations_used=int(iterations[best]),
-            restart_index=best - t * cfg.restarts,
-            stop_reason=_STOP_REASONS[stops[best]],
-        ))
-    return certificates
+    # Each target's least finite distance among its stopped restarts, ties to the lowest index (a
+    # converged distance is below every other one, so this picks among the winning round's).  A
+    # target with no finite one ran every restart to its end, so it gets restart 0.
+    ranked = np.where((stops != _RUNNING) & np.isfinite(achieved), achieved, np.inf)
+    best = ranked.reshape(len(targets), cfg.restarts).argmin(axis=1) + cfg.restarts * np.arange(len(targets))
+    return [
+        ReachabilityCertificate(
+            schedule=ControlSchedule(durations, values[row]),
+            achieved_distance=float(achieved[row]),
+            converged=bool(achieved[row] <= cfg.target_distance),
+            iterations_used=int(iterations[row]),
+            restart_index=row - t * cfg.restarts,
+            stop_reason=_STOP_REASONS[stops[row]],
+        )
+        for t, row in enumerate(best.tolist())
+    ]
 
 
 def steer(
@@ -402,8 +400,8 @@ def steer(
 
     Each evaluation is one forward pass and the exact gradient on it.  The
     restarts advance together: each round stacks the pending trial of every
-    running restart into one ``(r, segments)`` array for one
-    :func:`forward_pass` and one batched gradient, and a restart that stops
+    running restart into one ``(r, segments)`` array for one evaluation call,
+    one :func:`forward_pass` and one adjoint sweep, and a restart that stops
     leaves the batch, as do all of them in the round one converges.  The
     optimizer's state is arrays over those rows too, so a round's directions,
     Armijo tests and step halvings are a few vector operations over the rows,
@@ -455,10 +453,12 @@ def verify_reachability(
     Per-sample seeds are drawn from a master generator seeded with ``seed``.
     Every target is steered to with the default :class:`SteeringConfig`, and
     the targets' restarts advance together in the lockstep rounds of
-    :func:`steer`, each target racing its own restarts, so the certificates
-    equal one :func:`steer` per target.  A wave of targets costs as many
-    rounds as its longest race: the round its first restart converged in, or
-    its longest restart's evaluations if none converged.  Targets go in
+    :func:`steer`, each target racing its own restarts.  Every row of a round
+    is bit for bit a lone :func:`distance` and :func:`gradient` whatever the
+    round's size, so the certificates equal one :func:`steer` per target, bit
+    for bit.  A wave of targets costs as many rounds as its longest race: the
+    round its first restart converged in, or its longest restart's
+    evaluations if none converged.  Targets go in
     waves of as many as keep a round's largest complex array, ``targets *
     restarts * segments * n**2`` entries of 16 bytes, within ``ROUND_BYTES``
     (32 MiB): the default 20 samples run in one wave up to n = 25, and more

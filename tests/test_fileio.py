@@ -203,6 +203,15 @@ class TestParserMessages:
             load_state(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None, "2"])
+    @pytest.mark.parametrize("loader", [load_system, load_state])
+    def test_bad_n(self, tmp_path, loader, n):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"n": n, "A": [ROW, ROW], "B": [ROW, ROW], "c": [[1, 0], [0, 0]]}))
+        with pytest.raises(ValueError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}: field 'n' must be a positive integer, got {n!r}"
+
     def test_integer_entries_parse_as_floats(self, tmp_path):
         path = tmp_path / "controls.json"
         path.write_text(json.dumps({"segments": [{"duration": 2, "value": -0.0}, {"duration": 0.5, "value": 3}]}))
