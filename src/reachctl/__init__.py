@@ -16,7 +16,6 @@ from .matrices import (
     bracket,
     canonical_skew_eigensystem,
     frobenius_inner,
-    is_skew_hermitian,
     matrix_exp,
     skew_eigensystem,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "bracket",
     "canonical_skew_eigensystem",
     "frobenius_inner",
-    "is_skew_hermitian",
     "matrix_exp",
     "skew_eigensystem",
     "AlgebraClass",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    _check_count, _check_dimension, _check_positive, _check_real, canonical_skew_eigensystem, eigensystem_exp,
-    is_skew_hermitian, skew_eigensystems, square_matrix,
+    RANK_TOL, _check_count, _check_dimension, _check_positive, _check_real, _check_skew_hermitian,
+    canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems, square_matrix,
 )
 
 __all__ = [
@@ -97,8 +97,8 @@ class ControlSystem:
         B = square_matrix(self.B, "B")
         if A.shape != B.shape:
             raise ValueError(f"A and B must have equal shapes, got {A.shape} and {B.shape}")
-        is_skew_hermitian(A, "A")
-        is_skew_hermitian(B, "B")
+        _check_skew_hermitian(A, "A")
+        _check_skew_hermitian(B, "B")
         self.A = A
         self.B = B
 
@@ -124,7 +124,7 @@ class DriftSpectrum:
         if lam.ndim != 1 or lam.size != U.shape[0]:
             raise ValueError("lambdas must be a real n-vector matching U")
         off = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-        if off > 1e-10:
+        if off > RANK_TOL * 1:  # the scale is the largest entry of I
             raise ValueError(f"U is not unitary: max |U^dagger U - I| = {off:.3e}")
         self.lambdas = lam
         self.U = U
@@ -226,7 +226,7 @@ def diagonalize_drift(A) -> DriftSpectrum:
         If ``A`` is not skew-Hermitian.
     """
     M = square_matrix(A, "A")
-    is_skew_hermitian(M, "A")
+    _check_skew_hermitian(M, "A")
     omega, V = canonical_skew_eigensystem(M)
     return DriftSpectrum(lambdas=omega, U=V)
 
@@ -302,6 +302,15 @@ def _distinct_eigensystems(sys: ControlSystem, values: np.ndarray) -> tuple[np.n
     return (omega[inverse], V[inverse]) if repeats else (omega, V)
 
 
+def _check_flows(flows: np.ndarray, sched: ControlSchedule, lo: int) -> None:
+    """Name the first of ``sched``'s segments from ``lo`` on whose flow, a row of ``flows`` each, is not finite."""
+    overflowed = ~np.isfinite(flows.reshape(len(flows), -1)).all(axis=1)
+    if overflowed.any():
+        j = lo + int(np.argmax(overflowed))
+        raise ValueError(f"segment {j}: the flow over duration {float(sched.durations[j])!r} at control value "
+                         f"{float(sched.values[j])!r} overflows double precision")
+
+
 def propagate(
     sys: ControlSystem,
     s0: StateVector,
@@ -352,14 +361,8 @@ def propagate(
         part = slice(lo, lo + SEGMENT_BLOCK)
         omega, V = _distinct_eigensystems(sys, sched.values[part])
         coords, ends = _carry(omega, V, durations[part], states[lo * (k + 1)])
-        overflowed = ~np.isfinite(ends).all(axis=1)
-        if overflowed.any():
-            # ends carry the state, so the first non-finite one names the segment that overflowed
-            j = lo + int(np.argmax(overflowed))
-            raise ValueError(
-                f"segment {j}: the flow over duration {float(durations[j])!r} at control value "
-                f"{float(sched.values[j])!r} overflows double precision"
-            )
+        # ends carry the state, so the first non-finite one names the segment that overflowed
+        _check_flows(ends, sched, lo)
         inner = np.exp(1j * omega[:, None, :] * taus[part, :, None]) * coords[:, None, :]
         grid[part, :k] = np.matmul(V[:, None], inner[..., None])[..., 0]
         grid[part, k] = ends
@@ -372,13 +375,16 @@ def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray
     Later segments multiply on the left, and ``U(0) = I``.  Each factor
     ``V diag(exp(i omega dt)) V^dagger`` is unitary to rounding, so the
     product is too.  As in :func:`propagate`, each block of ``SEGMENT_BLOCK``
-    segments makes one eigendecomposition per distinct control value.
+    segments makes one eigendecomposition per distinct control value, and
+    raises its ValueError on the first segment whose flow overflows.
     """
     U = np.eye(sys.n, dtype=complex)
     for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
         part = slice(lo, lo + SEGMENT_BLOCK)
         omega, V = _distinct_eigensystems(sys, sched.values[part])
-        for F in eigensystem_exp(omega, V, sched.durations[part, None]):
+        factors = eigensystem_exp(omega, V, sched.durations[part, None])
+        _check_flows(factors, sched, lo)
+        for F in factors:
             U = F @ U
     return U
 

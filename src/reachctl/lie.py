@@ -9,12 +9,11 @@ controllability-relevant cases (all of u(n), su(n), or abelian).
 """
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import RANK_TOL, is_skew_hermitian, square_matrix
+from .matrices import RANK_TOL, _check_skew_hermitian, square_matrix
 
 __all__ = [
     "LieAlgebraBasis",
@@ -100,18 +99,18 @@ def closure(generators) -> LieAlgebraBasis:
     contains the generators and is invariant under ``ad_s`` for every seed
     ``s`` (Jacobi identity; Jurdjevic, *Geometric Control Theory*, 1997,
     ch. 3), so only brackets ``[seed_i, e_j]`` are needed, never those of two
-    non-seed elements.  A FIFO worklist holds one ``(seed, element)`` pair
-    for each admitted seed below each newly admitted element, so provenance
-    words are right-normed, ``[g_k,word]``.  A generator that lies in the
-    span of the earlier ones is rejected and is not a seed.  Each bracket is
+    non-seed elements.  Elements are taken in order of admission, and each
+    is bracketed with every seed admitted before it, so provenance words are
+    right-normed, ``[g_k,word]``.  A generator that lies in the span of the
+    earlier ones is rejected and is not a seed.  Each bracket is
     projected onto the orthogonal complement of the current span by classical
     Gram-Schmidt applied twice (two matrix-vector products per pass), and the
     normalized residual is appended whenever its norm exceeds ``RANK_TOL``
     times its scale: a generator's own norm, or 1 for a bracket of two unit
     basis elements (the product of their norms), so a zero candidate is never
-    admitted.  Generation stops when the worklist empties or the count
-    reaches n^2 (the dimension of u(n)), so termination is certain and at
-    most ``seeds x dim`` brackets are projected.  Only the
+    admitted.  Generation stops when every element has been bracketed or
+    the count reaches n^2 (the dimension of u(n)), so termination is
+    certain and at most ``seeds x dim`` brackets are projected.  Only the
     generators are validated; brackets of basis elements are formed directly
     on the stacked array as ``P - P^dagger`` with ``P = XY``, which is
     exactly skew-Hermitian in floating point.
@@ -138,16 +137,12 @@ def closure(generators) -> LieAlgebraBasis:
     for k, g in enumerate(gens):
         if g.shape != (n, n):
             raise ValueError(f"generator {k} has shape {g.shape}, expected {(n, n)}")
-        is_skew_hermitian(g, f"generator {k}")
+        _check_skew_hermitian(g, f"generator {k}")
 
     cap = n * n
     stack = np.empty((min(cap, len(gens)), n, n), dtype=complex)
     dim = 0
-    # Elements below ``seeds`` are the admitted generators; while they are
-    # being admitted every new element counts as a seed.
-    seeds = len(gens)
     words: list = []
-    queue: deque = deque()
 
     def admit(candidate: np.ndarray, word: str, scale: float) -> None:
         nonlocal stack, dim
@@ -163,7 +158,6 @@ def closure(generators) -> LieAlgebraBasis:
             stack = grown
         stack[dim] = (residual / norm).view(complex).reshape(n, n)
         words.append(word)
-        queue.extend((i, dim) for i in range(min(dim, seeds)))
         dim += 1
 
     for k, g in enumerate(gens):
@@ -171,15 +165,17 @@ def closure(generators) -> LieAlgebraBasis:
         w = _realify(g)
         g = np.ldexp(w, -np.frexp(np.max(np.abs(w)))[1]).view(complex).reshape(n, n)
         admit(g, f"g{k}", float(np.linalg.norm(g)))
-    seeds = dim
+    seeds = dim  # elements below ``seeds`` are the admitted generators
 
-    while queue and dim < cap:
-        i, j = queue.popleft()
-        # For skew-Hermitian X and Y, YX = (XY)^dagger: one product instead of
-        # two, and a bracket skew-Hermitian to the last bit, so the rounding of
-        # XY - YX no longer pushes an element past the SKEW_TOL check.
-        P = stack[i] @ stack[j]
-        admit(P - P.conj().T, f"[{words[i]},{words[j]}]", 1.0)
+    j = 0
+    while j < dim < cap:
+        for i in range(min(j, seeds)):
+            # For skew-Hermitian X and Y, YX = (XY)^dagger: one product instead of
+            # two, and a bracket skew-Hermitian to the last bit, so the rounding of
+            # XY - YX no longer pushes an element past the SKEW_TOL check.
+            P = stack[i] @ stack[j]
+            admit(P - P.conj().T, f"[{words[i]},{words[j]}]", 1.0)
+        j += 1
 
     return LieAlgebraBasis(n=n, elements=stack[:dim], provenance=words)
 

@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives for bilinear control analysis.
 
 Everything in this package reduces to a handful of operations on square
-complex matrices: testing skew-Hermiticity, commutators, the real Frobenius
+complex matrices: checking skew-Hermiticity, commutators, the real Frobenius
 pairing, and matrix exponentials.  They live here so that validation happens
 once and the numerically delicate choices are made in one place.
 
@@ -16,7 +16,6 @@ __all__ = [
     "RANK_TOL",
     "SKEW_TOL",
     "square_matrix",
-    "is_skew_hermitian",
     "bracket",
     "frobenius_inner",
     "matrix_exp",
@@ -39,7 +38,8 @@ SKEW_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-# The argument rules of every public entry: a count, a finite positive real, a finite real, a state's dimension.
+# The argument rules of every public entry: a count, a finite positive real, a finite real, a state's dimension, a
+# skew-Hermitian generator.
 def _check_count(value, name: str, least: int = 1) -> int:
     """``value`` as an ``int``: a Python or numpy integer, never a bool, of at least ``least`` (1 or 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -71,6 +71,16 @@ def _check_dimension(what: str, n: int, *dims: int) -> None:
             raise ValueError(f"{what} dimension {n} does not match state dimension {m}")
 
 
+def _check_skew_hermitian(M: np.ndarray, name: str) -> None:
+    """``M``, as :func:`square_matrix` returned it, has ``max |M + M^dagger| <= SKEW_TOL max |M|`` (zero passes, at
+    any scale); a failure names ``name``, the worst violation and its entry."""
+    deviation = np.abs(M + M.conj().T)
+    worst = float(np.max(deviation))
+    if worst > SKEW_TOL * float(np.max(np.abs(M))):
+        i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+        raise ValueError(f"{name} is not skew-Hermitian: max violation {worst:.3e} at entry ({i}, {j})")
+
+
 def square_matrix(X, name: str = "matrix") -> np.ndarray:
     """Coerce ``X`` to a validated square complex array.
 
@@ -85,25 +95,6 @@ def square_matrix(X, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ValueError(f"{name} has non-finite entries")
     return M
-
-
-def is_skew_hermitian(X, name: str | None = None) -> bool:
-    """Test whether ``X + X^dagger`` vanishes to within ``SKEW_TOL``.
-
-    The deviation is measured in the max-entry norm, relative to that of
-    ``X``, so the verdict does not change under rescaling (zero passes).
-    Given a ``name``, a failing ``X`` raises ValueError naming it, the worst
-    violation and its entry, instead of returning False.
-    """
-    M = square_matrix(X)
-    deviation = np.abs(M + M.conj().T)
-    worst = float(np.max(deviation))
-    if worst <= SKEW_TOL * float(np.max(np.abs(M))):
-        return True
-    if name is not None:
-        i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-        raise ValueError(f"{name} is not skew-Hermitian: max violation {worst:.3e} at entry ({i}, {j})")
-    return False
 
 
 def bracket(X, Y) -> np.ndarray:
@@ -195,11 +186,15 @@ def matrix_exp(X, t: float) -> np.ndarray:
     ------
     ValueError
         If ``X`` has non-finite entries, ``t`` is not a finite real number,
-        or ``t != 0`` and ``X`` is not skew-Hermitian.
+        ``t != 0`` and ``X`` is not skew-Hermitian, or the flow over ``t``
+        overflows double precision.
     """
     M = square_matrix(X)
     _check_real(t, "t")
     if t == 0.0:
         return np.eye(M.shape[0], dtype=complex)
-    is_skew_hermitian(M, "matrix_exp generator")
-    return eigensystem_exp(*skew_eigensystem(M), t)
+    _check_skew_hermitian(M, "matrix_exp generator")
+    U = eigensystem_exp(*skew_eigensystems(1j * M), t)
+    if not np.isfinite(U).all():
+        raise ValueError(f"the flow over t = {float(t)!r} overflows double precision")
+    return U

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from reachctl.matrices import SKEW_TOL
 from reachctl.steering import _ALPHA_MAX, _ALPHA_MIN, _ARMIJO, _MEMORY, SteeringConfig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -16,6 +17,12 @@ def random_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndar
     """A dense random skew-Hermitian matrix with entries of the given scale."""
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * 0.5 * (M - M.conj().T)
+
+
+def is_skew(X) -> bool:
+    """``X + X^dagger`` vanishes to within ``SKEW_TOL`` in the max-entry norm, relative to ``X``'s (zero passes)."""
+    M = np.asarray(X, dtype=complex)
+    return float(np.max(np.abs(M + M.conj().T))) <= SKEW_TOL * float(np.max(np.abs(M)))
 
 
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:

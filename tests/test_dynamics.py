@@ -545,6 +545,14 @@ class TestPropagateOperator:
             expected = matrix_exp(sys.A + val * sys.B, dur) @ expected
         assert np.array_equal(propagate_operator(sys, sched), expected)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_segment_is_named(self):
+        # propagate's diagnostic, not an all-NaN "unitary"
+        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
+        message = "segment 1: the flow over duration 1e+300 at control value 1.0 overflows double precision"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            propagate_operator(sys, ControlSchedule([0.5, 1e300], [0.0, 1.0]))
+
 
 class TestTrajectory:
     def test_times_must_start_at_zero(self):

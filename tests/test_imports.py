@@ -1,6 +1,6 @@
-"""Module-level imports and private names are all used, no count is checked inline, the optimizer uses no reduction
-that can round differently from its per-row form, the benchmark tracer's bindings all exist, and the CLI imports no
-optimizer."""
+"""Module-level imports and private names are all used, no count or skew-Hermiticity is checked inline, the optimizer
+uses no reduction that can round differently from its per-row form, the benchmark tracer's bindings all exist, and the
+CLI imports no optimizer."""
 
 import ast
 import importlib
@@ -106,6 +106,34 @@ def test_counts_use_the_shared_check(path):
 def test_finds_int_comparison():
     source = "def f(k):\n    if int(k) != k or int(k) < 1:\n        raise ValueError\n    return k == int(k)\n"
     assert int_comparisons(source) == [2, 4]
+
+
+def skew_deviations(source: str) -> list:
+    """``(top-level function, line)`` of each ``X + X.conj().T``, either way round: an inline skew-Hermiticity test."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                for x, y in ((node.left, node.right), (node.right, node.left)):
+                    if (isinstance(y, ast.Attribute) and y.attr == "T" and isinstance(y.value, ast.Call)
+                            and isinstance(y.value.func, ast.Attribute) and y.value.func.attr == "conj"
+                            and ast.dump(y.value.func.value) == ast.dump(x)):
+                        found.append((getattr(top, "name", None), node.lineno))
+                        break
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_skew_rule_uses_the_shared_check(path):
+    # The skew-Hermitian rule is written once, in matrices._check_skew_hermitian.
+    shared = {"_check_skew_hermitian"} if path.name == "matrices.py" else set()
+    assert [d for d in skew_deviations(path.read_text()) if d[0] not in shared] == []
+
+
+def test_finds_skew_deviation():
+    source = ("def _check_skew_hermitian(M, name):\n    d = M + M.conj().T\n"
+              "def f(X):\n    return np.abs(X.conj().T + X)\nY = A + B.conj().T\nP = P - P.conj().T\n")
+    assert skew_deviations(source) == [("_check_skew_hermitian", 2), ("f", 4)]
 
 
 def inexact_reductions(source: str) -> list:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import deque
 
@@ -17,7 +18,7 @@ from reachctl import (
     classify,
     closure,
     frobenius_inner,
-    is_skew_hermitian,
+    matrix_exp,
     member,
 )
 from reachctl.cli import run
@@ -25,7 +26,7 @@ from reachctl.fileio import save_schedule, save_state, save_system
 import reachctl.lie
 import reachctl.matrices
 
-from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_unitary, random_skew, real_antisymmetric
+from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_unitary, is_skew, random_skew, real_antisymmetric
 from oracles import bracket_flag_rank
 
 
@@ -149,7 +150,7 @@ class TestClosure:
     def test_idempotence(self, seed, n):
         rng = np.random.default_rng(seed)
         first = closure([random_skew(rng, n), random_skew(rng, n)])
-        assert all(is_skew_hermitian(e) for e in first.elements)
+        assert all(is_skew(e) for e in first.elements)
         second = closure(list(first.elements))
         assert second.dim == first.dim
         for e in second.elements:
@@ -226,6 +227,27 @@ class TestBoundaryValidation:
         gens = [real_antisymmetric(rng, 8), real_antisymmetric(rng, 8)]
         assert closure(gens).dim == 28
         assert len(calls) <= 2 * len(gens)
+
+    @pytest.mark.parametrize("entry, expected", [
+        (lambda A, B: ControlSystem(A, B), 2),
+        (lambda A, B: closure([A, B]), 2),
+        (lambda A, B: matrix_exp(A, 0.5), 1),
+    ], ids=["ControlSystem", "closure", "matrix_exp"])
+    def test_each_matrix_coerced_once(self, monkeypatch, entry, expected):
+        # The skew-Hermitian check takes the array square_matrix returned, so
+        # a public entry coerces each matrix argument once.
+        calls = []
+        original = reachctl.matrices.square_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "reachctl" and getattr(module, "square_matrix", None) is original:
+                monkeypatch.setattr(module, "square_matrix", counted)
+        entry(1j * SIGMA_Z, 1j * SIGMA_X)
+        assert len(calls) == expected
 
     def test_classify_validates_nothing(self, monkeypatch):
         # classify works on the stack closure built; no bracket re-validates

@@ -10,13 +10,12 @@ from reachctl import (
     bracket,
     canonical_skew_eigensystem,
     frobenius_inner,
-    is_skew_hermitian,
     matrix_exp,
     skew_eigensystem,
 )
-from reachctl.matrices import eigensystem_exp, skew_eigensystems
+from reachctl.matrices import _check_skew_hermitian, eigensystem_exp, skew_eigensystems
 
-from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_skew
+from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, is_skew, random_skew
 
 
 class TestTolerance:
@@ -25,30 +24,42 @@ class TestTolerance:
         assert SKEW_TOL == 1e-12
 
 
+def accepted(X) -> bool:
+    """Whether ``_check_skew_hermitian`` passes ``X``, asserting that the test predicate ``is_skew`` agrees."""
+    try:
+        _check_skew_hermitian(np.asarray(X, dtype=complex), "X")
+    except ValueError:
+        verdict = False
+    else:
+        verdict = True
+    assert is_skew(X) == verdict
+    return verdict
+
+
 class TestIsSkewHermitian:
     def test_i_sigma_x(self):
-        assert is_skew_hermitian(1j * SIGMA_X)
+        assert accepted(1j * SIGMA_X)
 
     def test_sigma_x_is_not(self):
-        assert not is_skew_hermitian(SIGMA_X)
+        assert not accepted(SIGMA_X)
 
     def test_zero_matrix(self):
-        assert is_skew_hermitian(np.zeros((3, 3)))
+        assert accepted(np.zeros((3, 3)))
 
     def test_named_failure_cites_entry(self):
         # SIGMA_Z + SIGMA_Z^dagger = 2 diag(1, -1): worst entry (0, 0)
         with pytest.raises(ValueError, match=r"X is not skew-Hermitian: max violation 2\.000e\+00 at entry \(0, 0\)"):
-            is_skew_hermitian(SIGMA_Z, name="X")
-        assert is_skew_hermitian(1j * SIGMA_X, name="X")
+            _check_skew_hermitian(SIGMA_Z, "X")
+        _check_skew_hermitian(1j * SIGMA_X, "X")  # passes silently
 
     def test_scale_invariance(self):
         # near-skew noise below the relative threshold passes at any scale
         X = 1e8 * 1j * SIGMA_Z + 1e-6
-        assert is_skew_hermitian(X)
-        assert not is_skew_hermitian(1j * SIGMA_Z + 1e-6 * np.ones((2, 2)))
+        assert accepted(X)
+        assert not accepted(1j * SIGMA_Z + 1e-6 * np.ones((2, 2)))
         # no absolute floor: a small Hermitian matrix fails as a large one does
-        assert not is_skew_hermitian(1e-13 * SIGMA_Z)
-        assert is_skew_hermitian(1e-13j * SIGMA_Z)
+        assert not accepted(1e-13 * SIGMA_Z)
+        assert accepted(1e-13j * SIGMA_Z)
 
 
 class TestBracket:
@@ -92,7 +103,7 @@ class TestBracket:
     def test_skewness_closed_under_bracket(self, seed, n):
         rng = np.random.default_rng(seed)
         X, Y = random_skew(rng, n), random_skew(rng, n)
-        assert is_skew_hermitian(bracket(X, Y))
+        assert is_skew(bracket(X, Y))
 
 
 class TestFrobeniusInner:
@@ -140,6 +151,12 @@ class TestMatrixExp:
     @pytest.mark.parametrize("t", [-2, np.int64(3), np.float64(-0.5)])
     def test_time_of_any_real_type_and_sign(self, t):
         assert np.allclose(matrix_exp(1j * SIGMA_X, t), np.cos(t) * EYE2 + 1j * np.sin(t) * SIGMA_X, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_flow_names_t(self):
+        # a ValueError naming t, not an all-NaN "unitary"
+        with pytest.raises(ValueError, match=r"^the flow over t = 1e\+300 overflows double precision$"):
+            matrix_exp(1e10j * SIGMA_Z + 1e10j * SIGMA_X, 1e300)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), t=st.floats(-100.0, 100.0))
     @settings(max_examples=40, deadline=None)
