@@ -403,7 +403,8 @@ def recurrence_scan(
     one the closest approach after departure, is sharpened by a vectorized
     bracket through the same distance kernel.  A state that never leaves the
     ball (a drift fixed point) reports ``dt``; None means no return before
-    ``t_max`` -- absence is a valid outcome, not an error.
+    ``t_max``, a valid outcome; a drift phase ``t_max max|lambda|`` past
+    double precision raises ValueError.
 
     The drift flow only rotates phases in its eigenbasis, so it moves at the
     constant speed ``v = sqrt(sum_k w_k lambda_k^2)`` and its distance ``D``
@@ -438,9 +439,12 @@ def recurrence_scan(
     v = math.hypot(*(np.sqrt(weights) * lam))  # hypot scales: no overflow or underflow
     if v == 0.0:
         return float(dt)
+    phase = t_max * float(np.max(np.abs(lam)))
+    if not math.isfinite(phase):  # every distance would be NaN: neither departed nor returned
+        raise ValueError(f"the drift phase over t_max = {float(t_max)!r} overflows double precision")
     # Twice the float64 error of one distance: rounding t * lam, the cosines and the sum put D^2
     # off by under eps (t_max max|lam| + 4n + 16), which reaches D as its square root near 0.
-    margin = 2.0 * math.sqrt(np.finfo(float).eps * (t_max * float(np.max(np.abs(lam))) + 4 * lam.size + 16))
+    margin = 2.0 * math.sqrt(np.finfo(float).eps * (phase + 4 * lam.size + 16))
     # The first stride moves the state by about RECURRENCE_REACH (a float division gives inf, not a
     # warning, if v dt underflows).
     stride = int(min(count, max(1.0, RECURRENCE_REACH / v / dt)))

@@ -90,10 +90,11 @@ def _orthogonal_residual(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def closure(generators) -> LieAlgebraBasis:
     """Orthonormal basis of the smallest real Lie algebra containing ``generators``.
 
-    The basis is held as one stacked complex array whose float64 view is a
-    ``dim x 2n^2`` real matrix with orthonormal rows (the interleaved real and
-    imaginary parts of each element), allocated as elements are admitted and
-    grown by doubling, so memory follows the algebra's dimension.  It is
+    The basis is one real matrix of up to n^2 rows by 2n^2 floats (at most
+    16n^4 bytes), a row per element holding its interleaved real and imaginary
+    parts, and its complex view is the ``(rows, n, n)`` stack the brackets
+    use.  Full, it doubles its rows in place by a realloc, so memory follows
+    the algebra's dimension and no growth copy is kept beside it.  It is
     seeded with the orthonormalized generators (the *seeds*) and grown
     breadth-first.  The generated algebra is the smallest subspace that
     contains the generators and is invariant under ``ad_s`` for every seed
@@ -140,31 +141,32 @@ def closure(generators) -> LieAlgebraBasis:
         _check_skew_hermitian(g, f"generator {k}")
 
     cap = n * n
-    stack = np.empty((min(cap, len(gens)), n, n), dtype=complex)
+    Q = np.empty((min(cap, len(gens)), 2 * cap))  # rows 0 .. dim-1 are the orthonormal basis
+    E = Q.view(complex).reshape(len(Q), n, n)
     dim = 0
     words: list = []
 
-    def admit(candidate: np.ndarray, word: str, scale: float) -> None:
-        nonlocal stack, dim
+    def admit(w: np.ndarray, scale: float) -> bool:
+        nonlocal E, dim
         if dim >= cap:
-            return
-        residual = _orthogonal_residual(_realify(candidate), _realify(stack[:dim]))
+            return False
+        residual = _orthogonal_residual(w, Q[:dim])
         norm = float(np.linalg.norm(residual))
         if norm <= RANK_TOL * scale:
-            return
-        if dim == len(stack):
-            grown = np.empty((min(cap, 2 * dim), n, n), dtype=complex)
-            grown[:dim] = stack
-            stack = grown
-        stack[dim] = (residual / norm).view(complex).reshape(n, n)
-        words.append(word)
+            return False
+        if dim == len(Q):
+            Q.resize((min(cap, 2 * dim), 2 * cap), refcheck=False)  # E, Q's only view, is rebuilt next
+            E = Q.view(complex).reshape(len(Q), n, n)
+        Q[dim] = residual / norm
         dim += 1
+        return True
 
     for k, g in enumerate(gens):
         # An exact power of two keeps g's norm and projection finite and nonzero at any scale.
         w = _realify(g)
-        g = np.ldexp(w, -np.frexp(np.max(np.abs(w)))[1]).view(complex).reshape(n, n)
-        admit(g, f"g{k}", float(np.linalg.norm(g)))
+        w = np.ldexp(w, -np.frexp(np.max(np.abs(w)))[1])
+        if admit(w, float(np.linalg.norm(w.view(complex)))):
+            words.append(f"g{k}")
     seeds = dim  # elements below ``seeds`` are the admitted generators
 
     j = 0
@@ -173,11 +175,12 @@ def closure(generators) -> LieAlgebraBasis:
             # For skew-Hermitian X and Y, YX = (XY)^dagger: one product instead of
             # two, and a bracket skew-Hermitian to the last bit, so the rounding of
             # XY - YX no longer pushes an element past the SKEW_TOL check.
-            P = stack[i] @ stack[j]
-            admit(P - P.conj().T, f"[{words[i]},{words[j]}]", 1.0)
+            P = E[i] @ E[j]
+            if admit(_realify(P - P.conj().T), 1.0):
+                words.append(f"[{words[i]},{words[j]}]")
         j += 1
 
-    return LieAlgebraBasis(n=n, elements=stack[:dim], provenance=words)
+    return LieAlgebraBasis(n=n, elements=E[:dim], provenance=words)
 
 
 def member(basis: LieAlgebraBasis, X) -> float:

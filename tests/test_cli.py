@@ -418,6 +418,20 @@ class TestRecurrence:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("dt", ["1e9", "1e8"])
+    def test_overflowing_drift_phase_exits_1(self, tmp_path, capsys, dt):
+        sys_path, state_path = tmp_path / "fast.json", tmp_path / "plus.json"
+        save_system(ControlSystem(np.diag([1e300j, -1e300j]), np.zeros((2, 2))), sys_path)
+        save_state(StateVector.normalized(np.array([1.0, 1.0], dtype=complex)), state_path)
+        out = tmp_path / "rec.json"
+        code = run(["recurrence", "--system", str(sys_path), "--state", str(state_path),
+                    "--tol", "0.1", "--tmax", "1e10", "--dt", dt, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("reachctl recurrence: error: the drift phase over "
+                                           "t_max = 10000000000.0 overflows double precision\n")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_su2_passes(self, su2_files, tmp_path):
         sys_path, state_path = su2_files

@@ -619,6 +619,15 @@ class TestRecurrenceScan:
         with pytest.raises(ValueError):
             recurrence_scan(torus_system, plus_state, tol=tol, t_max=t_max, dt=dt)
 
+    @pytest.mark.parametrize("dt", [1e9, 1e8])
+    def test_overflowing_drift_phase_raises(self, dt):
+        # t lambda overflows to inf and every distance is NaN, which compares as neither departed
+        # nor returned: unchecked, dt = 1e9 read as a fixed point and dt = 1e8 as a return at 1.797e8.
+        sys = ControlSystem(np.diag([1e300j, -1e300j]), np.zeros((2, 2)))
+        s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
+        with pytest.raises(ValueError, match=r"^the drift phase over t_max = 10000000000\.0 overflows double precision$"):
+            recurrence_scan(sys, s0, 0.1, 1e10, dt)
+
     @pytest.mark.parametrize("name", ["tol", "t_max", "dt"])
     @pytest.mark.parametrize("bad", ["5", None, True, pytest.param(10**400, id="10**400")])
     def test_real_parameter_diagnostic_names_it(self, torus_system, plus_state, name, bad):

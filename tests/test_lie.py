@@ -210,6 +210,23 @@ class TestClosure:
         assert peak < 16 * 2**20
 
 
+    def test_basis_is_one_buffer(self):
+        # A generic u(12) pair fills the n^2 cap, whose basis takes 16 n^4 bytes; growing it by a
+        # copy held beside the old rows peaked near twice that.
+        n = 12
+        rng = np.random.default_rng(12)
+        tracemalloc.start()
+        try:
+            basis = closure([random_skew(rng, n), random_skew(rng, n)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == n * n
+        assert peak <= 1.25 * 16 * n**4
+        E = basis.elements
+        assert E.dtype == complex and E.shape == (n * n, n, n) and E.flags.c_contiguous
+
+
 class TestBoundaryValidation:
     def test_generators_validated_once(self, monkeypatch):
         # Inputs are validated at the boundary, not once per inner product

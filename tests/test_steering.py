@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -432,34 +434,39 @@ class CountingKernels:
 
 
 def sequential_steer(sys, s0, target, cfg):
-    """``steer`` with its restarts run one after another to their own ends, each evaluation a single-row call.
+    """``steer`` with its restarts run one after another, each evaluation a single-row call.
 
     The reference for the lockstep race.  Restart r's k-th evaluation is in
     round k of the lockstep, so if any restart converged, the winner is the
     converged restart with the fewest evaluations (the race ends in its
-    round), then the least distance, then the lowest index.  Otherwise every
-    restart runs to its end and steer's rule picks the least distance, ties to
-    the lowest restart, a non-finite distance last.  Also returns each
-    restart's evaluation count and the race's length in rounds: the winner's
-    count if it converged, else the longest count.
+    round), then the least distance, then the lowest index.  A restart that
+    has used more evaluations than the fewest a converged restart needed can
+    no longer win, so it stops there.  Otherwise every restart runs to its
+    end and steer's rule picks the least distance, ties to the lowest
+    restart, a non-finite distance last.  Also returns each restart's
+    evaluation count (a stopped restart's is past the race's end, as its full
+    count is) and the race's length in rounds: the winner's count if it
+    converged, else the longest count.  ``TestBatchedGradient`` proves a
+    single-row ``_evaluate`` equal to ``distance`` and ``gradient`` bit for bit.
     """
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
-    results, evaluations = [], []
+    results, evaluations, fewest = [], [], math.inf
     for r in range(cfg.restarts):
         restart = optimize_restart(cfg, r)
-        trial, count = next(restart), 0
-        while True:
+        trial, count, result = next(restart), 0, None
+        while count <= fewest:
             count += 1
-            forward = forward_pass(sys, durations, trial, s0.c)
-            f = distance(StateVector(forward[3][-1]), target, cfg.phase_sensitive)
-            g = gradient(sys, ControlSchedule(durations, trial), s0, target, cfg.phase_sensitive)
+            f, g = steering._evaluate(sys, durations, trial[None], s0.c, target.c[None], cfg.phase_sensitive)
             try:
-                trial = restart.send((f, g))
+                trial = restart.send((float(f[0]), g[0]))
             except StopIteration as stop:
-                results.append(stop.value)
+                result = stop.value
                 break
+        results.append(result)
         evaluations.append(count)
-    converged = [r for r in range(cfg.restarts) if results[r][3] == "converged"]
+        if result is not None and result[3] == "converged":
+            fewest = min(fewest, count)
+    converged = [r for r in range(cfg.restarts) if results[r] is not None and results[r][3] == "converged"]
     if converged:
         best = min(converged, key=lambda r: (evaluations[r], results[r][1], r))
         length = evaluations[best]
