@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    RANK_TOL, _check_count, _check_dimension, _check_positive, _check_real, _check_skew_hermitian,
+    RANK_TOL, _check_count, _check_dimension, _check_positive, _check_real, _check_share, _check_skew_hermitian,
     canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems, square_matrix,
 )
 
@@ -178,7 +178,7 @@ class ControlSchedule:
         _check_positive(duration, "duration")
         _check_count(n_segments, "n_segments")
         return cls(
-            durations=np.full(n_segments, duration / n_segments),
+            durations=np.full(n_segments, _check_share(duration, n_segments, "duration", "n_segments")),
             values=np.full(n_segments, float(value)),
         )
 
@@ -404,7 +404,8 @@ def recurrence_scan(
     bracket through the same distance kernel.  A state that never leaves the
     ball (a drift fixed point) reports ``dt``; None means no return before
     ``t_max``, a valid outcome; a drift phase ``t_max max|lambda|`` past
-    double precision raises ValueError.
+    double precision raises ValueError: an infinite one, and one whose
+    rounding ``margin`` (below) spans the whole distance range [0, 2].
 
     The drift flow only rotates phases in its eigenbasis, so it moves at the
     constant speed ``v = sqrt(sum_k w_k lambda_k^2)`` and its distance ``D``
@@ -445,6 +446,9 @@ def recurrence_scan(
     # Twice the float64 error of one distance: rounding t * lam, the cosines and the sum put D^2
     # off by under eps (t_max max|lam| + 4n + 16), which reaches D as its square root near 0.
     margin = 2.0 * math.sqrt(np.finfo(float).eps * (phase + 4 * lam.size + 16))
+    if margin >= 2.0:  # every distance is rounding noise: no gap, departure or return can be certified
+        raise ValueError(f"the drift phase over t_max = {float(t_max)!r} is too large to resolve a distance "
+                         "in double precision")
     # The first stride moves the state by about RECURRENCE_REACH (a float division gives inf, not a
     # warning, if v dt underflows).
     stride = int(min(count, max(1.0, RECURRENCE_REACH / v / dt)))

@@ -10,6 +10,7 @@ and stable under a parse/re-render round trip.
 
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -202,25 +203,8 @@ def save_schedule(sched: ControlSchedule, path) -> None:
 
 
 def report_payload(report: ControllabilityReport) -> dict:
-    """ControllabilityReport as a JSON-ready dict."""
-    return {
-        "algebra_dim": int(report.algebra_dim),
-        "algebra_class": {
-            "dim": int(report.algebra_class.dim),
-            "traceless": bool(report.algebra_class.traceless),
-            "abelian": bool(report.algebra_class.abelian),
-            "label": report.algebra_class.label.value,
-        },
-        "orbit_dim": int(report.orbit_dim),
-        "sphere_dim": int(report.sphere_dim),
-        "verdict": report.verdict.value,
-        "conserved_moduli": (
-            None
-            if report.conserved_moduli is None
-            else [[int(i) for i in block] for block in report.conserved_moduli]
-        ),
-        "summary": report.summary,
-    }
+    """ControllabilityReport as a JSON-ready dict: its fields, whose str enums render as their values."""
+    return asdict(report)
 
 
 def trajectory_payload(traj: Trajectory, sys: ControlSystem, sched: ControlSchedule) -> dict:
@@ -248,14 +232,8 @@ def trajectory_payload(traj: Trajectory, sys: ControlSystem, sched: ControlSched
 
 
 def _certificate_fields(cert: ReachabilityCertificate) -> dict:
-    # A certificate's outcome, shared by its own payload and its verify row.
-    return {
-        "achieved_distance": float(cert.achieved_distance),
-        "converged": bool(cert.converged),
-        "iterations_used": int(cert.iterations_used),
-        "restart_index": int(cert.restart_index),
-        "stop_reason": cert.stop_reason,
-    }
+    # A certificate's outcome, every field but the schedule, shared by its own payload and its verify row.
+    return {f.name: getattr(cert, f.name) for f in fields(cert) if f.name != "schedule"}
 
 
 def certificate_payload(cert: ReachabilityCertificate) -> dict:

@@ -38,8 +38,8 @@ SKEW_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-# The argument rules of every public entry: a count, a finite positive real, a finite real, a state's dimension, a
-# skew-Hermitian generator.
+# The argument rules of every public entry: a count, a finite positive real, a finite real, a positive share of a
+# total over a count, a state's dimension, a skew-Hermitian generator.
 def _check_count(value, name: str, least: int = 1) -> int:
     """``value`` as an ``int``: a Python or numpy integer, never a bool, of at least ``least`` (1 or 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -62,6 +62,17 @@ def _check_real(value, name: str) -> None:
     """A real number, never a bool, of either sign and finite: an ``int`` too large for a float counts as infinite."""
     if not (_is_real(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _check_share(total, count: int, total_name: str, count_name: str) -> float:
+    """``total / count`` of an already checked positive ``total`` and count: a count too large for a float, or a
+    quotient that underflows to 0, raises a ValueError naming both."""
+    if count > _FLOAT_MAX:
+        raise ValueError(f"{total_name} / {count_name}: {count_name} is too large for a float")
+    share = total / count
+    if not share > 0:
+        raise ValueError(f"{total_name} / {count_name} underflows to 0: {total!r} / {count}")
+    return share
 
 
 def _check_dimension(what: str, n: int, *dims: int) -> None:

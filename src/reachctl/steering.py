@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
 from .lie import closure
-from .matrices import _check_count, _check_dimension, _check_positive
+from .matrices import _check_count, _check_dimension, _check_positive, _check_share
 from .orbit import sample_orbit
 
 __all__ = [
@@ -77,8 +77,7 @@ class SteeringConfig:
     def __post_init__(self):
         _check_count(self.segments, "segments")
         _check_positive(self.horizon, "horizon")
-        if not self.horizon / self.segments > 0:
-            raise ValueError(f"horizon / segments underflows to 0: {self.horizon!r} / {self.segments}")
+        _check_share(self.horizon, self.segments, "horizon", "segments")
         _check_count(self.restarts, "restarts")
         _check_count(self.max_iterations, "max_iterations")
         _check_positive(self.target_distance, "target_distance")

@@ -20,6 +20,9 @@ from helpers import SIGMA_X, SIGMA_Z
 # `reachctl analyze --system <case>.system.json --state <case>.state.json`, and
 # tests/golden/torus2.recurrence.<flags>.json that of `reachctl recurrence` on torus2 with the flags
 # of GOLDEN_RECURRENCE: demo 03's tolerances and horizon, and a tolerance too tight to return.
+# tests/golden/<case>.steer[.<flags>].json is the report of `reachctl steer` from <case>.state.json
+# to <case>.target.json with the flags and exit code of GOLDEN_STEER, and su2.verify.samples4.json
+# that of `reachctl verify --samples 4` on su2.
 GOLDEN = Path(__file__).parent / "golden"
 # torus8 is the benchmark's torus from the uniform state; triple_frame is the triple in a fixed
 # non-diagonal unitary frame, so its degenerate drift cluster carries a frame eigh picks.
@@ -27,6 +30,10 @@ GOLDEN_CASES = ["su2", "so4", "torus2", "torus8", "triple", "triple_frame", "zer
 GOLDEN_RECURRENCE = {
     **{f"tol{tol}": ["--tol", tol, "--tmax", "3000", "--dt", "1e-3"] for tol in ("0.3", "0.1", "0.05", "0.01")},
     "tol1e-6.tmax50": ["--tol", "1e-6", "--tmax", "50"],
+}
+GOLDEN_STEER = {
+    "su2.steer": ([], 0),  # converges
+    "torus2.steer.segments10.restarts2": (["--segments", "10", "--restarts", "2"], 2),  # line search exhausted
 }
 
 
@@ -325,6 +332,17 @@ class TestSteer:
         )
         assert not out.exists()
 
+    def test_huge_segment_count_exits_1(self, su2_files, tmp_path, capsys):
+        sys_path, from_path = su2_files
+        out = tmp_path / "cert.json"
+        code = run(["steer", "--system", sys_path, "--from", from_path, "--to", from_path,
+                    "--segments", "1" + "0" * 400, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl steer: error: horizon / segments: segments is too large for a float\n"
+        )
+        assert not out.exists()
+
     def test_negative_seed_names_seed(self, su2_files, capsys):
         sys_path, from_path = su2_files
         code = run(["steer", "--system", sys_path, "--from", from_path, "--to", from_path,
@@ -350,6 +368,17 @@ class TestSteer:
             "reachctl steer: error: out of memory (Unable to allocate 8.00 GiB for an array)\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", GOLDEN_STEER)
+    def test_report_matches_golden(self, name, tmp_path):
+        # Seeded restarts make a certificate repeat byte for byte, schedule and outcome alike.
+        flags, exit_code = GOLDEN_STEER[name]
+        stem = GOLDEN / name.split(".")[0]
+        out = tmp_path / "cert.json"
+        argv = ["steer", "--system", f"{stem}.system.json", "--from", f"{stem}.state.json",
+                "--to", f"{stem}.target.json", *flags, "--out", str(out)]
+        assert run(argv) == exit_code
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_projective_flag(self, su2_files, tmp_path):
         sys_path, from_path = su2_files
@@ -431,6 +460,18 @@ class TestRecurrence:
                                            "t_max = 10000000000.0 overflows double precision\n")
         assert not out.exists()
 
+    def test_unresolvable_drift_phase_exits_1(self, tmp_path, capsys):
+        sys_path, state_path = tmp_path / "fast.json", tmp_path / "plus.json"
+        save_system(ControlSystem(np.diag([1e13j, -1e13j]), np.zeros((2, 2))), sys_path)
+        save_state(StateVector.normalized(np.array([1.0, 1.0], dtype=complex)), state_path)
+        out = tmp_path / "rec.json"
+        code = run(["recurrence", "--system", str(sys_path), "--state", str(state_path),
+                    "--tol", "1e-9", "--tmax", "1e3", "--dt", "1e-3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("reachctl recurrence: error: the drift phase over t_max = 1000.0 "
+                                           "is too large to resolve a distance in double precision\n")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_su2_passes(self, su2_files, tmp_path):
@@ -443,6 +484,14 @@ class TestVerify:
         assert result["verdict"] == "PASS"
         assert result["n_converged"] == 4
         assert len(result["samples"]) == 4
+
+    def test_report_matches_golden(self, tmp_path):
+        out = tmp_path / "verify.json"
+        stem = GOLDEN / "su2"
+        argv = ["verify", "--system", f"{stem}.system.json", "--state", f"{stem}.state.json",
+                "--samples", "4", "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_bytes() == (GOLDEN / "su2.verify.samples4.json").read_bytes()
 
     def test_repeat_runs_byte_identical(self, su2_files, tmp_path):
         sys_path, state_path = su2_files

@@ -219,6 +219,15 @@ class TestControlSchedule:
         with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {re.escape(repr(bad))}$"):
             ControlSchedule.constant(value, duration, 2)
 
+    def test_constant_underflowing_duration_names_duration_and_n_segments(self):
+        with pytest.raises(ValueError, match=r"^duration / n_segments underflows to 0: 5e-324 / 2$"):
+            ControlSchedule.constant(1.0, 5e-324, 2)
+
+    @pytest.mark.parametrize("count", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_constant_count_too_large_for_a_float(self, count):
+        with pytest.raises(ValueError, match=r"^duration / n_segments: n_segments is too large for a float$"):
+            ControlSchedule.constant(1.0, 1.0, count)
+
     def test_constant_splits_equally(self):
         sched = ControlSchedule.constant(0.25, 2.0, n_segments=4)
         assert np.allclose(sched.durations, 0.5)
@@ -627,6 +636,27 @@ class TestRecurrenceScan:
         s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(ValueError, match=r"^the drift phase over t_max = 10000000000\.0 overflows double precision$"):
             recurrence_scan(sys, s0, 0.1, 1e10, dt)
+
+    @pytest.mark.parametrize("lam", [1e20, 1e13])
+    def test_unresolvable_drift_phase_raises(self, lam):
+        # t_max lambda = 1e23 or 1e16: the rounding margin of a distance spans all of [0, 2], so no
+        # gap can be certified; unchecked, 1e20 walked all 1e6 grid points and returned None.
+        sys = ControlSystem(np.diag([1j * lam, -1j * lam]), np.zeros((2, 2)))
+        s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
+        with pytest.raises(ValueError, match=r"^the drift phase over t_max = 1000\.0 is too large to resolve a "
+                                             r"distance in double precision$"):
+            recurrence_scan(sys, s0, 1e-9, 1e3, 1e-3)
+
+    @pytest.mark.parametrize("lam, refused", [(4e15, False), (5e15, True)])
+    def test_resolution_limit_is_a_margin_of_2(self, lam, refused):
+        # margin = 2 sqrt(eps (t_max lambda + 24)) reaches 2 at a phase of 1/eps - 24, about 4.5e15.
+        sys = ControlSystem(np.diag([1j * lam, -1j * lam]), np.zeros((2, 2)))
+        s0 = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
+        if refused:
+            with pytest.raises(ValueError, match="is too large to resolve a distance"):
+                recurrence_scan(sys, s0, 0.1, 1.0, 1e-3)
+        else:
+            recurrence_scan(sys, s0, 0.1, 1.0, 1e-3)
 
     @pytest.mark.parametrize("name", ["tol", "t_max", "dt"])
     @pytest.mark.parametrize("bad", ["5", None, True, pytest.param(10**400, id="10**400")])

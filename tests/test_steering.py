@@ -72,6 +72,15 @@ class TestSteeringConfig:
         with pytest.raises(ValueError, match=r"^horizon / segments underflows to 0: 5e-324 / 20$"):
             SteeringConfig(horizon=5e-324, segments=20)
 
+    @pytest.mark.parametrize("segments", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_count_too_large_for_a_float_names_horizon_and_segments(self, segments):
+        with pytest.raises(ValueError, match=r"^horizon / segments: segments is too large for a float$"):
+            SteeringConfig(segments=segments)
+
+    def test_count_within_float_range_is_accepted(self):
+        cfg = SteeringConfig(horizon=1e300, segments=10**300)
+        assert cfg.horizon / cfg.segments == 1.0
+
 
 class TestDistance:
     def test_identical_states(self, plus_state):
