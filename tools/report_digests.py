@@ -1,6 +1,6 @@
 """Print the exit code and the sha256 of the report of every benchmark job.
 
-Builds the inputs of each workload in ``bench/workloads.py`` for each seed,
+Builds the inputs of each workload in ``bench/workloads.py`` for seeds 1-5,
 runs every job through ``reachctl.cli.run`` with ``reachctl`` imported from
 this checkout's ``src``, and prints one tab-separated line per job: workload,
 seed, job name, exit code, and the sha256 of the report (``-`` when the job
@@ -11,7 +11,6 @@ byte-identical reports exactly when their outputs diff to nothing::
     diff before.txt after.txt
 """
 
-import argparse
 import hashlib
 import sys
 import tempfile
@@ -24,13 +23,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from reachctl.cli import run  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+SEEDS = (1, 2, 3, 4, 5)
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    args = parser.parse_args(argv)
+
+def main() -> int:
     for name, build in WORKLOADS.items():
-        for seed in args.seeds:
+        for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
                 work = Path(tmp)
                 out = work / "report.json"
