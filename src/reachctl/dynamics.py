@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    RANK_TOL, _check_count, _check_dimension, _check_positive, _check_real, _check_share, _check_skew_hermitian,
-    canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems, square_matrix,
+    RANK_TOL, _check_count, _check_dimension, _check_entries, _check_positive, _check_real, _check_share,
+    _check_skew_hermitian, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems, square_matrix,
 )
 
 __all__ = [
@@ -177,10 +177,9 @@ class ControlSchedule:
         _check_real(value, "value")
         _check_positive(duration, "duration")
         _check_count(n_segments, "n_segments")
-        return cls(
-            durations=np.full(n_segments, _check_share(duration, n_segments, "duration", "n_segments")),
-            values=np.full(n_segments, float(value)),
-        )
+        share = _check_share(duration, n_segments, "duration", "n_segments")
+        _check_entries("n_segments", n_segments, 2)
+        return cls(durations=np.full(n_segments, share), values=np.full(n_segments, float(value)))
 
 
 @dataclass
@@ -286,29 +285,31 @@ def _carry(omega: np.ndarray, V: np.ndarray, durations: np.ndarray, c: np.ndarra
     return coords, ends
 
 
-def _distinct_eigensystems(sys: ControlSystem, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`forward_pass`'s eigensystems of one schedule's ``values``, decomposing each distinct value once.
+def _segment_blocks(sys: ControlSystem, sched: ControlSchedule):
+    """``(part, omega, V)`` for each slice ``part`` of ``SEGMENT_BLOCK`` segments: the one walk over ``sched``'s blocks.
 
-    Values are compared by their float64 bits, so ``0.0`` and ``-0.0`` stay apart and every row
-    equals the one-per-segment decomposition bit for bit.  A dict of the bits numbers the
-    distinct values in order of appearance (``np.unique`` would sort, and its first call alone
-    adds about 0.4 MB of resident memory).
+    A block decomposes each distinct control value once, compared by its float64 bits (``0.0`` and
+    ``-0.0`` stay apart), so every row equals the one-per-segment decomposition bit for bit; a dict
+    numbers the values in order of appearance (``np.unique`` would sort, and its first call alone
+    adds about 0.4 MB of resident memory).  Its first segment whose phase ``omega dt`` is not finite
+    raises a ValueError naming it before the block is yielded: ``V`` is finite and unitary, or NaN
+    along with ``omega``, so whatever the block carries is finite exactly when its phases are.
     """
-    slot = {}
-    inverse = [slot.setdefault(bits, len(slot)) for bits in values.view(np.uint64).tolist()]
-    repeats = len(slot) < values.size  # if nothing repeats, skip the array of distinct values and the gather
-    distinct = np.array(list(slot), dtype=np.uint64).view(float) if repeats else values
-    omega, V = skew_eigensystems(1j * (sys.A + distinct[:, None, None] * sys.B))
-    return (omega[inverse], V[inverse]) if repeats else (omega, V)
-
-
-def _check_flows(flows: np.ndarray, sched: ControlSchedule, lo: int) -> None:
-    """Name the first of ``sched``'s segments from ``lo`` on whose flow, a row of ``flows`` each, is not finite."""
-    overflowed = ~np.isfinite(flows.reshape(len(flows), -1)).all(axis=1)
-    if overflowed.any():
-        j = lo + int(np.argmax(overflowed))
-        raise ValueError(f"segment {j}: the flow over duration {float(sched.durations[j])!r} at control value "
-                         f"{float(sched.values[j])!r} overflows double precision")
+    for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
+        part = slice(lo, lo + SEGMENT_BLOCK)
+        values, durations = sched.values[part], sched.durations[part]
+        slot = {}
+        inverse = [slot.setdefault(bits, len(slot)) for bits in values.view(np.uint64).tolist()]
+        repeats = len(slot) < values.size  # if nothing repeats, skip the array of distinct values and the gather
+        distinct = np.array(list(slot), dtype=np.uint64).view(float) if repeats else values
+        omega, V = skew_eigensystems(1j * (sys.A + distinct[:, None, None] * sys.B))
+        omega, V = (omega[inverse], V[inverse]) if repeats else (omega, V)
+        overflowed = ~np.isfinite(omega * durations[:, None]).all(axis=1)
+        if overflowed.any():
+            j = int(np.argmax(overflowed))
+            raise ValueError(f"segment {lo + j}: the flow over duration {float(durations[j])!r} at control value "
+                             f"{float(values[j])!r} overflows double precision")
+        yield part, omega, V
 
 
 def propagate(
@@ -333,14 +334,16 @@ def propagate(
     ------
     ValueError
         Naming both dimensions when they differ or ``samples_per_segment``
-        when it is not a positive integer; on a segment too short for its
+        when it is not a positive integer or asks for more than
+        ``matrices.MAX_ENTRIES`` states in all; on a segment too short for its
         sample times to advance past the one before; or on a
-        segment whose flow overflows double precision (checked once per
-        block, at the segment ends: an interior sample's phase is a fraction
-        of its segment's).
+        segment whose flow overflows double precision (decided from its
+        phases, before the block is carried: an interior sample's phase is a
+        fraction of its segment's).
     """
     k = _check_count(samples_per_segment, "samples_per_segment")
     _check_dimension("system", sys.n, s0.n)
+    _check_entries("samples_per_segment", sched.n_segments, k + 1, sys.n)
 
     durations = sched.durations
     t_end = np.cumsum(durations)
@@ -357,12 +360,8 @@ def propagate(
     states = np.empty((times.size, sys.n), dtype=complex)
     states[0] = s0.c
     grid = states[1:].reshape(sched.n_segments, k + 1, sys.n)
-    for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
-        part = slice(lo, lo + SEGMENT_BLOCK)
-        omega, V = _distinct_eigensystems(sys, sched.values[part])
-        coords, ends = _carry(omega, V, durations[part], states[lo * (k + 1)])
-        # ends carry the state, so the first non-finite one names the segment that overflowed
-        _check_flows(ends, sched, lo)
+    for part, omega, V in _segment_blocks(sys, sched):
+        coords, ends = _carry(omega, V, durations[part], states[part.start * (k + 1)])
         inner = np.exp(1j * omega[:, None, :] * taus[part, :, None]) * coords[:, None, :]
         grid[part, :k] = np.matmul(V[:, None], inner[..., None])[..., 0]
         grid[part, k] = ends
@@ -374,17 +373,14 @@ def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray
 
     Later segments multiply on the left, and ``U(0) = I``.  Each factor
     ``V diag(exp(i omega dt)) V^dagger`` is unitary to rounding, so the
-    product is too.  As in :func:`propagate`, each block of ``SEGMENT_BLOCK``
-    segments makes one eigendecomposition per distinct control value, and
-    raises its ValueError on the first segment whose flow overflows.
+    product is too.  It walks the blocks of :func:`propagate`: each block of
+    ``SEGMENT_BLOCK`` segments makes one eigendecomposition per distinct
+    control value, and the first segment whose flow overflows raises its
+    ValueError, decided from its phases, before the block is carried.
     """
     U = np.eye(sys.n, dtype=complex)
-    for lo in range(0, sched.n_segments, SEGMENT_BLOCK):
-        part = slice(lo, lo + SEGMENT_BLOCK)
-        omega, V = _distinct_eigensystems(sys, sched.values[part])
-        factors = eigensystem_exp(omega, V, sched.durations[part, None])
-        _check_flows(factors, sched, lo)
-        for F in factors:
+    for part, omega, V in _segment_blocks(sys, sched):
+        for F in eigensystem_exp(omega, V, sched.durations[part, None]):
             U = F @ U
     return U
 

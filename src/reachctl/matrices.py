@@ -10,6 +10,8 @@ eigendecomposition (``i X`` is Hermitian), which makes propagators unitary to
 machine rounding.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -37,14 +39,25 @@ SKEW_TOL = 1e-12
 # A Python float, so that it compares any int exactly.
 _FLOAT_MAX = float(np.finfo(float).max)
 
+# The most array entries the counts of one call may ask for, 4 GiB of complex numbers: hundreds of times what any
+# input of the benchmark, the demos or the acceptance criteria asks for, and refused before any work is done.
+MAX_ENTRIES = 2**28
 
-# The argument rules of every public entry: a count, a finite positive real, a finite real, a positive share of a
-# total over a count, a state's dimension, a skew-Hermitian generator.
+
+# The argument rules of every public entry: a count, the array entries counts ask for, a finite positive real, a
+# finite real, a positive share of a total over a count, a state's dimension, a skew-Hermitian generator.
 def _check_count(value, name: str, least: int = 1) -> int:
     """``value`` as an ``int``: a Python or numpy integer, never a bool, of at least ``least`` (1 or 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
     return int(value)
+
+
+def _check_entries(name: str, *counts) -> None:
+    """The array entries that the count ``name`` asks for, the exact product of already checked ``counts``, are at
+    most ``MAX_ENTRIES``."""
+    if math.prod(map(int, counts)) > MAX_ENTRIES:
+        raise ValueError(f"{name} is too large: it asks for more than {MAX_ENTRIES} array entries")
 
 
 def _is_real(value) -> bool:

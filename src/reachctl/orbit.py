@@ -20,7 +20,8 @@ import numpy as np
 from .dynamics import ControlSystem, StateVector
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
 from .matrices import (
-    RANK_TOL, _check_count, _check_dimension, canonical_skew_eigensystem, eigensystem_exp, skew_eigensystems,
+    RANK_TOL, _check_count, _check_dimension, _check_entries, canonical_skew_eigensystem, eigensystem_exp,
+    skew_eigensystems,
 )
 
 __all__ = [
@@ -134,6 +135,7 @@ def sample_orbit(
     word_length = _check_count(word_length, "word_length", 0)
     _check_count(seed, "seed", 0)
     _check_dimension("basis", basis.n, s0.n)
+    _check_entries("word_length", word_length, basis.n**2)
     rng = np.random.default_rng(seed)
     factors = []
     if basis.dim > 0:

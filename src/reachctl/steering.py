@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
 from .lie import closure
-from .matrices import _check_count, _check_dimension, _check_positive, _check_share
+from .matrices import _check_count, _check_dimension, _check_entries, _check_positive, _check_share
 from .orbit import sample_orbit
 
 __all__ = [
@@ -431,10 +431,13 @@ def steer(
     Raises
     ------
     ValueError
-        Naming both dimensions when a state's is not the system's.
+        Naming both dimensions when a state's is not the system's, or
+        ``restarts * segments`` when a round would hold more than
+        ``matrices.MAX_ENTRIES`` entries per array.
     """
     cfg = cfg or SteeringConfig()
     _check_dimension("system", sys.n, s0.n, target.n)
+    _check_entries("restarts * segments", cfg.restarts, cfg.segments, sys.n**2)
     return _steer_all(sys, s0, [target], cfg)[0]
 
 
@@ -468,12 +471,16 @@ def verify_reachability(
     ------
     ValueError
         Before the closure runs, naming a bad count (``samples``,
-        ``word_length``, ``seed``) or both dimensions when they differ.
+        ``word_length``, ``seed``), one that asks for more than
+        ``matrices.MAX_ENTRIES`` array entries, or both dimensions when they
+        differ.
     """
     _check_count(samples, "samples")
     _check_count(word_length, "word_length", 0)
     _check_count(seed, "seed", 0)
     _check_dimension("system", sys.n, s0.n)
+    _check_entries("samples", samples, sys.n)
+    _check_entries("word_length", word_length, sys.n**2)
     basis = closure([sys.A, sys.B])
     master = np.random.default_rng(seed)
     sample_seeds = [int(x) for x in master.integers(0, 2**63 - 1, size=samples)]

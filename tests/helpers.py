@@ -1,6 +1,8 @@
 """Shared constants and generators for the test suite, and the per-restart reference optimizer."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 
@@ -11,6 +13,21 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 EYE2 = np.eye(2, dtype=complex)
+
+
+@contextlib.contextmanager
+def time_budget(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a call that hangs fails its test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -13,8 +13,9 @@ import reachctl
 from reachctl import ControlSchedule, ControlSystem, StateVector, cli, steering
 from reachctl.cli import run
 from reachctl.fileio import save_schedule, save_state, save_system, state_payload, system_payload
+from reachctl.matrices import MAX_ENTRIES
 
-from helpers import SIGMA_X, SIGMA_Z
+from helpers import SIGMA_X, SIGMA_Z, time_budget
 
 # tests/golden/<case>.analyze.json is the report of
 # `reachctl analyze --system <case>.system.json --state <case>.state.json`, and
@@ -668,4 +669,26 @@ class TestLoaderFuzz:
         assert err.startswith(f"reachctl simulate: error: {paths[which]}: ")
         assert detail in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestBoundedCounts:
+    """A count that asks for more array entries than ``MAX_ENTRIES`` exits 1 before any work, naming it."""
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("steer", ["--restarts", str(HUGE)], "restarts * segments"),
+        ("verify", ["--word-length", str(HUGE)], "word_length"),
+        ("verify", ["--samples", str(HUGE)], "samples"),
+        ("simulate", ["--samples-per-segment", str(HUGE)], "samples_per_segment"),
+    ], ids=["steer-restarts", "verify-word-length", "verify-samples", "simulate-samples-per-segment"])
+    def test_huge_count_exits_1_naming_it(self, tmp_path, capsys, command, flags, name):
+        controls, out, state = tmp_path / "controls.json", tmp_path / "report.json", str(GOLDEN / "su2.state.json")
+        save_schedule(ControlSchedule.constant(0.5, 1.0, 4), controls)
+        inputs = {"steer": ["--from", state, "--to", str(GOLDEN / "su2.target.json")],
+                  "simulate": ["--state", state, "--controls", str(controls)],
+                  "verify": ["--state", state]}[command]
+        with time_budget(5):
+            assert run([command, "--system", str(GOLDEN / "su2.system.json"), *inputs, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"reachctl {command}: error: {name} is too large: it asks for more "
+                                           f"than {MAX_ENTRIES} array entries\n")
         assert not out.exists()

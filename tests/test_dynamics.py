@@ -23,10 +23,25 @@ from reachctl import (
 
 from reachctl import dynamics
 from reachctl.dynamics import SEGMENT_BLOCK, forward_pass
-from reachctl.matrices import skew_eigensystem
+from reachctl.matrices import MAX_ENTRIES, skew_eigensystem
 
 from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, random_skew, random_unit
 from oracles import dense_recurrence_time
+
+
+# Schedules whose segment j overflows on OVERFLOW_SYSTEM, and where: propagate and propagate_operator
+# walk the same blocks, so both name the same segment.
+OVERFLOW_SYSTEM = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
+OVERFLOWS = {
+    "duration": ([(1.0, 0.5), (1e300, 0.5)], 1),  # omega * duration overflows
+    "value": ([(1.0, 1e300), (1.0, 0.5)], 0),  # A + eps B overflows
+    "second-block": ([(1.0, 0.5)] * (SEGMENT_BLOCK + 6) + [(1e300, 0.5)], SEGMENT_BLOCK + 6),  # in a later block
+}
+
+
+def overflow_message(segments, j):
+    duration, value = segments[j]
+    return f"segment {j}: the flow over duration {duration!r} at control value {value!r} overflows double precision"
 
 
 def chunked_recurrence_scan(sys, s0, tol, t_max, dt):
@@ -227,6 +242,11 @@ class TestControlSchedule:
     def test_constant_count_too_large_for_a_float(self, count):
         with pytest.raises(ValueError, match=r"^duration / n_segments: n_segments is too large for a float$"):
             ControlSchedule.constant(1.0, 1.0, count)
+
+    def test_constant_count_past_the_entries_limit(self):
+        message = f"n_segments is too large: it asks for more than {MAX_ENTRIES} array entries"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ControlSchedule.constant(1.0, 1.0, MAX_ENTRIES // 2 + 1)
 
     def test_constant_splits_equally(self):
         sched = ControlSchedule.constant(0.25, 2.0, n_segments=4)
@@ -447,18 +467,11 @@ class TestPropagate:
         assert propagate(su2_system, basis_state, sched, samples_per_segment=1).times.size == 7
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("segments, j", [
-        ([(1.0, 0.5), (1e300, 0.5)], 1),  # omega * duration overflows
-        ([(1.0, 1e300), (1.0, 0.5)], 0),  # A + eps B overflows
-        ([(1.0, 0.5)] * (SEGMENT_BLOCK + 6) + [(1e300, 0.5)], SEGMENT_BLOCK + 6),  # in a later block
-    ], ids=["duration", "value", "second-block"])
+    @pytest.mark.parametrize("segments, j", OVERFLOWS.values(), ids=OVERFLOWS.keys())
     def test_overflowing_segment_is_named(self, basis_state, segments, j):
-        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
-        duration, value = segments[j]
-        message = f"segment {j}: the flow over duration {duration!r} at control value {value!r} overflows double precision"
         with pytest.raises(ValueError) as info:
-            propagate(sys, basis_state, ControlSchedule(*zip(*segments)), samples_per_segment=2)
-        assert str(info.value) == message
+            propagate(OVERFLOW_SYSTEM, basis_state, ControlSchedule(*zip(*segments)), samples_per_segment=2)
+        assert str(info.value) == overflow_message(segments, j)
 
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
@@ -555,12 +568,12 @@ class TestPropagateOperator:
         assert np.array_equal(propagate_operator(sys, sched), expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_segment_is_named(self):
+    @pytest.mark.parametrize("segments, j", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+    def test_overflowing_segment_is_named(self, segments, j):
         # propagate's diagnostic, not an all-NaN "unitary"
-        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
-        message = "segment 1: the flow over duration 1e+300 at control value 1.0 overflows double precision"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            propagate_operator(sys, ControlSchedule([0.5, 1e300], [0.0, 1.0]))
+        with pytest.raises(ValueError) as info:
+            propagate_operator(OVERFLOW_SYSTEM, ControlSchedule(*zip(*segments)))
+        assert str(info.value) == overflow_message(segments, j)
 
 
 class TestTrajectory:

@@ -13,7 +13,7 @@ from reachctl import (
     matrix_exp,
     skew_eigensystem,
 )
-from reachctl.matrices import _check_skew_hermitian, eigensystem_exp, skew_eigensystems
+from reachctl.matrices import MAX_ENTRIES, _check_entries, _check_skew_hermitian, eigensystem_exp, skew_eigensystems
 
 from helpers import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, is_skew, random_skew
 
@@ -34,6 +34,19 @@ def accepted(X) -> bool:
         verdict = True
     assert is_skew(X) == verdict
     return verdict
+
+
+class TestCheckEntries:
+    def test_the_limit_itself_passes(self):
+        _check_entries("samples", MAX_ENTRIES // 8, 8)
+        message = f"samples is too large: it asks for more than {MAX_ENTRIES} array entries"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_entries("samples", MAX_ENTRIES // 8 + 1, 8)
+
+    def test_numpy_counts_multiply_exactly(self):
+        # in int64 arithmetic 2**62 * 4 wraps to 0 and would pass
+        with pytest.raises(ValueError, match="^restarts is too large"):
+            _check_entries("restarts", np.int64(2**62), 4)
 
 
 class TestIsSkewHermitian:

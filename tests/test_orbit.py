@@ -20,9 +20,10 @@ from reachctl import (
     tangent_dimension,
 )
 from reachctl import orbit
+from reachctl.matrices import MAX_ENTRIES
 from reachctl.orbit import DURATION_SCALE
 
-from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric
+from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric, time_budget
 
 
 @pytest.fixture
@@ -100,6 +101,11 @@ class TestSampleOrbit:
         kwargs = {"word_length": 3, name: bad}
         with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {bad!r}$"):
             sample_orbit(su2_basis, basis_state, **kwargs)
+
+    def test_word_past_the_entries_limit_is_refused(self, su2_basis, basis_state):
+        # one 2 x 2 factor per letter: a word of MAX_ENTRIES // 4 letters is the longest
+        with time_budget(5), pytest.raises(ValueError, match="^word_length is too large: it asks for more than"):
+            sample_orbit(su2_basis, basis_state, MAX_ENTRIES // 4 + 1)
 
 
 @pytest.mark.parametrize("entry, what", [
