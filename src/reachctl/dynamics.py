@@ -335,8 +335,9 @@ def propagate(
     ValueError
         Naming both dimensions when they differ or ``samples_per_segment``
         when it is not a positive integer or asks for more than
-        ``matrices.MAX_ENTRIES`` states in all; on a segment too short for its
-        sample times to advance past the one before; or on a
+        ``matrices.MAX_ENTRIES`` states in all; on a segment whose sample
+        times overflow double precision, or one too short for its sample
+        times to advance past the one before; or on a
         segment whose flow overflows double precision (decided from its
         phases, before the block is carried: an interior sample's phase is a
         fraction of its segment's).
@@ -349,6 +350,13 @@ def propagate(
     t_end = np.cumsum(durations)
     t_start = np.concatenate(([0.0], t_end[:-1]))
     taus = durations[:, None] * np.arange(1, k + 1) / (k + 1)
+    overflowed = ~np.isfinite(taus[:, -1])  # a segment's last offset is its largest
+    if np.any(overflowed):
+        j = int(np.argmax(overflowed))
+        raise ValueError(
+            f"segment {j}: the sample times of duration {float(durations[j])!r} starting at "
+            f"t = {float(t_start[j])!r} overflow double precision"
+        )
     times = np.concatenate(([0.0], np.column_stack((t_start[:, None] + taus, t_end)).ravel()))
     stalled = np.diff(times) <= 0.0
     if np.any(stalled):

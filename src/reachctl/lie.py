@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import RANK_TOL, _check_skew_hermitian, square_matrix
+from .matrices import RANK_TOL, _check_entries, _check_skew_hermitian, square_matrix
 
 __all__ = [
     "LieAlgebraBasis",
@@ -94,7 +94,9 @@ def closure(generators) -> LieAlgebraBasis:
     16n^4 bytes), a row per element holding its interleaved real and imaginary
     parts, and its complex view is the ``(rows, n, n)`` stack the brackets
     use.  Full, it doubles its rows in place by a realloc, so memory follows
-    the algebra's dimension and no growth copy is kept beside it.  It is
+    the algebra's dimension and no growth copy is kept beside it; a doubling
+    past ``matrices.MAX_ENTRIES`` complex entries (rows x n^2) raises a
+    ValueError naming n instead of allocating.  It is
     seeded with the orthonormalized generators (the *seeds*) and grown
     breadth-first.  The generated algebra is the smallest subspace that
     contains the generators and is invariant under ``ad_s`` for every seed
@@ -128,8 +130,9 @@ def closure(generators) -> LieAlgebraBasis:
     Raises
     ------
     ValueError
-        If the list is empty, dimensions are mixed, or a generator fails the
-        skew-Hermiticity check (the offender is named by position).
+        If the list is empty, dimensions are mixed, a generator fails the
+        skew-Hermiticity check (the offender is named by position), or the
+        basis would outgrow ``matrices.MAX_ENTRIES``.
     """
     gens = [square_matrix(g, f"generator {k}") for k, g in enumerate(generators)]
     if not gens:
@@ -155,7 +158,9 @@ def closure(generators) -> LieAlgebraBasis:
         if norm <= RANK_TOL * scale:
             return False
         if dim == len(Q):
-            Q.resize((min(cap, 2 * dim), 2 * cap), refcheck=False)  # E, Q's only view, is rebuilt next
+            rows = min(cap, 2 * dim)
+            _check_entries(f"the closure of {n} x {n} generators", rows, cap)  # refused before it is allocated
+            Q.resize((rows, 2 * cap), refcheck=False)  # E, Q's only view, is rebuilt next
             E = Q.view(complex).reshape(len(Q), n, n)
         Q[dim] = residual / norm
         dim += 1

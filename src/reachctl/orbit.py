@@ -8,8 +8,9 @@ irrational winding on a torus), so everything here works infinitesimally or
 by construction: the orbit dimension is the rank of the algebra's action at
 the state, orbit points are produced as explicit products of one-parameter
 subgroup elements, and when the generated algebra is abelian -- the one
-commutation decision, which the report takes from its own closure -- one
-builder computes the conserved moduli that confine the orbit to a torus.
+commutation decision, which the report takes from the transition-graph
+certificate or else from its own closure -- one builder computes the
+conserved moduli that confine the orbit to a torus.
 """
 
 import enum
@@ -165,22 +166,74 @@ def _joint_frame(sys: ControlSystem) -> CommutingFrame:
     return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
 
 
+def _unitary_class(sys: ControlSystem) -> AlgebraClass | None:
+    """The generated algebra's class when the drift's transition graph certifies u(n) or su(n), else None.
+
+    In the drift eigenbasis ``A = U diag(i omega) U^dagger``, ``ad_A`` turns the (i, j) entry of
+    ``M = U^dagger B U`` at the transition gap ``omega_i - omega_j``.  When the gaps are nonzero and pairwise
+    distinct, polynomials in ``ad_A`` isolate each entry, so the algebra holds the (i, j) rotations of every
+    nonzero coupling ``M_ij``; when those couplings connect all n levels, their brackets span su(n), and the
+    algebra is u(n), or su(n) when both traces vanish (Turinici and Rabitz, Chem. Phys. 267, 1 (2001); Altafini,
+    J. Math. Phys. 43, 2051 (2002)).  Each test is ``value > RANK_TOL * scale`` on its own operands
+    (``max |omega|``, ``max |M|``, a generator's Frobenius norm), and every value must clear its threshold by
+    100x either way, where closure's rank decisions agree with it; a value inside that fragile band, n < 2, and
+    every failed test give None.  That leaves so(n) pairs (gaps in +- pairs), tori, direct sums and equally
+    spaced ladders to closure.  One ``eigh`` and two products: O(n^3).
+    """
+    n = sys.n
+    if n < 2:
+        return None
+    # Each generator's |trace| and Frobenius norm, taken without overflow.
+    traces = [(abs(np.trace(X)), float(np.hypot.reduce(np.abs(X).ravel()))) for X in (sys.A, sys.B)]
+    if any(RANK_TOL / 100 * norm < trace <= 100 * RANK_TOL * norm for trace, norm in traces):
+        return None
+    omega, U = skew_eigensystems(1j * sys.A)
+    gaps = np.sort((omega[:, None] - omega)[np.triu_indices(n, 1)])  # non-negative: omega descends
+    if not np.min(np.diff(gaps, prepend=0.0)) > 100 * RANK_TOL * np.max(np.abs(omega)):
+        return None  # a zero gap or two equal ones, or too close to tell
+    M = U.conj().T @ sys.B @ U
+    coupling = np.abs(M - M.conj().T)  # exactly symmetric, and so is the graph
+    edges = coupling > 100 * RANK_TOL * np.max(coupling)
+    reached = np.arange(n) == 0
+    while not reached.all():
+        grown = reached | edges[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return None  # some levels are not coupled to the rest, or only faintly
+        reached = grown
+    traceless = all(trace <= RANK_TOL / 100 * norm for trace, norm in traces)
+    return AlgebraClass(
+        dim=n * n - 1 if traceless else n * n,
+        traceless=traceless,
+        abelian=False,
+        label=AlgebraLabel.SPECIAL_UNITARY if traceless else AlgebraLabel.FULL_UNITARY,
+    )
+
+
+def _generated_algebra(sys: ControlSystem) -> tuple[AlgebraClass, LieAlgebraBasis | None]:
+    # The class of the algebra (A, B) generate: certified without a basis, or else classified from the one closure.
+    algebra_class = _unitary_class(sys)
+    if algebra_class is not None:
+        return algebra_class, None
+    basis = closure([sys.A, sys.B])
+    return classify(basis), basis
+
+
 def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     """Common eigenbasis of (A, B) when they commute, else None.
 
     The pair commutes when the algebra it generates is abelian, the decision
-    ``analyze`` reports, so a call on a non-commuting pair costs one closure;
-    the report decides it once, from its own closure, and reads its moduli
-    from the same frame builder.  Starts from the drift eigenbasis and, inside
-    each degenerate drift eigenspace, diagonalizes the control generator's
-    restriction, so the returned frame is a joint eigenbasis even when the
-    drift alone does not determine one; inside a cluster of several equal
-    drift frequencies the basis is ``eigh``'s.  Blocks group indices with
-    equal joint eigenvalue pairs.  Drift and control eigenvalues split at gaps
-    above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise where B
-    vanishes stays one block.
+    ``analyze`` reports, and it is taken the way the report takes it: a pair
+    the transition-graph certificate calls u(n) or su(n) is answered without
+    a closure, any other pair costs one.  Starts from the drift eigenbasis
+    and, inside each degenerate drift eigenspace, diagonalizes the control
+    generator's restriction, so the returned frame is a joint eigenbasis even
+    when the drift alone does not determine one; inside a cluster of several
+    equal drift frequencies the basis is ``eigh``'s.  Blocks group indices
+    with equal joint eigenvalue pairs.  Drift and control eigenvalues split at
+    gaps above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise
+    where B vanishes stays one block.
     """
-    return _joint_frame(sys) if classify(closure([sys.A, sys.B])).abelian else None
+    return _joint_frame(sys) if _generated_algebra(sys)[0].abelian else None
 
 
 def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
@@ -232,12 +285,19 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     abelian.  The verdict rests on the rank of the generated algebra's action
     alone; compactness or closedness of the generated group is never
     consulted and never needed.
+
+    A generic pair is certified u(n) or su(n) from the drift's transition
+    graph (one ``eigh`` of A, O(n^3)), and its report is built without a
+    closure: dimension n^2, or n^2 - 1 when both traces vanish, and an orbit
+    that fills the sphere.  Every other pair, and a certificate test too
+    close to its threshold to tell, makes one closure and one ``classify``.
+    The report is the same either way.
     """
     _check_dimension("system", sys.n, s0.n)
-    basis = closure([sys.A, sys.B])
-    algebra_class = classify(basis)
-    orbit_dim = tangent_dimension(basis, s0)
+    algebra_class, basis = _generated_algebra(sys)
     sphere_dim = 2 * sys.n - 1
+    # su(n) acts transitively on the sphere, so a certified algebra needs no rank.
+    orbit_dim = sphere_dim if basis is None else tangent_dimension(basis, s0)
 
     if algebra_class.label in (AlgebraLabel.FULL_UNITARY, AlgebraLabel.SPECIAL_UNITARY):
         verdict = Verdict.OPERATOR_CONTROLLABLE
@@ -248,7 +308,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     moduli = _joint_frame(sys).blocks if verdict is Verdict.RESTRICTED and algebra_class.abelian else None
 
     parts = [
-        f"generated algebra has dimension {basis.dim} ({algebra_class.label.value}) "
+        f"generated algebra has dimension {algebra_class.dim} ({algebra_class.label.value}) "
         f"inside u({sys.n}) of dimension {sys.n * sys.n}",
         f"orbit through the state has dimension {orbit_dim}; the sphere has dimension {sphere_dim}",
         f"verdict: {verdict.value}",
@@ -263,7 +323,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     summary = "; ".join(parts) + "."
 
     return ControllabilityReport(
-        algebra_dim=basis.dim,
+        algebra_dim=algebra_class.dim,
         algebra_class=algebra_class,
         orbit_dim=orbit_dim,
         sphere_dim=sphere_dim,

@@ -203,6 +203,20 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_sample_time_overflow_diagnostic(self, su2_files, tmp_path, capsys):
+        sys_path, state_path = su2_files
+        controls = tmp_path / "controls.json"
+        save_schedule(ControlSchedule.constant(0.0, 1e308), controls)
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--system", sys_path, "--state", state_path,
+                    "--controls", str(controls), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"reachctl simulate: error: {controls}: field 'segments': segment 0: the sample times of "
+            "duration 1e+308 starting at t = 0.0 overflow double precision\n"
+        )
+        assert not out.exists()
+
     def test_sample_count_diagnostic_names_no_file(self, su2_files, tmp_path, capsys):
         sys_path, state_path = su2_files
         controls = tmp_path / "controls.json"

@@ -473,6 +473,19 @@ class TestPropagate:
             propagate(OVERFLOW_SYSTEM, basis_state, ControlSchedule(*zip(*segments)), samples_per_segment=2)
         assert str(info.value) == overflow_message(segments, j)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sample_times_past_double_precision_are_named(self, su2_system, basis_state):
+        # The segment and its flow are finite, but its sample offsets 1e308 * m / 11 pass double precision
+        # from m = 2 on; they used to be refused as too short to advance.
+        sched = ControlSchedule.constant(0.0, 1e308)
+        with pytest.raises(ValueError) as info:
+            propagate(su2_system, basis_state, sched)
+        assert str(info.value) == (
+            "segment 0: the sample times of duration 1e+308 starting at t = 0.0 overflow double precision"
+        )
+        # One sample at 1e308 / 2 is finite, and so is the whole trajectory.
+        assert propagate(su2_system, basis_state, sched, samples_per_segment=1).times.tolist() == [0.0, 5e307, 1e308]
+
     def test_dimension_mismatch(self, su2_system):
         s0 = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="^system dimension 2 does not match state dimension 3$"):

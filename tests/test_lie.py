@@ -226,6 +226,29 @@ class TestClosure:
         E = basis.elements
         assert E.dtype == complex and E.shape == (n * n, n, n) and E.flags.c_contiguous
 
+    def test_growth_past_the_entries_limit_is_refused(self, monkeypatch):
+        # A generic u(4) basis doubles from 2 rows to 4, 8 and 16, each row n^2 = 16 complex entries.
+        rng = np.random.default_rng(4)
+        gens = [random_skew(rng, 4), random_skew(rng, 4)]
+        monkeypatch.setattr(reachctl.matrices, "MAX_ENTRIES", 8 * 16 - 1)
+        message = "^the closure of 4 x 4 generators is too large: it asks for more than 127 array entries$"
+        with pytest.raises(ValueError, match=message):
+            closure(gens)
+        monkeypatch.setattr(reachctl.matrices, "MAX_ENTRIES", 16 * 16)
+        assert closure(gens).dim == 16
+
+    def test_analyze_past_the_entries_limit_exits_1(self, monkeypatch, tmp_path, capsys):
+        # so(4) is no u(n), so analyze runs its closure: 2 rows, then 4, then 8 of 16 complex entries.
+        sys_path, state_path, out = tmp_path / "so4.json", tmp_path / "state.json", tmp_path / "report.json"
+        rng = np.random.default_rng(5)
+        save_system(ControlSystem(real_antisymmetric(rng, 4), real_antisymmetric(rng, 4)), sys_path)
+        save_state(StateVector.normalized(np.ones(4, dtype=complex)), state_path)
+        monkeypatch.setattr(reachctl.matrices, "MAX_ENTRIES", 64)
+        assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("reachctl analyze: error: the closure of 4 x 4 generators is too large: "
+                                           "it asks for more than 64 array entries\n")
+        assert not out.exists()
+
 
 class TestBoundaryValidation:
     def test_generators_validated_once(self, monkeypatch):

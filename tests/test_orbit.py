@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,10 @@ from reachctl import (
     tangent_dimension,
 )
 from reachctl import orbit
-from reachctl.matrices import MAX_ENTRIES
+from reachctl.lie import AlgebraClass, AlgebraLabel
+from reachctl.cli import run
+from reachctl.fileio import save_state, save_system
+from reachctl.matrices import MAX_ENTRIES, RANK_TOL
 from reachctl.orbit import DURATION_SCALE
 
 from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric, time_budget
@@ -174,6 +179,15 @@ class TestCommutingFrame:
         assert np.allclose(sorted(frame.lambdas_b), [-1.0, 1.0])
 
 
+    @pytest.mark.parametrize("kind, closures", [("su2", 0), ("u3", 0), ("so4", 1), ("torus2", 1)])
+    def test_closure_only_when_uncertified(self, kind, closures, monkeypatch):
+        # A pair the transition graph certifies as u(n) or su(n) does not commute: no closure is needed.
+        calls = _count_calls(monkeypatch, "closure")
+        sys = ControlSystem(*_fixed_pair(kind)[:2])
+        assert (commuting_frame(sys) is None) == (kind != "torus2")
+        assert calls == {"closure": closures}
+
+
 class TestModuli:
     def test_block_moduli_conserved_under_any_schedule(self, torus_system, plus_state):
         frame = commuting_frame(torus_system)
@@ -264,17 +278,13 @@ class TestRandomFrameOracle:
 class TestControllabilityReport:
     @pytest.mark.parametrize("kind", ["torus2", "triple_frame", "su2"])
     def test_one_closure_and_one_classify(self, kind, monkeypatch):
-        # The report decides commutation from its own closure; the moduli reuse that verdict.
-        calls = {"closure": 0, "classify": 0}
-        for name in calls:
-            def counted(*args, _name=name, _inner=getattr(orbit, name), **kwargs):
-                calls[_name] += 1
-                return _inner(*args, **kwargs)
-
-            monkeypatch.setattr(orbit, name, counted)
+        # The report decides commutation from its own closure, and the moduli reuse that verdict;
+        # su(2) is certified from the drift's transition graph and needs neither.
+        calls = _count_calls(monkeypatch, "closure", "classify")
         A, B, c = _fixed_pair(kind)
         rep = controllability_report(ControlSystem(A, B), StateVector(c))
-        assert calls == {"closure": 1, "classify": 1}
+        once = {"closure": 1, "classify": 1}
+        assert calls == {"torus2": once, "triple_frame": once, "su2": {"closure": 0, "classify": 0}}[kind]
         assert rep.conserved_moduli == {"torus2": [[0], [1]], "triple_frame": [[0], [1, 2]], "su2": None}[kind]
 
     def test_su2_is_operator_controllable(self, su2_system, basis_state):
@@ -348,6 +358,18 @@ class TestControllabilityReport:
             assert moduli_distance_bound(ControlSystem(*pair), plus_state, basis_state) == 0.0
 
 
+def _count_calls(monkeypatch, *names) -> dict:
+    """Patch the ``orbit`` module's ``names`` to tally their calls; returns the live tally."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(orbit, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(orbit, name, counted)
+    return calls
+
+
 def _random_pair(rng: np.random.Generator, kind: str, n: int) -> tuple:
     if kind == "generic":
         return random_skew(rng, n), random_skew(rng, n)
@@ -366,8 +388,9 @@ def _fixed_pair(kind: str) -> tuple:
     rng = np.random.default_rng(7)
     if kind == "su2":
         return 1j * SIGMA_Z, 1j * SIGMA_X, np.array([1.0, 0.0], dtype=complex)
-    if kind == "u3":
-        return random_skew(rng, 3), random_skew(rng, 3), random_unit(rng, 3)
+    if kind in ("u3", "u6"):
+        n = int(kind[1])
+        return random_skew(rng, n), random_skew(rng, n), random_unit(rng, n)
     if kind == "so4":
         return real_antisymmetric(rng, 4), real_antisymmetric(rng, 4), random_unit(rng, 4)
     if kind == "torus2":
@@ -379,6 +402,10 @@ def _fixed_pair(kind: str) -> tuple:
         W = haar_unitary(rng, 3)
         return W @ A @ W.conj().T, W @ B @ W.conj().T, W @ c
     return A, B, c
+
+
+# Down to 1e-300 and up to 1e300, where a squared entry under- or overflows.
+SCALES = [-300, -200, -160, *range(-12, 13, 3), 155, 200, 300]
 
 
 class TestMetamorphic:
@@ -439,9 +466,114 @@ class TestMetamorphic:
         assert shifted_sizes == sizes
         assert shifted_bound == pytest.approx(bound, rel=1e-9)
 
-    @pytest.mark.parametrize("kind", ["su2", "u3", "so4", "torus2", "triple"])
-    @pytest.mark.parametrize("log_s", [-300, -200, -160, *range(-12, 13, 3), 155, 200, 300])
+    @pytest.mark.parametrize("kind", ["su2", "u3", "u6", "so4", "torus2", "triple"])
+    @pytest.mark.parametrize("log_s", SCALES)
     def test_report_is_the_same_at_every_scale(self, kind, log_s):
-        # Down to 1e-300 and up to 1e300 too, where a squared entry under- or overflows.
         A, B, c = _fixed_pair(kind)
         assert _decisions(10.0**log_s * A, 10.0**log_s * B, c) == _decisions(A, B, c)
+
+
+def _by_closure(sys: ControlSystem, s0: StateVector, monkeypatch) -> orbit.ControllabilityReport:
+    """The report with the transition-graph certificate switched off, so that closure decides."""
+    with monkeypatch.context() as patch:
+        patch.setattr(orbit, "_unitary_class", lambda sys: None)
+        return controllability_report(sys, s0)
+
+
+def _traceless(X: np.ndarray) -> np.ndarray:
+    return X - np.trace(X) / len(X) * np.eye(len(X))
+
+
+def _ladder(n: int) -> tuple:
+    """Equally spaced drift levels coupled by a harmonic-oscillator position operator."""
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    return np.diag(1j * np.arange(float(n))), 1j * (a + a.T)
+
+
+def _direct_sum(rng: np.random.Generator) -> tuple:
+    """A generic u(2) and a generic u(3) pair side by side, in a random frame."""
+    W = haar_unitary(rng, 5)
+    blocks = [(random_skew(rng, m), random_skew(rng, m)) for m in (2, 3)]
+    A, B = (np.block([[X, np.zeros((2, 3))], [np.zeros((3, 2)), Y]]) for X, Y in zip(*blocks))
+    return W @ A @ W.conj().T, W @ B @ W.conj().T
+
+
+class TestUnitaryCertificate:
+    """u(n) or su(n) certified from the drift's transition graph, with closure deciding everything else."""
+
+    @pytest.mark.parametrize("traceless", [False, True], ids=["complex", "traceless"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_report_equals_closure(self, n, traceless, monkeypatch):
+        rng = np.random.default_rng([n, 29])
+        A, B = random_skew(rng, n), random_skew(rng, n)
+        if traceless:
+            A, B = _traceless(A), _traceless(B)
+        sys, s0 = ControlSystem(A, B), StateVector(random_unit(rng, n))
+        certified = orbit._unitary_class(sys)
+        assert certified is not None
+        assert certified.label is (AlgebraLabel.SPECIAL_UNITARY if traceless else AlgebraLabel.FULL_UNITARY)
+        assert controllability_report(sys, s0) == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["so3", "so4", "so7", "torus", "direct_sum", "ladder", "spin1"])
+    def test_never_certified(self, kind):
+        rng = np.random.default_rng(31)
+        if kind.startswith("so"):  # the gaps come in +- pairs
+            pair = _random_pair(rng, "so", int(kind[2:]))
+        elif kind == "torus":  # no coupling at all
+            pair = _random_pair(rng, "torus", 5)
+        elif kind == "direct_sum":  # no coupling between the blocks
+            pair = _direct_sum(rng)
+        elif kind == "ladder":  # equal gaps
+            pair = _ladder(5)
+        else:  # spin 1: levels 1, 0, -1 have equal gaps
+            jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
+            pair = np.diag([1j, 0, -1j]), 1j * jx
+        assert orbit._unitary_class(ControlSystem(*pair)) is None
+
+    @pytest.mark.parametrize("coupling, certified", [(1e-3, True), (10 * RANK_TOL, False), (0.0, False)])
+    def test_faint_coupling_falls_back(self, coupling, certified, monkeypatch):
+        # Gaps 1, 1.5 and 2.5; level 2 hangs on level 1 by one coupling, inside the fragile band at
+        # 10 RANK_TOL of the largest.
+        A = np.diag([0.0, 1j, 2.5j])
+        B = np.array([[0, 1, 0], [-1, 0, coupling], [0, -coupling, 0]], dtype=complex)
+        sys, s0 = ControlSystem(A, B), StateVector.normalized(np.ones(3, dtype=complex))
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 0 if certified else 1}
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("share, label", [
+        (1e-14, AlgebraLabel.SPECIAL_UNITARY),
+        (10 * RANK_TOL, None),
+        (1e-6, AlgebraLabel.FULL_UNITARY),
+    ], ids=["zero", "fragile", "nonzero"])
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_trace_in_the_fragile_band_falls_back(self, share, label, which, monkeypatch):
+        # A trace of ``share`` times its generator's norm: clearly zero, inside the band, clearly not.
+        rng = np.random.default_rng(33)
+        pair = {"A": _traceless(random_skew(rng, 4)), "B": _traceless(random_skew(rng, 4))}
+        M = pair[which]
+        pair[which] = M + 1j * share * np.linalg.norm(M) / 4 * np.eye(4)
+        sys, s0 = ControlSystem(pair["A"], pair["B"]), StateVector(random_unit(rng, 4))
+        certified = orbit._unitary_class(sys)
+        assert (certified and certified.label) == label
+        assert controllability_report(sys, s0) == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("log_s", SCALES)
+    def test_u6_is_certified_at_every_scale_in_any_frame(self, log_s):
+        A, B, _ = _fixed_pair("u6")
+        W = haar_unitary(np.random.default_rng(6), 6)
+        u6 = AlgebraClass(dim=36, traceless=False, abelian=False, label=AlgebraLabel.FULL_UNITARY)
+        for X, Y in ((A, B), (W @ A @ W.conj().T, W @ B @ W.conj().T)):
+            assert orbit._unitary_class(ControlSystem(10.0**log_s * X, 10.0**log_s * Y)) == u6
+
+    def test_generic_u64_analyze_is_fast(self, tmp_path):
+        # Closure would build a 4096-element basis here; the certificate takes one 64 x 64 eigh.
+        rng = np.random.default_rng(64)
+        sys_path, state_path, out = tmp_path / "u64.json", tmp_path / "state.json", tmp_path / "report.json"
+        save_system(ControlSystem(random_skew(rng, 64), random_skew(rng, 64)), sys_path)
+        save_state(StateVector(random_unit(rng, 64)), state_path)
+        with time_budget(2):
+            assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert (result["algebra_dim"], result["orbit_dim"], result["verdict"]) == (4096, 127, "OPERATOR_CONTROLLABLE")
