@@ -20,10 +20,7 @@ import numpy as np
 
 from .dynamics import ControlSystem, StateVector
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import (
-    RANK_TOL, _check_count, _check_dimension, _check_entries, canonical_skew_eigensystem, eigensystem_exp,
-    skew_eigensystems,
-)
+from .matrices import RANK_TOL, _check_count, _check_dimension, _check_entries, eigensystem_exp, skew_eigensystems
 
 __all__ = [
     "GroupWord",
@@ -147,16 +144,11 @@ def sample_orbit(
     return word.apply(s0), word
 
 
-def _joint_frame(sys: ControlSystem) -> CommutingFrame:
-    # The joint eigenbasis of a pair already known to commute: see commuting_frame.
-    norm_a, norm_b = (float(np.hypot.reduce(np.abs(M).ravel())) for M in (sys.A, sys.B))  # cannot overflow
-
-    lam_a, U = canonical_skew_eigensystem(sys.A)
-    lam_b = np.zeros(sys.n)
-
-    M = U.conj().T @ sys.B @ U
-    blocks = []
-    for idx in np.split(np.arange(sys.n), np.flatnonzero(np.abs(np.diff(lam_a)) > RANK_TOL * norm_a) + 1):
+def _joint_frame(frame: tuple) -> CommutingFrame:
+    # The joint eigenbasis of a pair already known to commute, from its drift frame: see commuting_frame.
+    lam_a, U, M, norm_a, norm_b = frame
+    U, lam_b, blocks = U.copy(), np.zeros(lam_a.size), []
+    for idx in np.split(np.arange(lam_a.size), np.flatnonzero(np.abs(np.diff(lam_a)) > RANK_TOL * norm_a) + 1):
         Mb = M[np.ix_(idx, idx)]
         omega_b, Vb = skew_eigensystems(1j * (0.5 * (Mb - Mb.conj().T)))  # strip commutator-sized noise
         U[:, idx] = U[:, idx] @ Vb
@@ -166,32 +158,30 @@ def _joint_frame(sys: ControlSystem) -> CommutingFrame:
     return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
 
 
-def _unitary_class(sys: ControlSystem) -> AlgebraClass | None:
+def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     """The generated algebra's class when the drift's transition graph certifies u(n) or su(n), else None.
 
-    In the drift eigenbasis ``A = U diag(i omega) U^dagger``, ``ad_A`` turns the (i, j) entry of
-    ``M = U^dagger B U`` at the transition gap ``omega_i - omega_j``.  When the gaps are nonzero and pairwise
-    distinct, polynomials in ``ad_A`` isolate each entry, so the algebra holds the (i, j) rotations of every
-    nonzero coupling ``M_ij``; when those couplings connect all n levels, their brackets span su(n), and the
-    algebra is u(n), or su(n) when both traces vanish (Turinici and Rabitz, Chem. Phys. 267, 1 (2001); Altafini,
-    J. Math. Phys. 43, 2051 (2002)).  Each test is ``value > RANK_TOL * scale`` on its own operands
-    (``max |omega|``, ``max |M|``, a generator's Frobenius norm), and every value must clear its threshold by
-    100x either way, where closure's rank decisions agree with it; a value inside that fragile band, n < 2, and
-    every failed test give None.  That leaves so(n) pairs (gaps in +- pairs), tori, direct sums and equally
-    spaced ladders to closure.  One ``eigh`` and two products: O(n^3).
+    ``frame`` is the drift frame of :func:`_generated_algebra`: ``A = U diag(i omega) U^dagger`` and
+    ``M = U^dagger B U``.  ``ad_A`` turns the (i, j) entry of ``M`` at the transition gap ``omega_i - omega_j``.
+    When the gaps are nonzero and pairwise distinct, polynomials in ``ad_A`` isolate each entry, so the algebra holds
+    the (i, j) rotations of every nonzero coupling ``M_ij``; when those couplings connect all n levels, their
+    brackets span su(n), and the algebra is u(n), or su(n) when both traces vanish (Turinici and Rabitz, Chem. Phys.
+    267, 1 (2001); Altafini, J. Math. Phys. 43, 2051 (2002)).  Each test is ``value > RANK_TOL * scale`` on its own
+    operands (``max |omega|``, ``max |M|``, a generator's Frobenius norm), and every value must clear its threshold
+    by 100x either way, where closure's rank decisions agree with it; a value inside that fragile band, n < 2, and
+    every failed test give None.  That leaves so(n) pairs (gaps in +- pairs), tori, direct sums and equally spaced
+    ladders to closure.  After the frame's ``eigh``, O(n^2 log n).
     """
-    n = sys.n
+    omega, _, M, *norms = frame
+    n = omega.size
     if n < 2:
         return None
-    # Each generator's |trace| and Frobenius norm, taken without overflow.
-    traces = [(abs(np.trace(X)), float(np.hypot.reduce(np.abs(X).ravel()))) for X in (sys.A, sys.B)]
+    traces = [(abs(np.trace(X)), norm) for X, norm in zip((sys.A, sys.B), norms)]
     if any(RANK_TOL / 100 * norm < trace <= 100 * RANK_TOL * norm for trace, norm in traces):
         return None
-    omega, U = skew_eigensystems(1j * sys.A)
     gaps = np.sort((omega[:, None] - omega)[np.triu_indices(n, 1)])  # non-negative: omega descends
     if not np.min(np.diff(gaps, prepend=0.0)) > 100 * RANK_TOL * np.max(np.abs(omega)):
         return None  # a zero gap or two equal ones, or too close to tell
-    M = U.conj().T @ sys.B @ U
     coupling = np.abs(M - M.conj().T)  # exactly symmetric, and so is the graph
     edges = coupling > 100 * RANK_TOL * np.max(coupling)
     reached = np.arange(n) == 0
@@ -209,31 +199,37 @@ def _unitary_class(sys: ControlSystem) -> AlgebraClass | None:
     )
 
 
-def _generated_algebra(sys: ControlSystem) -> tuple[AlgebraClass, LieAlgebraBasis | None]:
-    # The class of the algebra (A, B) generate: certified without a basis, or else classified from the one closure.
-    algebra_class = _unitary_class(sys)
+def _generated_algebra(sys: ControlSystem) -> tuple[tuple, AlgebraClass, LieAlgebraBasis | None]:
+    # The drift frame (omega, U, M = U^dagger B U, ||A||, ||B||) from the one eigh of A, with norms that cannot
+    # overflow, and the class of the algebra (A, B) generate: certified from the frame, or else from the one closure.
+    omega, U = skew_eigensystems(1j * sys.A)
+    frame = (omega, U, U.conj().T @ sys.B @ U, *(float(np.hypot.reduce(np.abs(X).ravel())) for X in (sys.A, sys.B)))
+    algebra_class = _unitary_class(sys, frame)
     if algebra_class is not None:
-        return algebra_class, None
+        return frame, algebra_class, None
     basis = closure([sys.A, sys.B])
-    return classify(basis), basis
+    return frame, classify(basis), basis
 
 
 def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     """Common eigenbasis of (A, B) when they commute, else None.
 
     The pair commutes when the algebra it generates is abelian, the decision
-    ``analyze`` reports, and it is taken the way the report takes it: a pair
-    the transition-graph certificate calls u(n) or su(n) is answered without
-    a closure, any other pair costs one.  Starts from the drift eigenbasis
-    and, inside each degenerate drift eigenspace, diagonalizes the control
-    generator's restriction, so the returned frame is a joint eigenbasis even
-    when the drift alone does not determine one; inside a cluster of several
-    equal drift frequencies the basis is ``eigh``'s.  Blocks group indices
-    with equal joint eigenvalue pairs.  Drift and control eigenvalues split at
-    gaps above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise
-    where B vanishes stays one block.
+    ``analyze`` reports, and it is taken the way the report takes it, from
+    the same one call: one ``eigh`` of A builds the drift frame, a pair the
+    transition-graph certificate calls u(n) or su(n) is answered without a
+    closure, and any other pair costs one.  The joint frame starts from that
+    drift eigenbasis and, inside each degenerate drift eigenspace,
+    diagonalizes the control generator's restriction, so the returned frame
+    is a joint eigenbasis even when the drift alone does not determine one;
+    inside a cluster of several equal drift frequencies the basis is
+    ``eigh``'s.  Blocks group indices with equal joint eigenvalue pairs, in
+    descending drift order.  Drift and control eigenvalues split at gaps
+    above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise where
+    B vanishes stays one block.
     """
-    return _joint_frame(sys) if _generated_algebra(sys)[0].abelian else None
+    frame, algebra_class, _ = _generated_algebra(sys)
+    return _joint_frame(frame) if algebra_class.abelian else None
 
 
 def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
@@ -286,15 +282,16 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     alone; compactness or closedness of the generated group is never
     consulted and never needed.
 
-    A generic pair is certified u(n) or su(n) from the drift's transition
-    graph (one ``eigh`` of A, O(n^3)), and its report is built without a
-    closure: dimension n^2, or n^2 - 1 when both traces vanish, and an orbit
-    that fills the sphere.  Every other pair, and a certificate test too
-    close to its threshold to tell, makes one closure and one ``classify``.
-    The report is the same either way.
+    One ``eigh`` of A builds the drift frame, which serves both the
+    certificate and the moduli.  A generic pair is certified u(n) or su(n)
+    from the frame's transition graph, O(n^3) in all, and its report is
+    built without a closure: dimension n^2, or n^2 - 1 when both traces
+    vanish, and an orbit that fills the sphere.  Every other pair, and a
+    certificate test too close to its threshold to tell, makes one closure
+    and one ``classify``.  The report is the same either way.
     """
     _check_dimension("system", sys.n, s0.n)
-    algebra_class, basis = _generated_algebra(sys)
+    frame, algebra_class, basis = _generated_algebra(sys)
     sphere_dim = 2 * sys.n - 1
     # su(n) acts transitively on the sphere, so a certified algebra needs no rank.
     orbit_dim = sphere_dim if basis is None else tangent_dimension(basis, s0)
@@ -305,7 +302,7 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
         verdict = Verdict.STATE_CONTROLLABLE
     else:
         verdict = Verdict.RESTRICTED
-    moduli = _joint_frame(sys).blocks if verdict is Verdict.RESTRICTED and algebra_class.abelian else None
+    moduli = _joint_frame(frame).blocks if verdict is Verdict.RESTRICTED and algebra_class.abelian else None
 
     parts = [
         f"generated algebra has dimension {algebra_class.dim} ({algebra_class.label.value}) "

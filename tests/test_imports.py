@@ -1,6 +1,6 @@
-"""Module-level imports and private names are all used, no count or skew-Hermiticity is checked inline, the optimizer
-uses no reduction that can round differently from its per-row form, the benchmark tracer's bindings all exist, and the
-CLI imports no optimizer."""
+"""Module-level imports and private names are all used, no count or skew-Hermiticity is checked inline, orbit.py
+eigendecomposes the drift once, the optimizer uses no reduction that can round differently from its per-row form, the
+benchmark tracer's bindings all exist, and the CLI imports no optimizer."""
 
 import ast
 import importlib
@@ -134,6 +134,38 @@ def test_finds_skew_deviation():
     source = ("def _check_skew_hermitian(M, name):\n    d = M + M.conj().T\n"
               "def f(X):\n    return np.abs(X.conj().T + X)\nY = A + B.conj().T\nP = P - P.conj().T\n")
     assert skew_deviations(source) == [("_check_skew_hermitian", 2), ("f", 4)]
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "skew_eigensystem", "skew_eigensystems",
+                "canonical_skew_eigensystem"}
+
+
+def drift_decompositions(source: str) -> list:
+    """``(top-level function, line)`` of each eigendecomposition whose arguments read a system's drift ``x.A``."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                operands = [*node.args, *(keyword.value for keyword in node.keywords)]
+                if name in EIGENSOLVERS and any(isinstance(x, ast.Attribute) and x.attr == "A"
+                                                and isinstance(x.value, ast.Name)
+                                                for arg in operands for x in ast.walk(arg)):
+                    found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_drift_frame_is_built_once():
+    # orbit.py eigendecomposes A in one place, the drift frame builder; the certificate and the joint frame read it.
+    source = (MODULES[0].parent / "orbit.py").read_text()
+    assert [name for name, _ in drift_decompositions(source)] == ["_generated_algebra"]
+
+
+def test_finds_drift_decomposition():
+    source = ("def _generated_algebra(sys):\n    omega, U = skew_eigensystems(1j * sys.A)\n"
+              "def f(sys, X):\n    w = np.linalg.eigh(1j * (sys.A + sys.B))\n    v = skew_eigensystems(1j * X)\n"
+              "    return canonical_skew_eigensystem(X=system.A), np.linalg.svd(sys.A)\n")
+    assert drift_decompositions(source) == [("_generated_algebra", 2), ("f", 4), ("f", 6)]
 
 
 def inexact_reductions(source: str) -> list:

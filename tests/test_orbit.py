@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from reachctl import (
 from reachctl import orbit
 from reachctl.lie import AlgebraClass, AlgebraLabel
 from reachctl.cli import run
-from reachctl.fileio import save_state, save_system
+from reachctl.fileio import load_state, load_system, save_state, save_system
 from reachctl.matrices import MAX_ENTRIES, RANK_TOL
 from reachctl.orbit import DURATION_SCALE
 
@@ -287,6 +288,22 @@ class TestControllabilityReport:
         assert calls == {"torus2": once, "triple_frame": once, "su2": {"closure": 0, "classify": 0}}[kind]
         assert rep.conserved_moduli == {"torus2": [[0], [1]], "triple_frame": [[0], [1, 2]], "su2": None}[kind]
 
+    @pytest.mark.parametrize("case", ["torus2", "torus8", "triple_frame"])
+    def test_one_eigh_of_the_drift(self, case, monkeypatch):
+        # The certificate that fails and the moduli read the same drift frame: one n x n eigh in all, where the
+        # joint frame used to decompose A again; its cluster blocks are smaller.
+        golden = Path(__file__).parent / "golden"
+        sys, s0 = load_system(golden / f"{case}.system.json"), load_state(golden / f"{case}.state.json")
+        shapes, eigh = [], np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        assert controllability_report(sys, s0).conserved_moduli is not None
+        assert sum(int(np.prod(shape[:-2])) for shape in shapes if shape[-2:] == (sys.n, sys.n)) == 1
+
     def test_su2_is_operator_controllable(self, su2_system, basis_state):
         rep = controllability_report(su2_system, basis_state)
         assert rep.algebra_dim == 3
@@ -476,8 +493,13 @@ class TestMetamorphic:
 def _by_closure(sys: ControlSystem, s0: StateVector, monkeypatch) -> orbit.ControllabilityReport:
     """The report with the transition-graph certificate switched off, so that closure decides."""
     with monkeypatch.context() as patch:
-        patch.setattr(orbit, "_unitary_class", lambda sys: None)
+        patch.setattr(orbit, "_unitary_class", lambda sys, frame: None)
         return controllability_report(sys, s0)
+
+
+def _frame(sys: ControlSystem) -> tuple:
+    """The drift frame that the report builds for ``sys``, as the certificate reads it."""
+    return orbit._generated_algebra(sys)[0]
 
 
 def _traceless(X: np.ndarray) -> np.ndarray:
@@ -509,7 +531,7 @@ class TestUnitaryCertificate:
         if traceless:
             A, B = _traceless(A), _traceless(B)
         sys, s0 = ControlSystem(A, B), StateVector(random_unit(rng, n))
-        certified = orbit._unitary_class(sys)
+        certified = orbit._unitary_class(sys, _frame(sys))
         assert certified is not None
         assert certified.label is (AlgebraLabel.SPECIAL_UNITARY if traceless else AlgebraLabel.FULL_UNITARY)
         assert controllability_report(sys, s0) == _by_closure(sys, s0, monkeypatch)
@@ -528,7 +550,8 @@ class TestUnitaryCertificate:
         else:  # spin 1: levels 1, 0, -1 have equal gaps
             jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
             pair = np.diag([1j, 0, -1j]), 1j * jx
-        assert orbit._unitary_class(ControlSystem(*pair)) is None
+        sys = ControlSystem(*pair)
+        assert orbit._unitary_class(sys, _frame(sys)) is None
 
     @pytest.mark.parametrize("coupling, certified", [(1e-3, True), (10 * RANK_TOL, False), (0.0, False)])
     def test_faint_coupling_falls_back(self, coupling, certified, monkeypatch):
@@ -555,7 +578,7 @@ class TestUnitaryCertificate:
         M = pair[which]
         pair[which] = M + 1j * share * np.linalg.norm(M) / 4 * np.eye(4)
         sys, s0 = ControlSystem(pair["A"], pair["B"]), StateVector(random_unit(rng, 4))
-        certified = orbit._unitary_class(sys)
+        certified = orbit._unitary_class(sys, _frame(sys))
         assert (certified and certified.label) == label
         assert controllability_report(sys, s0) == _by_closure(sys, s0, monkeypatch)
 
@@ -565,7 +588,8 @@ class TestUnitaryCertificate:
         W = haar_unitary(np.random.default_rng(6), 6)
         u6 = AlgebraClass(dim=36, traceless=False, abelian=False, label=AlgebraLabel.FULL_UNITARY)
         for X, Y in ((A, B), (W @ A @ W.conj().T, W @ B @ W.conj().T)):
-            assert orbit._unitary_class(ControlSystem(10.0**log_s * X, 10.0**log_s * Y)) == u6
+            sys = ControlSystem(10.0**log_s * X, 10.0**log_s * Y)
+            assert orbit._unitary_class(sys, _frame(sys)) == u6
 
     def test_generic_u64_analyze_is_fast(self, tmp_path):
         # Closure would build a 4096-element basis here; the certificate takes one 64 x 64 eigh.
