@@ -153,7 +153,9 @@ class ControlSchedule:
         if not np.all(np.isfinite(v)):
             k = int(np.argmax(~np.isfinite(v)))
             raise ValueError(f"segment {k}: control value is not finite")
-        if d.size and not np.isfinite(d.sum()):
+        with np.errstate(over="ignore"):  # the ValueError below is the one diagnostic
+            total = d.sum()
+        if d.size and not np.isfinite(total):
             raise ValueError("total duration is not finite")
         self.durations = d
         self.values = v
@@ -302,9 +304,10 @@ def _segment_blocks(sys: ControlSystem, sched: ControlSchedule):
         inverse = [slot.setdefault(bits, len(slot)) for bits in values.view(np.uint64).tolist()]
         repeats = len(slot) < values.size  # if nothing repeats, skip the array of distinct values and the gather
         distinct = np.array(list(slot), dtype=np.uint64).view(float) if repeats else values
-        omega, V = skew_eigensystems(1j * (sys.A + distinct[:, None, None] * sys.B))
-        omega, V = (omega[inverse], V[inverse]) if repeats else (omega, V)
-        overflowed = ~np.isfinite(omega * durations[:, None]).all(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # the ValueError below is the one diagnostic
+            omega, V = skew_eigensystems(1j * (sys.A + distinct[:, None, None] * sys.B))
+            omega, V = (omega[inverse], V[inverse]) if repeats else (omega, V)
+            overflowed = ~np.isfinite(omega * durations[:, None]).all(axis=1)
         if overflowed.any():
             j = int(np.argmax(overflowed))
             raise ValueError(f"segment {lo + j}: the flow over duration {float(durations[j])!r} at control value "
@@ -349,7 +352,8 @@ def propagate(
     durations = sched.durations
     t_end = np.cumsum(durations)
     t_start = np.concatenate(([0.0], t_end[:-1]))
-    taus = durations[:, None] * np.arange(1, k + 1) / (k + 1)
+    with np.errstate(over="ignore"):  # the ValueError below is the one diagnostic
+        taus = durations[:, None] * np.arange(1, k + 1) / (k + 1)
     overflowed = ~np.isfinite(taus[:, -1])  # a segment's last offset is its largest
     if np.any(overflowed):
         j = int(np.argmax(overflowed))

@@ -218,7 +218,8 @@ def matrix_exp(X, t: float) -> np.ndarray:
     if t == 0.0:
         return np.eye(M.shape[0], dtype=complex)
     _check_skew_hermitian(M, "matrix_exp generator")
-    U = eigensystem_exp(*skew_eigensystems(1j * M), t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the ValueError below is the one diagnostic
+        U = eigensystem_exp(*skew_eigensystems(1j * M), t)
     if not np.isfinite(U).all():
         raise ValueError(f"the flow over t = {float(t)!r} overflows double precision")
     return U

@@ -163,14 +163,16 @@ def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
 
     ``frame`` is the drift frame of :func:`_generated_algebra`: ``A = U diag(i omega) U^dagger`` and
     ``M = U^dagger B U``.  ``ad_A`` turns the (i, j) entry of ``M`` at the transition gap ``omega_i - omega_j``.
-    When the gaps are nonzero and pairwise distinct, polynomials in ``ad_A`` isolate each entry, so the algebra holds
-    the (i, j) rotations of every nonzero coupling ``M_ij``; when those couplings connect all n levels, their
-    brackets span su(n), and the algebra is u(n), or su(n) when both traces vanish (Turinici and Rabitz, Chem. Phys.
-    267, 1 (2001); Altafini, J. Math. Phys. 43, 2051 (2002)).  Each test is ``value > RANK_TOL * scale`` on its own
-    operands (``max |omega|``, ``max |M|``, a generator's Frobenius norm), and every value must clear its threshold
-    by 100x either way, where closure's rank decisions agree with it; a value inside that fragile band, n < 2, and
-    every failed test give None.  That leaves so(n) pairs (gaps in +- pairs), tori, direct sums and equally spaced
-    ladders to closure.  After the frame's ``eigh``, O(n^2 log n).
+    An edge (i, j) is usable when its gap is nonzero and differs from every other gap, so that polynomials in
+    ``ad_A`` isolate its entry, and its coupling ``M_ij`` is nonzero: the algebra then holds the (i, j) rotations.
+    When the usable edges connect all n levels, their brackets span su(n), and the algebra is u(n), or su(n) when
+    both traces vanish (Turinici and Rabitz, Chem. Phys. 267, 1 (2001); Altafini, J. Math. Phys. 43, 2051 (2002)).
+    Each test is ``value > RANK_TOL * scale`` on its own operands (``max |omega|``, ``max |M|``, a generator's
+    Frobenius norm), and every value the certificate relies on must clear its threshold by 100x, where closure's
+    rank decisions agree with it: a trace inside that fragile band gives None, and a gap spacing or a coupling
+    inside it drops only its own edge.  n < 2 and levels the usable edges leave apart give None too.  That leaves
+    so(n) pairs (gaps in +- pairs), tori, direct sums and equally spaced ladders to closure.  After the frame's
+    ``eigh``, O(n^2 log n).
     """
     omega, _, M, *norms = frame
     n = omega.size
@@ -179,16 +181,19 @@ def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     traces = [(abs(np.trace(X)), norm) for X, norm in zip((sys.A, sys.B), norms)]
     if any(RANK_TOL / 100 * norm < trace <= 100 * RANK_TOL * norm for trace, norm in traces):
         return None
-    gaps = np.sort((omega[:, None] - omega)[np.triu_indices(n, 1)])  # non-negative: omega descends
-    if not np.min(np.diff(gaps, prepend=0.0)) > 100 * RANK_TOL * np.max(np.abs(omega)):
-        return None  # a zero gap or two equal ones, or too close to tell
+    i, j = np.triu_indices(n, 1)
+    order = np.argsort(omega[i] - omega[j])  # the gaps, non-negative: omega descends
+    i, j = i[order], j[order]
+    spacing = np.diff(omega[i] - omega[j], prepend=0.0)  # each sorted gap's distance to the one below, or to zero
+    usable = np.zeros((n, n), dtype=bool)
+    usable[i, j] = np.minimum(spacing, np.append(spacing[1:], np.inf)) > 100 * RANK_TOL * np.max(np.abs(omega))
     coupling = np.abs(M - M.conj().T)  # exactly symmetric, and so is the graph
-    edges = coupling > 100 * RANK_TOL * np.max(coupling)
+    edges = (usable | usable.T) & (coupling > 100 * RANK_TOL * np.max(coupling))
     reached = np.arange(n) == 0
     while not reached.all():
         grown = reached | edges[reached].any(axis=0)
         if np.array_equal(grown, reached):
-            return None  # some levels are not coupled to the rest, or only faintly
+            return None  # some levels are not coupled to the rest, or only faintly or at colliding gaps
         reached = grown
     traceless = all(trace <= RANK_TOL / 100 * norm for trace, norm in traces)
     return AlgebraClass(

@@ -166,6 +166,30 @@ def repeating_schedule(kind: str, rng, m: int) -> ControlSchedule:
 REPEATING = ["drift", "constant", "bang-bang", "signed-zeros"]
 
 
+# Library calls that overflow double precision, each refused with a ValueError: a total duration, a segment's sample
+# times, a segment's flow from its duration or its control value, and matrix_exp's flow.
+OVERFLOW_CALLS = {
+    "total-duration": lambda: ControlSchedule([1e308, 1e308], [0.0, 0.0]),
+    "sample-times": lambda: propagate(ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X), StateVector(np.array([1.0, 0.0])),
+                                      ControlSchedule.constant(0.0, 1e308)),
+    **{f"propagate-{case}": lambda segments=segments: propagate(
+        OVERFLOW_SYSTEM, StateVector(np.array([1.0, 0.0])), ControlSchedule(*zip(*segments)), samples_per_segment=2)
+       for case, (segments, _) in OVERFLOWS.items()},
+    **{f"propagate_operator-{case}": lambda segments=segments: propagate_operator(
+        OVERFLOW_SYSTEM, ControlSchedule(*zip(*segments))) for case, (segments, _) in OVERFLOWS.items()},
+    "matrix_exp": lambda: matrix_exp(1e10j * SIGMA_Z + 1e10j * SIGMA_X, 1e300),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOW_CALLS.values(), ids=OVERFLOW_CALLS.keys())
+def test_overflow_is_one_diagnostic(call):
+    # A library caller sees the ValueError alone, with no numpy RuntimeWarning before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow|not finite"):
+            call()
+
+
 class TestStateVector:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError, match="sphere"):

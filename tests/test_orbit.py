@@ -290,8 +290,8 @@ class TestControllabilityReport:
 
     @pytest.mark.parametrize("case", ["torus2", "torus8", "triple_frame"])
     def test_one_eigh_of_the_drift(self, case, monkeypatch):
-        # The certificate that fails and the moduli read the same drift frame: one n x n eigh in all, where the
-        # joint frame used to decompose A again; its cluster blocks are smaller.
+        # The failed certificate and the moduli read one drift frame: one n x n eigh in all, beside the joint frame's
+        # smaller per-cluster eighs.
         golden = Path(__file__).parent / "golden"
         sys, s0 = load_system(golden / f"{case}.system.json"), load_state(golden / f"{case}.state.json")
         shapes, eigh = [], np.linalg.eigh
@@ -410,6 +410,9 @@ def _fixed_pair(kind: str) -> tuple:
         return random_skew(rng, n), random_skew(rng, n), random_unit(rng, n)
     if kind == "so4":
         return real_antisymmetric(rng, 4), real_antisymmetric(rng, 4), random_unit(rng, 4)
+    if kind == "collide":  # levels 0, 1, 2 equally spaced in a random frame: only the per-edge rule certifies it
+        W = haar_unitary(rng, 4)
+        return W @ np.diag([0.0, 1j, 2j, 0.3j]) @ W.conj().T, random_skew(rng, 4), random_unit(rng, 4)
     if kind == "torus2":
         A = np.diag([1j, 1j * np.sqrt(2.0)])
         return A, 2.0 * A, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -483,7 +486,7 @@ class TestMetamorphic:
         assert shifted_sizes == sizes
         assert shifted_bound == pytest.approx(bound, rel=1e-9)
 
-    @pytest.mark.parametrize("kind", ["su2", "u3", "u6", "so4", "torus2", "triple"])
+    @pytest.mark.parametrize("kind", ["su2", "u3", "u6", "so4", "torus2", "triple", "collide"])
     @pytest.mark.parametrize("log_s", SCALES)
     def test_report_is_the_same_at_every_scale(self, kind, log_s):
         A, B, c = _fixed_pair(kind)
@@ -500,6 +503,17 @@ def _by_closure(sys: ControlSystem, s0: StateVector, monkeypatch) -> orbit.Contr
 def _frame(sys: ControlSystem) -> tuple:
     """The drift frame that the report builds for ``sys``, as the certificate reads it."""
     return orbit._generated_algebra(sys)[0]
+
+
+def _colliding(rng: np.random.Generator, n: int) -> tuple:
+    """A generic pair whose drift levels 0, 1, 2 are equally spaced, and from n = 6 on levels 4, 5 a gap as wide, in
+    a random frame: the rule that every gap be distinct refuses it, while the remaining edges connect every level."""
+    w = rng.normal(size=n)
+    w[2] = 2.0 * w[1] - w[0]
+    if n > 5:
+        w[5] = w[4] + w[1] - w[0]
+    W = haar_unitary(rng, n)
+    return W @ np.diag(1j * w) @ W.conj().T, random_skew(rng, n)
 
 
 def _traceless(X: np.ndarray) -> np.ndarray:
@@ -591,6 +605,42 @@ class TestUnitaryCertificate:
             sys = ControlSystem(10.0**log_s * X, 10.0**log_s * Y)
             assert orbit._unitary_class(sys, _frame(sys)) == u6
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_colliding_gaps_report_equals_closure(self, n, monkeypatch):
+        rng = np.random.default_rng([n, 17])
+        sys, s0 = ControlSystem(*_colliding(rng, n)), StateVector(random_unit(rng, n))
+        omega = _frame(sys)[0]
+        gaps = np.sort((omega[:, None] - omega)[np.triu_indices(n, 1)])
+        assert np.min(np.diff(gaps)) <= RANK_TOL * np.max(np.abs(omega))  # two gaps collide
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 0}
+        assert rep.algebra_class.label is AlgebraLabel.FULL_UNITARY
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["colliding-only", "also-distinct"])
+    def test_level_linked_only_at_a_colliding_gap_falls_back(self, linked, monkeypatch):
+        # Levels 0, 1, 2 are equally spaced, so edges (0, 1) and (1, 2) share the gap 1; level 3 couples to 0 and 1
+        # at distinct gaps.  Level 2 hangs on level 1 alone, at the shared gap, unless it couples to level 0 too.
+        B = np.zeros((4, 4), dtype=complex)
+        for a, b in [(3, 0), (3, 1), (1, 2)] + [(0, 2)] * linked:
+            B[a, b], B[b, a] = 1.0, -1.0
+        sys = ControlSystem(np.diag([0.0, 1j, 2j, 0.3j]), B)
+        s0 = StateVector.normalized(np.ones(4, dtype=complex))
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 1 - linked}
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("log_s", SCALES)
+    def test_colliding_pair_is_certified_at_every_scale_in_any_frame(self, log_s):
+        A, B, _ = _fixed_pair("collide")
+        W = haar_unitary(np.random.default_rng(4), 4)
+        u4 = AlgebraClass(dim=16, traceless=False, abelian=False, label=AlgebraLabel.FULL_UNITARY)
+        for X, Y in ((A, B), (W @ A @ W.conj().T, W @ B @ W.conj().T)):
+            sys = ControlSystem(10.0**log_s * X, 10.0**log_s * Y)
+            assert orbit._unitary_class(sys, _frame(sys)) == u4
+
     def test_generic_u64_analyze_is_fast(self, tmp_path):
         # Closure would build a 4096-element basis here; the certificate takes one 64 x 64 eigh.
         rng = np.random.default_rng(64)
@@ -601,3 +651,15 @@ class TestUnitaryCertificate:
             assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
         result = json.loads(out.read_text())["result"]
         assert (result["algebra_dim"], result["orbit_dim"], result["verdict"]) == (4096, 127, "OPERATOR_CONTROLLABLE")
+
+    def test_generic_u200_analyze_is_certified(self, tmp_path):
+        # Past n = 128 some of the n(n-1)/2 gaps of a generic drift collide; dropping only their edges still connects
+        # every level, where closure would build 40,000 basis elements.
+        rng = np.random.default_rng(200)
+        sys_path, state_path, out = tmp_path / "u200.json", tmp_path / "state.json", tmp_path / "report.json"
+        save_system(ControlSystem(random_skew(rng, 200), random_skew(rng, 200)), sys_path)
+        save_state(StateVector(random_unit(rng, 200)), state_path)
+        with time_budget(5):
+            assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert (result["algebra_dim"], result["orbit_dim"], result["verdict"]) == (40000, 399, "OPERATOR_CONTROLLABLE")
