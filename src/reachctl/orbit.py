@@ -8,8 +8,8 @@ irrational winding on a torus), so everything here works infinitesimally or
 by construction: the orbit dimension is the rank of the algebra's action at
 the state, orbit points are produced as explicit products of one-parameter
 subgroup elements, and when the generated algebra is abelian -- the one
-commutation decision, which the report takes from the transition-graph
-certificate or else from its own closure -- one builder computes the
+commutation decision, which the report takes from the drift-frame
+certificates or else from its own closure -- one builder computes the
 conserved moduli that confine the orbit to a torus.
 """
 
@@ -158,6 +158,28 @@ def _joint_frame(frame: tuple) -> CommutingFrame:
     return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
 
 
+def _isolated(gaps: np.ndarray, floor: float) -> np.ndarray:
+    # Which of the non-negative ``gaps`` clear zero and both of their sorted neighbours by more than ``floor``.
+    order = np.argsort(gaps)
+    spacing = np.diff(gaps[order], prepend=0.0)  # each sorted gap's distance to the one below, or to zero
+    isolated = np.empty(gaps.size, dtype=bool)
+    isolated[order] = np.minimum(spacing, np.append(spacing[1:], np.inf)) > floor
+    return isolated
+
+
+def _layers(edges: np.ndarray) -> list:
+    # The breadth-first layers of the level graph ``edges`` (a symmetric boolean n x n array) from level 0, as index
+    # arrays: level 0, then the levels one edge further out, and so on.  They hold all n levels exactly when the
+    # edges connect them.
+    reached = np.arange(len(edges)) == 0
+    layer, layers = reached.copy(), []
+    while layer.any():
+        layers.append(np.flatnonzero(layer))
+        layer = edges[layer].any(axis=0) & ~reached
+        reached |= layer
+    return layers
+
+
 def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     """The generated algebra's class when the drift's transition graph certifies u(n) or su(n), else None.
 
@@ -171,8 +193,8 @@ def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     Frobenius norm), and every value the certificate relies on must clear its threshold by 100x, where closure's
     rank decisions agree with it: a trace inside that fragile band gives None, and a gap spacing or a coupling
     inside it drops only its own edge.  n < 2 and levels the usable edges leave apart give None too.  That leaves
-    so(n) pairs (gaps in +- pairs), tori, direct sums and equally spaced ladders to closure.  After the frame's
-    ``eigh``, O(n^2 log n).
+    so(n) and sp(n/2) pairs (gaps in +- pairs) to :func:`_real_class`, and tori, direct sums and equally spaced
+    ladders to closure.  After the frame's ``eigh``, O(n^2 log n).
     """
     omega, _, M, *norms = frame
     n = omega.size
@@ -182,19 +204,12 @@ def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     if any(RANK_TOL / 100 * norm < trace <= 100 * RANK_TOL * norm for trace, norm in traces):
         return None
     i, j = np.triu_indices(n, 1)
-    order = np.argsort(omega[i] - omega[j])  # the gaps, non-negative: omega descends
-    i, j = i[order], j[order]
-    spacing = np.diff(omega[i] - omega[j], prepend=0.0)  # each sorted gap's distance to the one below, or to zero
     usable = np.zeros((n, n), dtype=bool)
-    usable[i, j] = np.minimum(spacing, np.append(spacing[1:], np.inf)) > 100 * RANK_TOL * np.max(np.abs(omega))
+    usable[i, j] = _isolated(omega[i] - omega[j], 100 * RANK_TOL * np.max(np.abs(omega)))  # omega descends
     coupling = np.abs(M - M.conj().T)  # exactly symmetric, and so is the graph
     edges = (usable | usable.T) & (coupling > 100 * RANK_TOL * np.max(coupling))
-    reached = np.arange(n) == 0
-    while not reached.all():
-        grown = reached | edges[reached].any(axis=0)
-        if np.array_equal(grown, reached):
-            return None  # some levels are not coupled to the rest, or only faintly or at colliding gaps
-        reached = grown
+    if sum(map(len, _layers(edges))) < n:
+        return None  # some levels are not coupled to the rest, or only faintly or at colliding gaps
     traceless = all(trace <= RANK_TOL / 100 * norm for trace, norm in traces)
     return AlgebraClass(
         dim=n * n - 1 if traceless else n * n,
@@ -204,16 +219,105 @@ def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     )
 
 
-def _generated_algebra(sys: ControlSystem) -> tuple[tuple, AlgebraClass, LieAlgebraBasis | None]:
+def _real_class(frame: tuple) -> tuple[AlgebraClass, np.ndarray | None] | None:
+    """so(n) or sp(n/2) when the drift frame certifies the generated algebra as one, with J's phases for so(n).
+
+    ``frame`` is the drift frame of :func:`_generated_algebra`, and level k's mirror is ``kb = n - 1 - k``.  The
+    certificate needs n >= 3 and a mirror-symmetric, simple spectrum: ``omega_kb = -omega_k``, and every spacing
+    nonzero.  It looks for the antiunitary ``J d = exp(i phi) * conj(d[::-1])`` that commutes with ``M``: the walk
+    over the clear couplings from level 0 sets ``phi_c = phi_a - arg M_ac - arg M_(ab cb)``, each level from its
+    heaviest reached neighbour, and every entry must then satisfy ``M_ac = exp(i (phi_a - phi_c)) conj(M_(ab cb))``.
+    ``J^2 = diag(exp(i (phi_k - phi_kb)))`` must be +1 at every level (so(n)) or -1 at every level (sp(n/2)).
+
+    Roots.  Level k carries the weight ``e_k = -e_kb`` (the middle level of odd n carries 0), so the transition
+    (i, j) carries the root ``e_i - e_j``.  The representative transitions, i < j with i + j < n - 1 and for sp(n/2)
+    also the long roots ``2 e_k`` at i + j = n - 1, carry each positive root once, at the gap ``omega_i - omega_j``
+    of their forced partner (jb, ib) too.  A representative is usable when its gap clears zero and both sorted
+    neighbours and its coupling ``M_ij`` is clear, as in :func:`_unitary_class`; it links levels i-j and jb-ib.
+    The pair is certified when the links connect every level: so(n), dimension n(n-1)/2, or sp(n/2), n(n+1)/2,
+    traceless, not abelian, labelled OTHER.
+
+    Proof.  J commutes with A and B, so the algebra L lies in the skew-Hermitian matrices that commute with J:
+    so_J(n) when ``J^2 = 1`` and sp_J(n/2) when ``J^2 = -1``.  On its complexification ``ad_A`` is 0 on the
+    diagonal and i times the root's gap on each root space, so polynomials in ``ad_A`` isolate from M each usable
+    root's 1-dimensional root space: L_C holds it, and its negative, since L_C is closed under ``X -> -X^dagger``.
+    The level graph is the mirror double cover of the signed root graph on the indices k < n/2 (and the middle
+    level of odd n).  On each component of that graph, sign flips ``e_k -> -e_k`` (automorphisms of the root
+    system) make a spanning tree read ``e_a - e_b``, and its roots generate the component's A-type roots.  The
+    cover is connected only if a root ``e_a + e_b`` or ``2 e_k`` joins the quotient's one component (D_m, C_m), or
+    short roots ``e_k`` join every component to the middle level (B_m).  Sums of roots whose partial sums are
+    roots (``[g_a, g_b] = g_(a+b)``) then give every root of D_m, B_m or C_m, and the root spaces generate the
+    whole algebra.  Every test is ``residual <= RANK_TOL * scale`` with the 100x fragile band of
+    :func:`_unitary_class`, so a test that fails or falls inside the band gives None, and closure decides.  After
+    the frame's ``eigh``, O(n^2 log n).
+    """
+    omega, _, M, *_ = frame
+    n = omega.size
+    if n < 3:
+        return None
+    width, peak = np.max(np.abs(omega)), np.max(np.abs(M))
+    mirrored = np.max(np.abs(omega + omega[::-1])) <= RANK_TOL / 100 * width
+    if not (mirrored and np.min(-np.diff(omega)) > 100 * RANK_TOL * width and peak > 0):
+        return None  # no simple mirror-symmetric spectrum, or no control
+    M = M / peak  # unit-scale entries: the tests cannot under- or overflow
+    coupling = np.abs(M)
+    clear = coupling > 100 * RANK_TOL
+    layers, phi = _layers(clear), np.zeros(n)
+    if sum(map(len, layers)) < n:
+        return None
+    reached = layers[0]
+    for layer in layers[1:]:
+        a = reached[np.argmax(coupling[np.ix_(reached, layer)], axis=0)]
+        phi[layer] = phi[a] - np.angle(M[a, layer]) - np.angle(M[n - 1 - a, n - 1 - layer])
+        reached = np.concatenate((reached, layer))
+    if np.max(np.abs(M - np.exp(1j * (phi[:, None] - phi)) * M[::-1, ::-1].conj())) > RANK_TOL / 100:
+        return None
+    square = np.exp(1j * (phi - phi[::-1]))  # J^2 = diag(square)
+    sign = 1.0 if square[0].real > 0 else -1.0
+    if np.max(np.abs(square - sign)) > RANK_TOL / 100:
+        return None
+    k = np.arange(n)
+    bound = n - 1 if sign > 0 else n  # i + j = n - 1 is the long root 2 e_i of sp(n/2)
+    i, j = np.nonzero((k[:, None] < k) & (k[:, None] + k < bound))
+    usable = _isolated(omega[i] - omega[j], 100 * RANK_TOL * width) & clear[i, j]
+    i, j = i[usable], j[usable]
+    links = np.zeros((n, n), dtype=bool)
+    links[i, j] = links[n - 1 - j, n - 1 - i] = True
+    if sum(map(len, _layers(links | links.T))) < n:
+        return None
+    dim = n * (n - 1) // 2 if sign > 0 else n * (n + 1) // 2
+    algebra_class = AlgebraClass(dim=dim, traceless=True, abelian=False, label=AlgebraLabel.OTHER)
+    return algebra_class, phi if sign > 0 else None
+
+
+def _real_orbit_dim(frame: tuple, phi: np.ndarray, s: StateVector) -> int | None:
+    # The orbit dimension of ``s`` under a certified so(n) with J's phases ``phi``: write ``c = a + ib`` with a and b
+    # fixed by J.  2n - 3 when a and b are independent, n - 1 when they are parallel, and None when the ratio of
+    # the 2n x 2 realified ``[a b]``'s singular values lies within the fragile band.
+    d = frame[1].conj().T @ s.c
+    Jd = np.exp(1j * phi) * d[::-1].conj()
+    ab = np.column_stack((d + Jd, (d - Jd) / 1j)) / 2
+    sv = np.linalg.svd(np.vstack((ab.real, ab.imag)), compute_uv=False)
+    if sv[1] > 100 * RANK_TOL * sv[0]:
+        return 2 * s.n - 3
+    return s.n - 1 if sv[1] <= RANK_TOL / 100 * sv[0] else None
+
+
+def _generated_algebra(sys: ControlSystem) -> tuple[tuple, AlgebraClass, LieAlgebraBasis | None, np.ndarray | None]:
     # The drift frame (omega, U, M = U^dagger B U, ||A||, ||B||) from the one eigh of A, with norms that cannot
-    # overflow, and the class of the algebra (A, B) generate: certified from the frame, or else from the one closure.
+    # overflow, and the class of the algebra (A, B) generate: certified from the frame, or else from the one closure,
+    # whose basis comes third; fourth, J's phases when the frame certifies so(n).
     omega, U = skew_eigensystems(1j * sys.A)
     frame = (omega, U, U.conj().T @ sys.B @ U, *(float(np.hypot.reduce(np.abs(X).ravel())) for X in (sys.A, sys.B)))
     algebra_class = _unitary_class(sys, frame)
     if algebra_class is not None:
-        return frame, algebra_class, None
+        return frame, algebra_class, None, None
+    real = _real_class(frame)
+    if real is not None:
+        algebra_class, phi = real
+        return frame, algebra_class, None, phi
     basis = closure([sys.A, sys.B])
-    return frame, classify(basis), basis
+    return frame, classify(basis), basis, None
 
 
 def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
@@ -222,7 +326,7 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     The pair commutes when the algebra it generates is abelian, the decision
     ``analyze`` reports, and it is taken the way the report takes it, from
     the same one call: one ``eigh`` of A builds the drift frame, a pair the
-    transition-graph certificate calls u(n) or su(n) is answered without a
+    frame certifies as u(n), su(n), so(n) or sp(n/2) is answered without a
     closure, and any other pair costs one.  The joint frame starts from that
     drift eigenbasis and, inside each degenerate drift eigenspace,
     diagonalizes the control generator's restriction, so the returned frame
@@ -233,7 +337,7 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise where
     B vanishes stays one block.
     """
-    frame, algebra_class, _ = _generated_algebra(sys)
+    frame, algebra_class, *_ = _generated_algebra(sys)
     return _joint_frame(frame) if algebra_class.abelian else None
 
 
@@ -287,19 +391,30 @@ def controllability_report(sys: ControlSystem, s0: StateVector) -> Controllabili
     alone; compactness or closedness of the generated group is never
     consulted and never needed.
 
-    One ``eigh`` of A builds the drift frame, which serves both the
-    certificate and the moduli.  A generic pair is certified u(n) or su(n)
+    One ``eigh`` of A builds the drift frame, which serves the
+    certificates and the moduli.  A generic pair is certified u(n) or su(n)
     from the frame's transition graph, O(n^3) in all, and its report is
     built without a closure: dimension n^2, or n^2 - 1 when both traces
-    vanish, and an orbit that fills the sphere.  Every other pair, and a
-    certificate test too close to its threshold to tell, makes one closure
-    and one ``classify``.  The report is the same either way.
+    vanish, and an orbit that fills the sphere.  A real or quaternionic
+    pair is certified so(n) or sp(n/2) from the frame's antiunitary
+    symmetry J and its root graph: dimension n(n-1)/2 or n(n+1)/2.  sp(n/2)
+    fills the sphere; the so(n) orbit of ``c = a + ib``, a and b fixed by
+    J, has dimension 2n - 3 when a and b are independent and n - 1 when
+    they are parallel, read from the two singular values of ``[a b]``.
+    Every other pair, and a certificate test too close to its threshold
+    to tell, makes one closure and one ``classify``; an so(n) state whose
+    singular-value ratio is too close to tell makes one closure for its
+    tangent rank.  The report is the same either way.
     """
     _check_dimension("system", sys.n, s0.n)
-    frame, algebra_class, basis = _generated_algebra(sys)
+    frame, algebra_class, basis, phi = _generated_algebra(sys)
     sphere_dim = 2 * sys.n - 1
-    # su(n) acts transitively on the sphere, so a certified algebra needs no rank.
-    orbit_dim = sphere_dim if basis is None else tangent_dimension(basis, s0)
+    if basis is not None:
+        orbit_dim = tangent_dimension(basis, s0)
+    elif phi is None:  # su(n) and sp(n/2) act transitively on the sphere, so they need no rank
+        orbit_dim = sphere_dim
+    else:
+        orbit_dim = _real_orbit_dim(frame, phi, s0) or tangent_dimension(closure([sys.A, sys.B]), s0)
 
     if algebra_class.label in (AlgebraLabel.FULL_UNITARY, AlgebraLabel.SPECIAL_UNITARY):
         verdict = Verdict.OPERATOR_CONTROLLABLE

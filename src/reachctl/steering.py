@@ -169,31 +169,33 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(f, g)``: :func:`distance` and :func:`gradient` of each schedule ``values[i]`` toward ``targets[i]``.
 
-    One :func:`forward_pass` of the ``(r, m)`` schedules from ``c0``, then one adjoint sweep.
+    One :func:`forward_pass` of the ``(r, m)`` schedules from ``c0``, then one adjoint sweep.  An overflowing
+    phase gives a NaN distance, which the optimizer ranks last, and no warning.
     """
-    omega, V, coords, ends = forward_pass(sys, durations, values, c0)
-    V_dagger = V.conj().swapaxes(-1, -2)
-    f, w, prefactor = _objective(ends[:, -1], targets, phase_sensitive)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega, V, coords, ends = forward_pass(sys, durations, values, c0)
+        V_dagger = V.conj().swapaxes(-1, -2)
+        f, w, prefactor = _objective(ends[:, -1], targets, phase_sensitive)
 
-    # adjoint[:, j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
-    backward = np.exp(-1j * omega * durations[:, None])
-    adjoint = np.empty_like(coords)
-    V_j, V_dagger_j = V.swapaxes(1, 0), V_dagger.swapaxes(1, 0)
-    backward_j, adjoint_j = (a[..., None].swapaxes(1, 0) for a in (backward, adjoint))
-    w = w[..., None]
-    for j in range(durations.size - 1, -1, -1):
-        x = np.matmul(V_dagger_j[j], w, out=adjoint_j[j])
-        w = V_j[j] @ (backward_j[j] * x)
+        # adjoint[:, j] = V_j^dagger w_j, with w_j the adjoint state leaving segment j.
+        backward = np.exp(-1j * omega * durations[:, None])
+        adjoint = np.empty_like(coords)
+        V_j, V_dagger_j = V.swapaxes(1, 0), V_dagger.swapaxes(1, 0)
+        backward_j, adjoint_j = (a[..., None].swapaxes(1, 0) for a in (backward, adjoint))
+        w = w[..., None]
+        for j in range(durations.size - 1, -1, -1):
+            x = np.matmul(V_dagger_j[j], w, out=adjoint_j[j])
+            w = V_j[j] @ (backward_j[j] * x)
 
-    dt = durations[:, None, None]
-    mean = omega[..., :, None] + omega[..., None, :]
-    gap = omega[..., :, None] - omega[..., None, :]
-    phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
-    # Not ``phi * (...)``: on a large stack numpy would multiply in place on the temporary with
-    # the operands swapped, and complex products are not bitwise commutative.
-    frechet = np.multiply(phi, V_dagger @ sys.B @ V)
-    pairing = adjoint.conj()[..., None, :] @ (frechet @ coords[..., None])
-    return f, np.real(prefactor * pairing[..., 0, 0])
+        dt = durations[:, None, None]
+        mean = omega[..., :, None] + omega[..., None, :]
+        gap = omega[..., :, None] - omega[..., None, :]
+        phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
+        # Not ``phi * (...)``: on a large stack numpy would multiply in place on the temporary with
+        # the operands swapped, and complex products are not bitwise commutative.
+        frechet = np.multiply(phi, V_dagger @ sys.B @ V)
+        pairing = adjoint.conj()[..., None, :] @ (frechet @ coords[..., None])
+        return f, np.real(prefactor * pairing[..., 0, 0])
 
 
 def _lbfgs_directions(g: np.ndarray, pairs: np.ndarray, rho: np.ndarray, gamma: np.ndarray, depth: int) -> np.ndarray:

@@ -238,10 +238,12 @@ class TestClosure:
         assert closure(gens).dim == 16
 
     def test_analyze_past_the_entries_limit_exits_1(self, monkeypatch, tmp_path, capsys):
-        # so(4) is no u(n), so analyze runs its closure: 2 rows, then 4, then 8 of 16 complex entries.
-        sys_path, state_path, out = tmp_path / "so4.json", tmp_path / "state.json", tmp_path / "report.json"
+        # so(4) + u(1) is neither u(n) nor so(n), so analyze runs its closure: 2 rows, then 4, then 8 of 16 complex
+        # entries.
+        sys_path, state_path, out = tmp_path / "so4u1.json", tmp_path / "state.json", tmp_path / "report.json"
         rng = np.random.default_rng(5)
-        save_system(ControlSystem(real_antisymmetric(rng, 4), real_antisymmetric(rng, 4)), sys_path)
+        A = real_antisymmetric(rng, 4) + 0.7j * np.eye(4)
+        save_system(ControlSystem(A, real_antisymmetric(rng, 4)), sys_path)
         save_state(StateVector.normalized(np.ones(4, dtype=complex)), state_path)
         monkeypatch.setattr(reachctl.matrices, "MAX_ENTRIES", 64)
         assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 1

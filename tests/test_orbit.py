@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,9 +181,9 @@ class TestCommutingFrame:
         assert np.allclose(sorted(frame.lambdas_b), [-1.0, 1.0])
 
 
-    @pytest.mark.parametrize("kind, closures", [("su2", 0), ("u3", 0), ("so4", 1), ("torus2", 1)])
+    @pytest.mark.parametrize("kind, closures", [("su2", 0), ("u3", 0), ("so4", 0), ("so4u1", 1), ("torus2", 1)])
     def test_closure_only_when_uncertified(self, kind, closures, monkeypatch):
-        # A pair the transition graph certifies as u(n) or su(n) does not commute: no closure is needed.
+        # A pair the drift frame certifies as u(n), su(n) or so(n) does not commute: no closure is needed.
         calls = _count_calls(monkeypatch, "closure")
         sys = ControlSystem(*_fixed_pair(kind)[:2])
         assert (commuting_frame(sys) is None) == (kind != "torus2")
@@ -277,16 +278,17 @@ class TestRandomFrameOracle:
 
 
 class TestControllabilityReport:
-    @pytest.mark.parametrize("kind", ["torus2", "triple_frame", "su2"])
+    @pytest.mark.parametrize("kind", ["torus2", "triple_frame", "su2", "so4"])
     def test_one_closure_and_one_classify(self, kind, monkeypatch):
         # The report decides commutation from its own closure, and the moduli reuse that verdict;
-        # su(2) is certified from the drift's transition graph and needs neither.
+        # su(2) and so(4) are certified from the drift frame and need neither.
         calls = _count_calls(monkeypatch, "closure", "classify")
         A, B, c = _fixed_pair(kind)
         rep = controllability_report(ControlSystem(A, B), StateVector(c))
-        once = {"closure": 1, "classify": 1}
-        assert calls == {"torus2": once, "triple_frame": once, "su2": {"closure": 0, "classify": 0}}[kind]
-        assert rep.conserved_moduli == {"torus2": [[0], [1]], "triple_frame": [[0], [1, 2]], "su2": None}[kind]
+        once, none = {"closure": 1, "classify": 1}, {"closure": 0, "classify": 0}
+        assert calls == {"torus2": once, "triple_frame": once, "su2": none, "so4": none}[kind]
+        moduli = {"torus2": [[0], [1]], "triple_frame": [[0], [1, 2]], "su2": None, "so4": None}
+        assert rep.conserved_moduli == moduli[kind]
 
     @pytest.mark.parametrize("case", ["torus2", "torus8", "triple_frame"])
     def test_one_eigh_of_the_drift(self, case, monkeypatch):
@@ -408,8 +410,15 @@ def _fixed_pair(kind: str) -> tuple:
     if kind in ("u3", "u6"):
         n = int(kind[1])
         return random_skew(rng, n), random_skew(rng, n), random_unit(rng, n)
-    if kind == "so4":
-        return real_antisymmetric(rng, 4), real_antisymmetric(rng, 4), random_unit(rng, 4)
+    if kind in ("so4", "so7"):
+        n = int(kind[2])
+        return real_antisymmetric(rng, n), real_antisymmetric(rng, n), random_unit(rng, n)
+    if kind == "so4u1":  # so(4) + u(1): the drift's spectrum is shifted off its mirror symmetry
+        return real_antisymmetric(rng, 4) + 0.7j * np.eye(4), real_antisymmetric(rng, 4), random_unit(rng, 4)
+    if kind == "sp3":  # sp(3) on C^6, in a random frame
+        W = haar_unitary(rng, 6)
+        A, B = (W @ _symplectic(rng, 6) @ W.conj().T for _ in range(2))
+        return A, B, random_unit(rng, 6)
     if kind == "collide":  # levels 0, 1, 2 equally spaced in a random frame: only the per-edge rule certifies it
         W = haar_unitary(rng, 4)
         return W @ np.diag([0.0, 1j, 2j, 0.3j]) @ W.conj().T, random_skew(rng, 4), random_unit(rng, 4)
@@ -486,17 +495,20 @@ class TestMetamorphic:
         assert shifted_sizes == sizes
         assert shifted_bound == pytest.approx(bound, rel=1e-9)
 
-    @pytest.mark.parametrize("kind", ["su2", "u3", "u6", "so4", "torus2", "triple", "collide"])
+    @pytest.mark.parametrize("kind", ["su2", "u3", "u6", "so4", "so7", "sp3", "torus2", "triple", "collide"])
     @pytest.mark.parametrize("log_s", SCALES)
     def test_report_is_the_same_at_every_scale(self, kind, log_s):
         A, B, c = _fixed_pair(kind)
-        assert _decisions(10.0**log_s * A, 10.0**log_s * B, c) == _decisions(A, B, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _decisions(10.0**log_s * A, 10.0**log_s * B, c) == _decisions(A, B, c)
 
 
 def _by_closure(sys: ControlSystem, s0: StateVector, monkeypatch) -> orbit.ControllabilityReport:
-    """The report with the transition-graph certificate switched off, so that closure decides."""
+    """The report with the drift-frame certificates switched off, so that closure decides."""
     with monkeypatch.context() as patch:
         patch.setattr(orbit, "_unitary_class", lambda sys, frame: None)
+        patch.setattr(orbit, "_real_class", lambda frame: None)
         return controllability_report(sys, s0)
 
 
@@ -514,6 +526,19 @@ def _colliding(rng: np.random.Generator, n: int) -> tuple:
         w[5] = w[4] + w[1] - w[0]
     W = haar_unitary(rng, n)
     return W @ np.diag(1j * w) @ W.conj().T, random_skew(rng, n)
+
+
+def _quaternionic(Y: np.ndarray) -> np.ndarray:
+    """The sp(n/2) part of a skew-Hermitian ``Y``: the part that commutes with ``J = Omega K``, K complex
+    conjugation and ``Omega = [[0, I], [-I, 0]]``, so ``J^2 = -1``."""
+    m = len(Y) // 2
+    omega = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
+    return 0.5 * (Y + omega @ Y.conj() @ omega.T)
+
+
+def _symplectic(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A dense random sp(n/2) element."""
+    return _quaternionic(random_skew(rng, n))
 
 
 def _traceless(X: np.ndarray) -> np.ndarray:
@@ -663,3 +688,161 @@ class TestUnitaryCertificate:
             assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
         result = json.loads(out.read_text())["result"]
         assert (result["algebra_dim"], result["orbit_dim"], result["verdict"]) == (40000, 399, "OPERATOR_CONTROLLABLE")
+
+
+def _real_pair(rng: np.random.Generator, kind: str, n: int) -> tuple:
+    """A random so(n) or sp(n/2) pair in a random frame."""
+    W, draw = haar_unitary(rng, n), real_antisymmetric if kind == "so" else _symplectic
+    return tuple(W @ draw(rng, n) @ W.conj().T for _ in range(2)) + (W,)
+
+
+def _bridged(delta: float) -> tuple:
+    """An so(4) pair in its drift's eigenframe whose one e_0 + e_1 coupling, 1e-2 of the largest, is turned by
+    ``delta``: levels 0, 1 and their mirrors 3, 2 pair up by J, and ``J^2`` is ``exp(-i delta)`` on levels 0, 1.
+    0 gives so(4), pi gives sp(2), and a small angle leaves the J residual near 2e-2 delta, below its band."""
+    z, beta = 0.6 + 0.8j, 1e-2 * (0.8 - 0.6j)
+    M = np.zeros((4, 4), dtype=complex)
+    M[0, 0], M[1, 1], M[0, 1] = 0.3j, -0.5j, z
+    M[3, 3], M[2, 2], M[2, 3] = -0.3j, 0.5j, -z
+    M[0, 2], M[1, 3] = beta, -np.exp(1j * delta) * beta
+    M = np.triu(M, 1) - np.triu(M, 1).conj().T + np.diag(np.diag(M))
+    return np.diag([2.0j, 0.7j, -0.7j, -2.0j]), M
+
+
+def _spin(n: int) -> tuple:
+    """``(i J_z, i J_x)`` of spin (n - 1) / 2: J holds, but every gap is 1, so no root is isolated."""
+    m = (n - 1) / 2 - np.arange(n)
+    raising = np.diag(np.sqrt((n - 1) / 2 * ((n + 1) / 2) - m[1:] * (m[1:] + 1)), 1)
+    return np.diag(1j * m), 0.5j * (raising + raising.T)
+
+
+def _long_root_sp2() -> tuple:
+    """An sp(2) pair whose control couples levels only through e_0 - e_1 and the long root 2 e_0."""
+    Y = np.zeros((4, 4), dtype=complex)  # basis e_0, e_1, f_0, f_1 with J e_k = f_k, J f_k = -e_k
+    Y[0, 1], Y[0, 2] = 1.0, 0.5j
+    return np.diag([2.0j, 0.7j, -2.0j, -0.7j]), _quaternionic(Y - Y.conj().T)
+
+
+class TestRealCertificate:
+    """so(n) or sp(n/2) certified from the drift frame's antiunitary symmetry, with closure deciding everything else."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("kind, n", [("so", n) for n in range(3, 13)] + [("sp", n) for n in range(4, 13, 2)])
+    def test_report_equals_closure(self, kind, n, real, monkeypatch):
+        rng = np.random.default_rng([n, 37, real])
+        A, B, W = _real_pair(rng, kind, n)
+        c = W @ rng.normal(size=n).astype(complex) if real else random_unit(rng, n)
+        sys, s0 = ControlSystem(A, B), StateVector.normalized(c)
+        certified, phi = orbit._real_class(_frame(sys))
+        assert certified == AlgebraClass(
+            dim=n * (n - 1) // 2 if kind == "so" else n * (n + 1) // 2, traceless=True, abelian=False,
+            label=AlgebraLabel.OTHER,
+        )
+        assert (phi is None) == (kind == "sp")
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 0}
+        assert rep.orbit_dim == (2 * n - 1 if kind == "sp" else n - 1 if real else 2 * n - 3)
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["so4u1", "so5u1_control", "so3u1", "so2so3", "so3so4", "direct_sum", "torus",
+                                      "so2", "spin2", "spin3/2"])
+    def test_never_certified(self, kind, monkeypatch):
+        rng = np.random.default_rng(41)
+        if kind.startswith("spin"):  # su(2) irreducible on a real (spin 2) or quaternionic (spin 3/2) space
+            A, B = _spin({"spin2": 5, "spin3/2": 4}[kind])
+        elif kind == "so4u1":  # the drift's spectrum is shifted off its mirror symmetry
+            A, B, _ = _fixed_pair("so4u1")
+        elif kind == "so5u1_control":  # the control's trace breaks J
+            A, B, _ = _real_pair(rng, "so", 5)
+            B = B + 0.7j * np.eye(5)
+        elif kind == "so3u1":
+            A, B = real_antisymmetric(rng, 3) + 0.7j * np.eye(3), real_antisymmetric(rng, 3)
+        elif kind in ("so2so3", "so3so4"):  # J holds, but no coupling joins the blocks
+            k, m = int(kind[2]), int(kind[5])
+            blocks = [(real_antisymmetric(rng, k), real_antisymmetric(rng, m)) for _ in range(2)]
+            W = haar_unitary(rng, k + m)
+            A, B = (W @ np.block([[X, np.zeros((k, m))], [np.zeros((m, k)), Y]]) @ W.conj().T for X, Y in blocks)
+        elif kind == "direct_sum":
+            A, B = _direct_sum(rng)
+        elif kind == "torus":
+            A, B = _random_pair(rng, "torus", 5)
+        else:
+            A, B = real_antisymmetric(rng, 2), real_antisymmetric(rng, 2)
+        sys, s0 = ControlSystem(A, B), StateVector(random_unit(rng, len(A)))
+        assert orbit._real_class(_frame(sys)) is None
+        assert controllability_report(sys, s0) == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("share, certified", [(0.0, True), (1e-10, False), (1e-3, False)],
+                             ids=["exact", "fragile", "broken"])
+    def test_j_residual_in_the_fragile_band_falls_back(self, share, certified, monkeypatch):
+        # so(5) with its control shifted by i share max|B| I: J takes M_kk to conj(M_kbkb), so it fails by 2 share on
+        # the diagonal, which the walk for J's phases never reads.
+        rng = np.random.default_rng(43)
+        A, B, _ = _real_pair(rng, "so", 5)
+        sys = ControlSystem(A, B + 1j * share * np.max(np.abs(B)) * np.eye(5))
+        s0 = StateVector(random_unit(rng, 5))
+        assert (orbit._real_class(_frame(sys)) is not None) == certified
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 0 if certified else 1}
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("delta, dim", [(0.0, 6), (np.pi, 10), (1e-11, None)], ids=["so4", "sp2", "fragile"])
+    def test_j_square_in_the_fragile_band_falls_back(self, delta, dim, monkeypatch):
+        rng = np.random.default_rng(47)
+        W = haar_unitary(rng, 4)
+        A, B = (W @ X @ W.conj().T for X in _bridged(delta))
+        sys, s0 = ControlSystem(A, B), StateVector(random_unit(rng, 4))
+        certified = orbit._real_class(_frame(sys))
+        assert (certified and certified[0].dim) == dim
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 0 if dim else 1}
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("share, orbit_dim", [(0.0, 4), (1e-10, None), (1e-3, 7)],
+                             ids=["real", "fragile", "complex"])
+    def test_ratio_in_the_fragile_band_falls_back(self, share, orbit_dim, monkeypatch):
+        # c = a + i share b in J's real frame: the orbit of so(5) has dimension n - 1 = 4 when a and b are parallel
+        # and 2n - 3 = 7 when not; inside the band the tangent rank comes from one closure.
+        rng = np.random.default_rng(53)
+        A, B, W = _real_pair(rng, "so", 5)
+        sys = ControlSystem(A, B)
+        s0 = StateVector.normalized(W @ (rng.normal(size=5) + 1j * share * rng.normal(size=5)))
+        calls = _count_calls(monkeypatch, "closure")
+        rep = controllability_report(sys, s0)
+        assert calls == {"closure": 0 if orbit_dim else 1}
+        if orbit_dim:
+            assert rep.orbit_dim == orbit_dim
+        assert rep == _by_closure(sys, s0, monkeypatch)
+
+    def test_long_root_joins_the_mirror_pairs(self, monkeypatch):
+        # e_0 - e_1 alone links levels 0-1 and 2-3. The long root 2 e_0 links level 0 to its mirror 3.
+        rng = np.random.default_rng(61)
+        W = haar_unitary(rng, 4)
+        A, B = (W @ X @ W.conj().T for X in _long_root_sp2())
+        sys, s0 = ControlSystem(A, B), StateVector(random_unit(rng, 4))
+        assert orbit._real_class(_frame(sys))[0].dim == 10
+        assert controllability_report(sys, s0) == _by_closure(sys, s0, monkeypatch)
+
+    @pytest.mark.parametrize("kind, dim", [("so7", 21), ("sp3", 21)])
+    @pytest.mark.parametrize("log_s", SCALES)
+    def test_certified_at_every_scale_in_any_frame(self, kind, dim, log_s):
+        A, B, _ = _fixed_pair(kind)
+        W = haar_unitary(np.random.default_rng(59), len(A))
+        for X, Y in ((A, B), (W @ A @ W.conj().T, W @ B @ W.conj().T)):
+            sys = ControlSystem(10.0**log_s * X, 10.0**log_s * Y)
+            assert orbit._real_class(_frame(sys))[0].dim == dim
+
+    def test_so48_analyze_is_fast(self, tmp_path):
+        # Closure would build a 1128-element basis here, about 12 s; the certificate reads the drift frame.
+        rng = np.random.default_rng(48)
+        A, B, _ = _real_pair(rng, "so", 48)
+        sys_path, state_path, out = tmp_path / "so48.json", tmp_path / "state.json", tmp_path / "report.json"
+        save_system(ControlSystem(A, B), sys_path)
+        save_state(StateVector(random_unit(rng, 48)), state_path)
+        with time_budget(2):
+            assert run(["analyze", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert (result["algebra_dim"], result["orbit_dim"], result["verdict"]) == (1128, 93, "RESTRICTED")

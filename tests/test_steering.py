@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,16 @@ class TestStopReason:
         assert np.isnan(cert.achieved_distance)
         assert not cert.converged
         assert cert.stop_reason != "converged"
+
+    def test_overflowed_steer_warns_nothing(self, basis_state):
+        # Called from the library, an overflowing horizon gives its certificate and no numpy warning.
+        sys = ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X)
+        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = steer(sys, basis_state, target, SteeringConfig(horizon=1e300, segments=2, restarts=2))
+        assert np.isnan(cert.achieved_distance)
+        assert not cert.converged
 
     def test_non_finite_distance_ranks_last(self, monkeypatch, su2_system, basis_state):
         monkeypatch.setattr(steering, "_Lbfgs", scripted_lbfgs(
