@@ -170,7 +170,8 @@ def run(argv) -> int:
             )
             cert = steer(sys_, s0, target, cfg)
             if not np.isfinite(cert.achieved_distance):
-                # Every restart overflowed: the flags set the segment duration, the schedule is not to blame.
+                # Every restart (or an off-orbit target's zero schedule) overflowed: the flags set the segment
+                # duration, the schedule is not to blame.
                 raise ValueError(f"--horizon {cfg.horizon!r} / --segments {cfg.segments}: the flow over "
                                  f"segments of duration {cfg.horizon / cfg.segments!r} overflows double precision")
             result = certificate_payload(cert)

@@ -192,9 +192,10 @@ def _unitary_class(sys: ControlSystem, frame: tuple) -> AlgebraClass | None:
     Each test is ``value > RANK_TOL * scale`` on its own operands (``max |omega|``, ``max |M|``, a generator's
     Frobenius norm), and every value the certificate relies on must clear its threshold by 100x, where closure's
     rank decisions agree with it: a trace inside that fragile band gives None, and a gap spacing or a coupling
-    inside it drops only its own edge.  n < 2 and levels the usable edges leave apart give None too.  That leaves
-    so(n) and sp(n/2) pairs (gaps in +- pairs) to :func:`_real_class`, and tori, direct sums and equally spaced
-    ladders to closure.  After the frame's ``eigh``, O(n^2 log n).
+    inside it drops only its own edge.  n < 2 and levels the usable edges leave apart give None too: so(n) and
+    sp(n/2) pairs (gaps in +- pairs, so only the mirror edges stay usable), which :func:`_real_class` has tried
+    first, and tori, direct sums and equally spaced ladders, which go to closure.  After the frame's ``eigh``,
+    O(n^2 log n).
     """
     omega, _, M, *norms = frame
     n = omega.size
@@ -309,13 +310,14 @@ def _generated_algebra(sys: ControlSystem) -> tuple[tuple, AlgebraClass, LieAlge
     # whose basis comes third; fourth, J's phases when the frame certifies so(n).
     omega, U = skew_eigensystems(1j * sys.A)
     frame = (omega, U, U.conj().T @ sys.B @ U, *(float(np.hypot.reduce(np.abs(X).ravel())) for X in (sys.A, sys.B)))
-    algebra_class = _unitary_class(sys, frame)
-    if algebra_class is not None:
-        return frame, algebra_class, None, None
+    # A mirror-symmetric spectrum never passes the u(n) certificate at n >= 3, and _real_class refuses n < 3.
     real = _real_class(frame)
     if real is not None:
         algebra_class, phi = real
         return frame, algebra_class, None, phi
+    algebra_class = _unitary_class(sys, frame)
+    if algebra_class is not None:
+        return frame, algebra_class, None, None
     basis = closure([sys.A, sys.B])
     return frame, classify(basis), basis, None
 

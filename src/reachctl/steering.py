@@ -19,7 +19,8 @@ target's restarts race: in the round where one of them converges, the others
 leave the batch, and the certificate is the least distance among the
 restarts that converged in that round (ties to the lowest index).  A target
 that never converges runs every restart to its end and keeps the least
-distance.  Targets are independent, so a verify gives the certificates of
+distance, unless :func:`steer` proves it off the orbit first and runs no
+restart.  Targets are independent, so a verify gives the certificates of
 one :func:`steer` per target.  The targets go in waves of as many as keep a
 round's largest complex array, ``rows * segments * n**2`` entries, within
 ``ROUND_BYTES``; a lone target always runs.  A certificate that fails to
@@ -33,8 +34,8 @@ import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
 from .lie import closure
-from .matrices import _check_count, _check_dimension, _check_entries, _check_positive, _check_share
-from .orbit import sample_orbit
+from .matrices import RANK_TOL, _check_count, _check_dimension, _check_entries, _check_positive, _check_share
+from .orbit import moduli_distance_bound, sample_orbit
 
 __all__ = [
     "SteeringConfig",
@@ -93,7 +94,12 @@ class ReachabilityCertificate:
     certificates self-verifying.  ``stop_reason`` says why the winning
     restart stopped: ``"converged"``, ``"max_iterations"``,
     ``"zero_gradient"`` or ``"line_search_exhausted"`` (the line search
-    backtracked below its smallest step, or a trial step stalled).  A
+    backtracked below its smallest step, or a trial step stalled).  It is
+    ``"off_orbit"`` when :func:`steer` proved the target off the orbit
+    before it optimized: the conserved moduli put a floor clearly above
+    ``target_distance`` under every distance a schedule can reach, so no
+    restart ran, and the certificate holds restart 0's start (the zero
+    schedule), its distance, restart 0 and 0 iterations.  A
     converged certificate comes from the first round in which any restart
     converged, so ``restart_index`` names the fastest restart, not the one
     that would have got closest.  ``iterations_used`` counts the winning
@@ -193,7 +199,8 @@ def _evaluate(
         phi = dt * np.exp(0.5j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
         # Not ``phi * (...)``: on a large stack numpy would multiply in place on the temporary with
         # the operands swapped, and complex products are not bitwise commutative.
-        frechet = np.multiply(phi, V_dagger @ sys.B @ V)
+        # One GEMM for every segment's V^dagger B: each entry is the same length-n product as the stacked one's.
+        frechet = np.multiply(phi, (V_dagger.reshape(-1, sys.n) @ sys.B).reshape(V.shape) @ V)
         pairing = adjoint.conj()[..., None, :] @ (frechet @ coords[..., None])
         return f, np.real(prefactor * pairing[..., 0, 0])
 
@@ -380,6 +387,28 @@ def _race(
     ]
 
 
+def _off_orbit_floor(sys: ControlSystem, s0: StateVector, target: StateVector, phase_sensitive: bool) -> float:
+    """A floor under every distance a schedule can reach from ``s0`` toward ``target``; 0 when none is known.
+
+    Only a commuting pair has one.  With A and B scaled to unit Frobenius norm (a zero generator
+    commutes), a commutator clearly above ``100 * RANK_TOL`` gives 0 at once: ``[A, B]`` is
+    Frobenius-orthogonal to span{A, B} for normal A and B, so closure's own rule admits it and the
+    algebra is not abelian, and no closure is paid.  Every other pair takes
+    :func:`reachctl.orbit.moduli_distance_bound`'s decision and its phase-sensitive floor
+    ``F = 0.5 * sum_b (m0_b - mt_b)^2`` over the conserved block moduli.
+
+    Projective floor.  The reached state ``c`` keeps the block moduli ``m0_b``, so by Cauchy-Schwarz
+    per block ``|<t, c>| <= sum_b m0_b * mt_b``, and for unit states ``sum_b m0_b * mt_b = 1 - F``,
+    which lies in [0, 1].  Hence ``1 - |<t, c>|^2 >= 1 - (1 - F)^2 = F * (2 - F)``.
+    """
+    norms = (np.hypot.reduce(np.abs(X).ravel()) for X in (sys.A, sys.B))  # cannot overflow
+    A, B = (X / norm if norm else X for X, norm in zip((sys.A, sys.B), norms))
+    if np.hypot.reduce(np.abs(A @ B - B @ A).ravel()) > 100 * RANK_TOL:
+        return 0.0
+    floor = moduli_distance_bound(sys, s0, target)
+    return floor if phase_sensitive else floor * (2.0 - floor)
+
+
 def steer(
     sys: ControlSystem,
     s0: StateVector,
@@ -426,8 +455,21 @@ def steer(
     relative 1e-12 (a stall, such as a moduli floor), or the starting distance
     is not finite (an overflow), which costs one evaluation.
 
+    Before any restart, a commuting pair's target is checked against the
+    floor its conserved block moduli put under every reachable distance
+    (:func:`reachctl.orbit.moduli_distance_bound`): ``F`` phase-sensitively,
+    ``F (2 - F)`` projectively, since per block ``|<t, c>| <= sum_b m0_b
+    mt_b = 1 - F``.  A pair whose unit-scaled commutator clearly exceeds
+    ``100 * RANK_TOL`` is not abelian and gets no floor, and no closure is
+    paid.  A floor above ``100 * cfg.target_distance``, clear of the
+    rounding band, proves the target off the orbit: the certificate is
+    ``"off_orbit"``, restart 0's zero schedule evaluated once (one forward
+    pass, so re-propagating the schedule gives its distance bit for bit),
+    never converged, and no restart runs.  :func:`verify_reachability` skips
+    this check, since its targets are orbit points by construction.
+
     A non-converged certificate is a valid, flagged outcome: it reports that
-    the optimizer failed (or the target is off the orbit), never that an
+    the optimizer failed, or that the target is off the orbit, never that an
     orbit point is unreachable.
 
     Raises
@@ -440,6 +482,20 @@ def steer(
     cfg = cfg or SteeringConfig()
     _check_dimension("system", sys.n, s0.n, target.n)
     _check_entries("restarts * segments", cfg.restarts, cfg.segments, sys.n**2)
+    if _off_orbit_floor(sys, s0, target, cfg.phase_sensitive) > 100 * cfg.target_distance:
+        # Restart 0's start, evaluated as a round evaluates it.
+        durations, values = np.full(cfg.segments, cfg.horizon / cfg.segments), np.zeros(cfg.segments)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = forward_pass(sys, durations, values[None], s0.c)[3][:, -1]
+            achieved = float(_objective(ends, target.c[None], cfg.phase_sensitive)[0][0])
+        return ReachabilityCertificate(
+            schedule=ControlSchedule(durations, values),
+            achieved_distance=achieved,
+            converged=achieved <= cfg.target_distance,
+            iterations_used=0,
+            restart_index=0,
+            stop_reason="off_orbit",
+        )
     return _steer_all(sys, s0, [target], cfg)[0]
 
 

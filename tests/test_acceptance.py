@@ -139,6 +139,7 @@ def test_criterion_6_noncompact_commuting_system():
                               max_iterations=300, target_distance=1e-8, seed=0)
     cert_back = steer(sys, c0, back_target, cfg_back)
     assert cert_back.converged
+    assert cert_back.stop_reason == "converged"  # an orbit point gets no off-orbit floor
     assert cert_back.achieved_distance <= 1e-8
 
     off_target = StateVector(np.array([1.0, 0.0], dtype=complex))
@@ -147,7 +148,8 @@ def test_criterion_6_noncompact_commuting_system():
     cfg_off = SteeringConfig(restarts=4, max_iterations=200, seed=0)
     cert_off = steer(sys, c0, off_target, cfg_off)
     assert not cert_off.converged
-    # optimizer lands on the bound itself; allow rounding in the last bits
+    # the floor proves the target off the orbit before any restart runs
+    assert (cert_off.stop_reason, cert_off.iterations_used) == ("off_orbit", 0)
     assert cert_off.achieved_distance >= bound - 1e-12
 
     elapsed = time.perf_counter() - start

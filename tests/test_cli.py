@@ -34,7 +34,7 @@ GOLDEN_RECURRENCE = {
 }
 GOLDEN_STEER = {
     "su2.steer": ([], 0),  # converges
-    "torus2.steer.segments10.restarts2": (["--segments", "10", "--restarts", "2"], 2),  # line search exhausted
+    "torus2.steer.segments10.restarts2": (["--segments", "10", "--restarts", "2"], 2),  # off the orbit
 }
 
 
@@ -315,14 +315,30 @@ class TestSteer:
                     "--segments", "10", "--restarts", "1", "--out", out])
         assert code == 2
         result = read_report(out)["result"]
-        # the distance stalls on the moduli floor long before the budget
-        assert result["stop_reason"] == "line_search_exhausted"
-        assert result["iterations_used"] < 20
+        # the conserved moduli prove the target off the orbit before any restart runs
+        assert result["stop_reason"] == "off_orbit"
+        assert result["iterations_used"] == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exits_1_without_certificate(self, tmp_path, basis_state, capsys):
         sys_path, from_path, to_path = tmp_path / "big.json", tmp_path / "from.json", tmp_path / "to.json"
         save_system(ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X), sys_path)
+        save_state(basis_state, from_path)
+        save_state(StateVector(np.array([0.0, 1.0], dtype=complex)), to_path)
+        out = tmp_path / "cert.json"
+        code = run(["steer", "--system", str(sys_path), "--from", str(from_path), "--to", str(to_path),
+                    "--horizon", "1e300", "--segments", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "reachctl steer: error: --horizon 1e+300 / --segments 2: the flow over segments of "
+            "duration 5e+299 overflows double precision\n"
+        )
+        assert not out.exists()
+
+    def test_off_orbit_overflow_exits_1_without_certificate(self, tmp_path, basis_state, capsys):
+        # A commuting pair and a target with other moduli: the zero schedule of the off-orbit certificate overflows.
+        sys_path, from_path, to_path = tmp_path / "big.json", tmp_path / "from.json", tmp_path / "to.json"
+        save_system(ControlSystem(1e10j * SIGMA_Z, 2e10j * SIGMA_Z), sys_path)
         save_state(basis_state, from_path)
         save_state(StateVector(np.array([0.0, 1.0], dtype=complex)), to_path)
         out = tmp_path / "cert.json"

@@ -739,9 +739,10 @@ class TestRealCertificate:
             label=AlgebraLabel.OTHER,
         )
         assert (phi is None) == (kind == "sp")
-        calls = _count_calls(monkeypatch, "closure")
+        # and no u(n) test either: a mirror-symmetric spectrum never passes it
+        calls = _count_calls(monkeypatch, "closure", "_unitary_class")
         rep = controllability_report(sys, s0)
-        assert calls == {"closure": 0}
+        assert calls == {"closure": 0, "_unitary_class": 0}
         assert rep.orbit_dim == (2 * n - 1 if kind == "sp" else n - 1 if real else 2 * n - 3)
         assert rep == _by_closure(sys, s0, monkeypatch)
 

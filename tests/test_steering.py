@@ -12,6 +12,7 @@ from reachctl import (
     SteeringConfig,
     block_moduli,
     commuting_frame,
+    controllability_report,
     distance,
     gradient,
     matrix_exp,
@@ -22,10 +23,11 @@ from reachctl import (
     verify_reachability,
 )
 
-from reachctl import steering
+from reachctl import orbit, steering
 from reachctl.dynamics import forward_pass
 
-from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, lbfgs_direction, optimize_restart, random_skew, random_unit
+from helpers import (SIGMA_X, SIGMA_Z, count_eigh_matrices, haar_unitary, lbfgs_direction, optimize_restart,
+                     random_skew, random_unit, real_antisymmetric)
 from oracles import block_expm_distance_gradient, fd_distance_gradient
 
 
@@ -318,9 +320,10 @@ class TestStopReason:
         assert cert.stop_reason == "max_iterations"
 
     def test_zero_gradient(self, basis_state):
-        # without control coupling the distance cannot move at all
+        # without control coupling the distance cannot move at all; the target keeps the
+        # start's moduli, so no floor stops steer before it optimizes
         sys = ControlSystem(1j * SIGMA_Z, np.zeros((2, 2)))
-        target = StateVector(np.array([0.0, 1.0], dtype=complex))
+        target = StateVector(np.array([np.exp(1j), 0.0], dtype=complex))
         cert = steer(sys, basis_state, target, SteeringConfig(restarts=2))
         assert not cert.converged
         assert cert.iterations_used == 0
@@ -508,7 +511,7 @@ class TestEvaluationBudget:
     def test_off_moduli_torus(self, monkeypatch, torus_system, plus_state):
         target = StateVector(np.array([1.0, 0.0], dtype=complex))
         counts = CountingKernels(monkeypatch)
-        cert = steer(torus_system, plus_state, target, SteeringConfig(segments=10, restarts=2))
+        cert = race_one(torus_system, plus_state, target, SteeringConfig(segments=10, restarts=2))
         assert cert.stop_reason == "line_search_exhausted"
         assert not cert.converged
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
@@ -520,7 +523,7 @@ class TestEvaluationBudget:
         # the step down to its smallest value (89 calls measured, 195 without)
         target = StateVector(np.array([1.0, 0.0], dtype=complex))
         counts = CountingKernels(monkeypatch)
-        cert = steer(torus_system, plus_state, target, SteeringConfig())
+        cert = race_one(torus_system, plus_state, target, SteeringConfig())
         assert cert.stop_reason == "line_search_exhausted"
         assert not cert.converged
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
@@ -617,6 +620,11 @@ def off_moduli_torus():
     A = np.diag([1j, 1j * np.sqrt(2.0)])
     plus = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
     return ControlSystem(A, 2.0 * A), plus, StateVector(np.array([1.0, 0.0], dtype=complex))
+
+
+def race_one(sys, s0, target, cfg):
+    """``steer``'s lockstep race toward one target, without its off-orbit check: the optimizer on a floor."""
+    return steering._steer_all(sys, s0, [target], cfg)[0]
 
 
 def assert_certificate_is(cert, reference, cfg):
@@ -725,25 +733,26 @@ class TestLockstepEqualsSequential:
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize(
-        "instance, settings",
+        "instance, settings, entry",
         [
-            (su2_up_to_down, {}),
-            (off_moduli_torus, {}),
-            (off_moduli_torus, {"segments": 10, "restarts": 2}),
-            (generic4, {"restarts": 4}),
-            (lambda: held_out_torus(np.sqrt(5.0), 7.0), {}),
-            (lambda: held_out_random(6, 1), {}),
-            (lambda: held_out_torus(np.sqrt(3.0), -6.0), {}),
-            (generic4, {"restarts": 4, "max_iterations": 60}),
-            (generic5, {}),
+            (su2_up_to_down, {}, steer),
+            # steer proves this target off the orbit; the race still has to run on its floor
+            (off_moduli_torus, {}, race_one),
+            (off_moduli_torus, {"segments": 10, "restarts": 2}, race_one),
+            (generic4, {"restarts": 4}, steer),
+            (lambda: held_out_torus(np.sqrt(5.0), 7.0), {}, steer),
+            (lambda: held_out_random(6, 1), {}, steer),
+            (lambda: held_out_torus(np.sqrt(3.0), -6.0), {}, steer),
+            (generic4, {"restarts": 4, "max_iterations": 60}, steer),
+            (generic5, {}, steer),
         ],
         ids=["su2", "torus-off-moduli", "torus-off-moduli-10x2", "generic4",
              "torus-sqrt5-theta7", "random-n6-1", "torus-sqrt3-theta-6", "generic4-wrapped", "generic5-rejected"],
     )
-    def test_certificate_fields(self, instance, settings, phase_sensitive):
+    def test_certificate_fields(self, instance, settings, entry, phase_sensitive):
         sys, s0, target = instance()
         cfg = SteeringConfig(phase_sensitive=phase_sensitive, **settings)
-        cert = steer(sys, s0, target, cfg)
+        cert = entry(sys, s0, target, cfg)
         reference, _, _ = sequential_steer(sys, s0, target, cfg)
         assert_certificate_is(cert, reference, cfg)
 
@@ -897,7 +906,7 @@ class TestRace:
         reference, evaluations, length = sequential_steer(sys, s0, target, cfg)
         assert reference[4] != "converged"
         counts = CountingKernels(monkeypatch)
-        assert_certificate_is(steer(sys, s0, target, cfg), reference, cfg)
+        assert_certificate_is(race_one(sys, s0, target, cfg), reference, cfg)
         assert counts.forward_passes == sum(evaluations)
         assert counts.forward_calls == length == max(evaluations)
 
@@ -919,6 +928,115 @@ class TestRace:
         for cert, ref in zip(waved, certs):
             assert_certificate_is(cert, (ref.schedule.values, ref.achieved_distance, ref.iterations_used,
                                          ref.restart_index, ref.stop_reason), SteeringConfig())
+
+
+def counted_closures(monkeypatch) -> list:
+    """Patch the closure that ``orbit`` and ``steering`` call to tally its calls; returns the live tally."""
+    tally, inner = [0], orbit.closure
+
+    def counted(generators):
+        tally[0] += 1
+        return inner(generators)
+
+    for module in (orbit, steering):
+        monkeypatch.setattr(module, "closure", counted)
+    return tally
+
+
+def at_floor(floor, phase_sensitive):
+    """A target from |+> on the torus2 pair whose off-orbit floor is ``floor``: its moduli turn by an angle delta.
+
+    The phase-sensitive floor is ``F = 1 - cos(delta)``, and the projective one ``F (2 - F)``.
+    """
+    F = floor if phase_sensitive else 1.0 - np.sqrt(1.0 - floor)
+    delta = np.arccos(1.0 - F)
+    return StateVector(np.array([np.cos(np.pi / 4 - delta), np.sin(np.pi / 4 - delta)], dtype=complex))
+
+
+class TestOffOrbit:
+    """``steer`` proves a moduli-violating target off the orbit before it optimizes, and runs no restart."""
+
+    @pytest.mark.parametrize("phase_sensitive, floor", [(True, 1.0 - np.sqrt(0.5)), (False, 0.5)],
+                             ids=["phase", "projective"])
+    def test_certificate_is_the_zero_schedule(self, monkeypatch, phase_sensitive, floor):
+        sys, s0, target = off_moduli_torus()
+        cfg = SteeringConfig(segments=10, restarts=2, phase_sensitive=phase_sensitive)
+        counts = CountingKernels(monkeypatch)
+        cert = steer(sys, s0, target, cfg)
+        assert steering._off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(floor, rel=1e-15)
+        assert (cert.stop_reason, cert.iterations_used, cert.restart_index, cert.converged) == ("off_orbit", 0, 0, False)
+        assert np.array_equal(cert.schedule.values, np.zeros(10))
+        assert np.array_equal(cert.schedule.durations, np.full(10, 0.5))
+        assert cert.achieved_distance >= floor - 1e-12
+        final = propagate(sys, s0, cert.schedule, samples_per_segment=1).final_state
+        assert cert.achieved_distance == distance(final, target, phase_sensitive)
+        # one forward pass of one schedule, and no gradient
+        assert (counts.forward_calls, counts.forward_passes, counts.gradients) == (1, 1, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floor_holds_over_random_schedules(self, seed):
+        # A commuting n = 4 pair in a random frame, with one two-level joint eigenspace.
+        rng = np.random.default_rng([seed, 91])
+        W = haar_unitary(rng, 4)
+        A, B = (W @ np.diag(1j * np.array(levels)) @ W.conj().T
+                for levels in ([1.0, 1.0, np.sqrt(2.0), -0.3], [0.5, 0.5, -1.0, 2.0]))
+        sys, s0, target = ControlSystem(A, B), StateVector(random_unit(rng, 4)), StateVector(random_unit(rng, 4))
+        floors = {ps: steering._off_orbit_floor(sys, s0, target, ps) for ps in (True, False)}
+        assert floors[False] == pytest.approx(floors[True] * (2.0 - floors[True]))
+        assert floors[True] > 0.01
+        for _ in range(40):
+            sched = ControlSchedule(rng.uniform(0.1, 2.0, 6), rng.uniform(-3.0, 3.0, 6))
+            final = propagate(sys, s0, sched, samples_per_segment=1).final_state
+            for ps, floor in floors.items():
+                assert distance(final, target, ps) >= floor - 1e-12
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    @pytest.mark.parametrize("ratio, off_orbit", [(50.0, False), (200.0, True)])
+    def test_floor_in_the_rounding_band_runs_the_optimizer(self, monkeypatch, phase_sensitive, ratio, off_orbit):
+        # A floor within 100 target distances is left to the optimizer, which cannot converge below it either.
+        sys, s0, _ = off_moduli_torus()
+        cfg = SteeringConfig(segments=10, restarts=2, max_iterations=20, phase_sensitive=phase_sensitive)
+        target = at_floor(ratio * cfg.target_distance, phase_sensitive)
+        assert steering._off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(
+            ratio * cfg.target_distance, rel=1e-6)
+        counts = CountingKernels(monkeypatch)
+        cert = steer(sys, s0, target, cfg)
+        assert (cert.stop_reason == "off_orbit") == off_orbit
+        assert (counts.gradients > 0) == (not off_orbit)
+        assert not cert.converged
+
+    @pytest.mark.parametrize("pair", ["su2", "generic4", "so3u1"])
+    def test_non_commuting_pair_pays_no_closure(self, monkeypatch, pair):
+        if pair == "su2":
+            sys, s0, target = su2_up_to_down()
+        elif pair == "generic4":
+            sys, s0, target = generic4()
+        else:  # so(3) + u(1): no drift-frame certificate, so analyze pays a closure
+            rng = np.random.default_rng(0)
+            sys = ControlSystem(real_antisymmetric(rng, 3) + 0.7j * np.eye(3), real_antisymmetric(rng, 3))
+            s0, target = StateVector(np.eye(3)[0]), StateVector(random_unit(rng, 3))
+        closures = counted_closures(monkeypatch)
+        cert = steer(sys, s0, target, SteeringConfig(restarts=2, max_iterations=5))
+        assert cert.stop_reason != "off_orbit"
+        assert closures[0] == 0
+        controllability_report(sys, s0)
+        assert closures[0] == (pair == "so3u1")
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_off_orbit_at_every_scale(self, scale):
+        # The floor is scale-free; only the zero schedule's distance moves with the drift's phases.
+        sys, s0, target = off_moduli_torus()
+        scaled = ControlSystem(scale * sys.A, scale * sys.B)
+        cfg = SteeringConfig(segments=10, restarts=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = steer(scaled, s0, target, cfg)
+            assert steering._off_orbit_floor(scaled, s0, target, True) == steering._off_orbit_floor(sys, s0, target, True)
+            final = propagate(scaled, s0, cert.schedule, samples_per_segment=1).final_state
+        assert (cert.stop_reason, cert.iterations_used, cert.restart_index, cert.converged) == ("off_orbit", 0, 0, False)
+        assert np.array_equal(cert.schedule.values, np.zeros(10))
+        assert cert.achieved_distance == distance(final, target)
+        assert cert.achieved_distance >= 1.0 - np.sqrt(0.5) - 1e-12
 
 
 class TestBatchedGradient:
