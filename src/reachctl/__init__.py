@@ -43,7 +43,6 @@ from .dynamics import (
 from .orbit import (
     CommutingFrame,
     ControllabilityReport,
-    GroupWord,
     Verdict,
     block_moduli,
     commuting_frame,
@@ -90,7 +89,6 @@ __all__ = [
     "recurrence_scan",
     "CommutingFrame",
     "ControllabilityReport",
-    "GroupWord",
     "Verdict",
     "block_moduli",
     "commuting_frame",

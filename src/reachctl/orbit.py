@@ -6,11 +6,11 @@ matrices -- and this holds whether or not that group is compact or closed.
 The group itself may therefore be impossible to materialize (think of a dense
 irrational winding on a torus), so everything here works infinitesimally or
 by construction: the orbit dimension is the rank of the algebra's action at
-the state, orbit points are produced as explicit products of one-parameter
-subgroup elements, and when the generated algebra is abelian -- the one
-commutation decision, which the report takes from the drift-frame
-certificates or else from its own closure -- one builder computes the
-conserved moduli that confine the orbit to a torus.
+the state, orbit points are produced as explicit words of the system's own
+flows, and when the generated algebra is abelian -- the one commutation
+decision, which the report takes from the drift-frame certificates or else
+from its own closure -- one builder computes the conserved moduli that
+confine the orbit to a torus.
 """
 
 import enum
@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlSystem, StateVector
+from .dynamics import ControlSystem, StateVector, forward_pass
 from .lie import AlgebraClass, AlgebraLabel, LieAlgebraBasis, classify, closure
-from .matrices import RANK_TOL, _check_count, _check_dimension, _check_entries, eigensystem_exp, skew_eigensystems
+from .matrices import RANK_TOL, _check_count, _check_dimension, _check_entries, skew_eigensystems
 
 __all__ = [
-    "GroupWord",
     "Verdict",
     "ControllabilityReport",
     "CommutingFrame",
@@ -36,7 +35,7 @@ __all__ = [
     "controllability_report",
 ]
 
-# Orbit-sample factor durations are drawn uniformly from [-DURATION_SCALE, DURATION_SCALE].
+# Orbit-sample factors draw controls uniformly from [-1, 1] and durations from [-DURATION_SCALE, DURATION_SCALE].
 DURATION_SCALE = 2.0
 
 
@@ -46,27 +45,6 @@ class Verdict(str, enum.Enum):
     STATE_CONTROLLABLE = "STATE_CONTROLLABLE"
     OPERATOR_CONTROLLABLE = "OPERATOR_CONTROLLABLE"
     RESTRICTED = "RESTRICTED"
-
-
-@dataclass
-class GroupWord:
-    """A group element as an ordered product of one-parameter factors.
-
-    ``factors`` is a list of (generator, duration) pairs, applied in list
-    order: the state reached is ``exp(t_m X_m) ... exp(t_1 X_1) c``.  The
-    skew-Hermitian generators share one stacked ``eigh``; ``t = 0`` is the identity.
-    """
-
-    factors: list
-
-    def apply(self, s: StateVector) -> StateVector:
-        c = s.c
-        if self.factors:
-            omega, V = skew_eigensystems(1j * np.array([X for X, _ in self.factors], dtype=complex))
-            for (_, t), omega_k, V_k in zip(self.factors, omega, V):
-                if t != 0.0:
-                    c = eigensystem_exp(omega_k, V_k, t) @ c
-        return StateVector.normalized(c)
 
 
 @dataclass
@@ -116,32 +94,40 @@ def tangent_dimension(basis: LieAlgebraBasis, s: StateVector) -> int:
 
 
 def sample_orbit(
-    basis: LieAlgebraBasis,
+    sys: ControlSystem,
     s0: StateVector,
     word_length: int,
     seed: int = 0,
-) -> tuple[StateVector, GroupWord]:
-    """A reproducible point of the orbit through ``s0`` with its group word.
+) -> tuple[StateVector, np.ndarray]:
+    """A reproducible point of the orbit through ``s0`` with its word of flows.
 
-    Draws ``word_length`` (generator, duration) pairs -- the generator
-    uniformly from the basis, the duration uniformly from
-    ``[-DURATION_SCALE, DURATION_SCALE]`` -- from a generator seeded by
-    ``seed``, and applies the corresponding one-parameter factors in order.
-    The result lies on the orbit by construction, which is what makes it a
-    trustworthy steering target: no reachability is presupposed.
+    One draw ``w = default_rng(seed).uniform(-1, 1, (word_length, 2))`` gives
+    factor k's control ``u_k = w[k, 0]`` and duration ``t_k = DURATION_SCALE *
+    w[k, 1]``, and the state is ``exp(t_m (A + u_m B)) ... exp(t_1 (A + u_1
+    B)) c0``, carried by :func:`reachctl.dynamics.forward_pass` (a negative
+    duration is only a phase there).  Each factor is an element of the group
+    that A and B generate, so the state lies on the orbit by construction,
+    compact group or not: no reachability is presupposed, which is what
+    makes it a trustworthy steering target.  Returns the state and the
+    ``(word_length, 2)`` array of ``(u_k, t_k)``; a word of length 0 returns
+    ``s0``.  A factor whose flow overflows double precision raises a
+    ValueError naming it.
     """
     word_length = _check_count(word_length, "word_length", 0)
     _check_count(seed, "seed", 0)
-    _check_dimension("basis", basis.n, s0.n)
-    _check_entries("word_length", word_length, basis.n**2)
-    rng = np.random.default_rng(seed)
-    factors = []
-    if basis.dim > 0:
-        for _ in range(word_length):
-            gi = int(rng.integers(basis.dim))
-            factors.append((basis.elements[gi], float(rng.uniform(-DURATION_SCALE, DURATION_SCALE))))
-    word = GroupWord(factors)
-    return word.apply(s0), word
+    _check_dimension("system", sys.n, s0.n)
+    _check_entries("word_length", word_length, sys.n**2)
+    word = np.random.default_rng(seed).uniform(-1.0, 1.0, (word_length, 2)) * (1.0, DURATION_SCALE)
+    if not word_length:
+        return s0, word
+    with np.errstate(over="ignore", invalid="ignore"):  # the ValueError below is the one diagnostic
+        ends = forward_pass(sys, word[:, 1], word[:, 0], s0.c)[3]
+    overflowed = ~np.isfinite(ends).all(axis=1)
+    if overflowed.any():
+        k = int(np.argmax(overflowed))
+        raise ValueError(f"orbit word factor {k}: the flow over duration {float(word[k, 1])!r} at control value "
+                         f"{float(word[k, 0])!r} overflows double precision")
+    return StateVector.normalized(ends[-1]), word
 
 
 def _joint_frame(frame: tuple) -> CommutingFrame:
@@ -326,10 +312,13 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     """Common eigenbasis of (A, B) when they commute, else None.
 
     The pair commutes when the algebra it generates is abelian, the decision
-    ``analyze`` reports, and it is taken the way the report takes it, from
-    the same one call: one ``eigh`` of A builds the drift frame, a pair the
-    frame certifies as u(n), su(n), so(n) or sp(n/2) is answered without a
-    closure, and any other pair costs one.  The joint frame starts from that
+    ``analyze`` reports.  With A and B scaled to unit Frobenius norm (a zero
+    generator commutes), a commutator clearly above ``100 * RANK_TOL`` gives
+    None at once: ``[A, B]`` is Frobenius-orthogonal to span{A, B} for normal
+    A and B, so closure's own rule would admit it.  Any other pair is decided
+    as the report decides it: one ``eigh`` of A builds the drift frame, a
+    pair it certifies as u(n), su(n), so(n) or sp(n/2) costs no closure, and
+    the rest cost one.  The joint frame starts from that
     drift eigenbasis and, inside each degenerate drift eigenspace,
     diagonalizes the control generator's restriction, so the returned frame
     is a joint eigenbasis even when the drift alone does not determine one;
@@ -339,6 +328,10 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     above ``RANK_TOL ||A||`` and ``RANK_TOL ||B||``, so rounding noise where
     B vanishes stays one block.
     """
+    norms = (np.hypot.reduce(np.abs(X).ravel()) for X in (sys.A, sys.B))  # cannot overflow
+    A, B = (X / norm if norm else X for X, norm in zip((sys.A, sys.B), norms))
+    if np.hypot.reduce(np.abs(A @ B - B @ A).ravel()) > 100 * RANK_TOL:
+        return None
     frame, algebra_class, *_ = _generated_algebra(sys)
     return _joint_frame(frame) if algebra_class.abelian else None
 
@@ -366,20 +359,23 @@ def conserved_moduli(sys: ControlSystem) -> list | None:
 def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVector) -> float:
     """A-priori floor on the phase-sensitive distance to ``target``.
 
-    For a commuting system every reachable state keeps the block moduli of
-    ``s0``, and per block the reverse triangle inequality gives
-    ``|c_block - t_block| >= |m0 - mt|``, so no control can bring the
-    half-squared distance below ``0.5 * sum (m0 - mt)^2``.  Returns 0 when
-    the generated algebra is not abelian (no moduli obstruction).  A state
-    whose dimension is not the system's raises ValueError.
+    For a commuting system every generator ``A + eps B`` is one imaginary
+    scalar on each joint eigenspace, so a reachable state's part ``c_b`` in
+    block b is ``s0``'s part ``c0_b`` turned by a phase, and ``|c_b -
+    t_b|^2 >= |c0_b|^2 + |t_b|^2 - 2 |<t_b, c0_b>|``.  No control can bring
+    the half-squared distance below the sum of those half bounds, each
+    clamped at 0 against rounding, whatever basis the block has.  Returns 0
+    when the generated algebra is not abelian (no moduli obstruction).  A
+    state whose dimension is not the system's raises ValueError.
     """
     _check_dimension("system", sys.n, s0.n, target.n)
     frame = commuting_frame(sys)
     if frame is None:
         return 0.0
-    m0 = block_moduli(frame, s0)
-    mt = block_moduli(frame, target)
-    return float(0.5 * np.sum((m0 - mt) ** 2))
+    d0, dt = (frame.U.conj().T @ s.c for s in (s0, target))
+    terms = [0.5 * (np.vdot(d0[b], d0[b]).real + np.vdot(dt[b], dt[b]).real) - abs(np.vdot(dt[b], d0[b]))
+             for b in frame.blocks]
+    return float(np.sum(np.maximum(terms, 0.0)))
 
 
 def controllability_report(sys: ControlSystem, s0: StateVector) -> ControllabilityReport:

@@ -20,12 +20,14 @@ leave the batch, and the certificate is the least distance among the
 restarts that converged in that round (ties to the lowest index).  A target
 that never converges runs every restart to its end and keeps the least
 distance, unless :func:`steer` proves it off the orbit first and runs no
-restart.  Targets are independent, so a verify gives the certificates of
-one :func:`steer` per target.  The targets go in waves of as many as keep a
-round's largest complex array, ``rows * segments * n**2`` entries, within
-``ROUND_BYTES``; a lone target always runs.  A certificate that fails to
-converge is a flagged optimizer failure and nothing more -- reachability of
-orbit points is a theorem, so non-convergence is never evidence against it.
+restart.  A verify's targets are words of the system's own flows, orbit
+points by construction (:func:`reachctl.orbit.sample_orbit`), and they are
+independent, so a verify gives the certificates of one :func:`steer` per
+target.  The targets go in waves of as many as keep a round's largest
+complex array, ``rows * segments * n**2`` entries, within ``ROUND_BYTES``; a
+lone target always runs.  A certificate that fails to converge is a flagged
+optimizer failure and nothing more -- reachability of orbit points is a
+theorem, so non-convergence is never evidence against it.
 """
 
 from dataclasses import dataclass
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControlSchedule, ControlSystem, StateVector, forward_pass
-from .lie import closure
-from .matrices import RANK_TOL, _check_count, _check_dimension, _check_entries, _check_positive, _check_share
+from .matrices import _check_count, _check_dimension, _check_entries, _check_positive, _check_share
 from .orbit import moduli_distance_bound, sample_orbit
 
 __all__ = [
@@ -387,28 +388,6 @@ def _race(
     ]
 
 
-def _off_orbit_floor(sys: ControlSystem, s0: StateVector, target: StateVector, phase_sensitive: bool) -> float:
-    """A floor under every distance a schedule can reach from ``s0`` toward ``target``; 0 when none is known.
-
-    Only a commuting pair has one.  With A and B scaled to unit Frobenius norm (a zero generator
-    commutes), a commutator clearly above ``100 * RANK_TOL`` gives 0 at once: ``[A, B]`` is
-    Frobenius-orthogonal to span{A, B} for normal A and B, so closure's own rule admits it and the
-    algebra is not abelian, and no closure is paid.  Every other pair takes
-    :func:`reachctl.orbit.moduli_distance_bound`'s decision and its phase-sensitive floor
-    ``F = 0.5 * sum_b (m0_b - mt_b)^2`` over the conserved block moduli.
-
-    Projective floor.  The reached state ``c`` keeps the block moduli ``m0_b``, so by Cauchy-Schwarz
-    per block ``|<t, c>| <= sum_b m0_b * mt_b``, and for unit states ``sum_b m0_b * mt_b = 1 - F``,
-    which lies in [0, 1].  Hence ``1 - |<t, c>|^2 >= 1 - (1 - F)^2 = F * (2 - F)``.
-    """
-    norms = (np.hypot.reduce(np.abs(X).ravel()) for X in (sys.A, sys.B))  # cannot overflow
-    A, B = (X / norm if norm else X for X, norm in zip((sys.A, sys.B), norms))
-    if np.hypot.reduce(np.abs(A @ B - B @ A).ravel()) > 100 * RANK_TOL:
-        return 0.0
-    floor = moduli_distance_bound(sys, s0, target)
-    return floor if phase_sensitive else floor * (2.0 - floor)
-
-
 def steer(
     sys: ControlSystem,
     s0: StateVector,
@@ -456,12 +435,12 @@ def steer(
     is not finite (an overflow), which costs one evaluation.
 
     Before any restart, a commuting pair's target is checked against the
-    floor its conserved block moduli put under every reachable distance
-    (:func:`reachctl.orbit.moduli_distance_bound`): ``F`` phase-sensitively,
-    ``F (2 - F)`` projectively, since per block ``|<t, c>| <= sum_b m0_b
-    mt_b = 1 - F``.  A pair whose unit-scaled commutator clearly exceeds
-    ``100 * RANK_TOL`` is not abelian and gets no floor, and no closure is
-    paid.  A floor above ``100 * cfg.target_distance``, clear of the
+    floor ``F`` of :func:`reachctl.orbit.moduli_distance_bound` under every
+    reachable distance: ``F`` phase-sensitively, ``F (2 - F)`` projectively,
+    since each joint eigenspace's part of the reached state ``c`` is
+    ``c0_b`` turned by a phase, so ``|<t, c>| <= sum_b |<t_b, c0_b>| = 1 -
+    F``.  A pair that clearly does not commute gets no floor and pays no
+    closure.  A floor above ``100 * cfg.target_distance``, clear of the
     rounding band, proves the target off the orbit: the certificate is
     ``"off_orbit"``, restart 0's zero schedule evaluated once (one forward
     pass, so re-propagating the schedule gives its distance bit for bit),
@@ -482,7 +461,8 @@ def steer(
     cfg = cfg or SteeringConfig()
     _check_dimension("system", sys.n, s0.n, target.n)
     _check_entries("restarts * segments", cfg.restarts, cfg.segments, sys.n**2)
-    if _off_orbit_floor(sys, s0, target, cfg.phase_sensitive) > 100 * cfg.target_distance:
+    floor = moduli_distance_bound(sys, s0, target)
+    if (floor if cfg.phase_sensitive else floor * (2.0 - floor)) > 100 * cfg.target_distance:
         # Restart 0's start, evaluated as a round evaluates it.
         durations, values = np.full(cfg.segments, cfg.horizon / cfg.segments), np.zeros(cfg.segments)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -508,9 +488,12 @@ def verify_reachability(
 ) -> tuple[list[StateVector], list[ReachabilityCertificate]]:
     """Sample orbit points and steer to each: the end-to-end reachability check.
 
-    Targets come from :func:`reachctl.orbit.sample_orbit`, so they lie on the
-    orbit by construction and the check never presupposes what it is testing.
-    Per-sample seeds are drawn from a master generator seeded with ``seed``.
+    Each target is a word of ``word_length`` signed-time flows ``exp(t_k (A
+    + u_k B))`` of the system itself (:func:`reachctl.orbit.sample_orbit`).
+    Those flows generate the group whose orbit is the reachable set, so the
+    targets lie on the orbit by construction, the check never presupposes
+    what it is testing, and no Lie algebra is built.  Per-sample seeds are
+    drawn from a master generator seeded with ``seed``.
     Every target is steered to with the default :class:`SteeringConfig`, and
     the targets' restarts advance together in the lockstep rounds of
     :func:`steer`, each target racing its own restarts.  Every row of a round
@@ -528,10 +511,11 @@ def verify_reachability(
     Raises
     ------
     ValueError
-        Before the closure runs, naming a bad count (``samples``,
+        Before any forward pass, naming a bad count (``samples``,
         ``word_length``, ``seed``), one that asks for more than
         ``matrices.MAX_ENTRIES`` array entries, or both dimensions when they
-        differ.
+        differ; or naming the first factor of a sampled word whose flow
+        overflows double precision.
     """
     _check_count(samples, "samples")
     _check_count(word_length, "word_length", 0)
@@ -539,8 +523,7 @@ def verify_reachability(
     _check_dimension("system", sys.n, s0.n)
     _check_entries("samples", samples, sys.n)
     _check_entries("word_length", word_length, sys.n**2)
-    basis = closure([sys.A, sys.B])
     master = np.random.default_rng(seed)
     sample_seeds = [int(x) for x in master.integers(0, 2**63 - 1, size=samples)]
-    targets = [sample_orbit(basis, s0, word_length, seed=s)[0] for s in sample_seeds]
+    targets = [sample_orbit(sys, s0, word_length, seed=s)[0] for s in sample_seeds]
     return targets, _steer_all(sys, s0, targets, SteeringConfig())

@@ -130,6 +130,18 @@ def block_expm_distance_gradient(
     return grad
 
 
+def word_state(sys: ControlSystem, s0: StateVector, word: np.ndarray) -> np.ndarray:
+    """The state ``exp(t_m (A + u_m B)) ... exp(t_1 (A + u_1 B)) c0`` of a word of ``(u_k, t_k)`` rows.
+
+    One scipy ``expm`` per factor, applied in row order by dense products: no
+    eigendecomposition, and a negative duration is just a negative scalar.
+    """
+    c = s0.c
+    for u, t in word:
+        c = scipy.linalg.expm(t * (sys.A + u * sys.B)) @ c
+    return c
+
+
 def dense_recurrence_time(
     lambdas: np.ndarray,
     weights: np.ndarray,

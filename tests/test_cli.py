@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reachctl
-from reachctl import ControlSchedule, ControlSystem, StateVector, cli, steering
+from reachctl import ControlSchedule, ControlSystem, StateVector, cli, orbit, steering
 from reachctl.cli import run
 from reachctl.fileio import save_schedule, save_state, save_system, state_payload, system_payload
 from reachctl.matrices import MAX_ENTRIES
@@ -541,6 +541,27 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "reachctl verify: error: seed must be a non-negative integer, got -1\n"
         )
+
+    def test_makes_no_closure(self, su2_files, tmp_path, monkeypatch):
+        # The targets are words of the system's own flows: verify builds no Lie algebra.
+        calls, inner = [], orbit.closure
+        monkeypatch.setattr(orbit, "closure", lambda generators: calls.append(1) or inner(generators))
+        sys_path, state_path = su2_files
+        assert run(["verify", "--system", sys_path, "--state", state_path, "--samples", "2",
+                    "--out", str(tmp_path / "verify.json")]) == 0
+        assert calls == []
+
+    def test_overflowing_word_exits_1_with_one_line(self, tmp_path, basis_state, capsys):
+        sys_path, state_path = tmp_path / "big.json", tmp_path / "up.json"
+        save_system(ControlSystem(1e308j * SIGMA_Z, 1e308j * SIGMA_X), sys_path)
+        save_state(basis_state, state_path)
+        out = tmp_path / "verify.json"
+        code = run(["verify", "--system", str(sys_path), "--state", str(state_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("reachctl verify: error: orbit word factor ")
+        assert err.endswith(" overflows double precision\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_out_of_memory_exits_1(self, su2_files, tmp_path, capsys, monkeypatch):
         # a lockstep round holds at least one sample's restarts, so a large system can exhaust memory;

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from reachctl import (
     ControlSchedule,
     ControlSystem,
-    GroupWord,
     StateVector,
     Verdict,
     block_moduli,
@@ -17,7 +16,6 @@ from reachctl import (
     commuting_frame,
     conserved_moduli,
     controllability_report,
-    matrix_exp,
     moduli_distance_bound,
     propagate,
     sample_orbit,
@@ -28,9 +26,11 @@ from reachctl.lie import AlgebraClass, AlgebraLabel
 from reachctl.cli import run
 from reachctl.fileio import load_state, load_system, save_state, save_system
 from reachctl.matrices import MAX_ENTRIES, RANK_TOL
+from reachctl.dynamics import forward_pass
 from reachctl.orbit import DURATION_SCALE
 
 from helpers import SIGMA_X, SIGMA_Z, haar_unitary, random_skew, random_unit, real_antisymmetric, time_budget
+from oracles import word_state
 
 
 @pytest.fixture
@@ -60,32 +60,60 @@ class TestTangentDimension:
 
 
 class TestSampleOrbit:
-    def test_zero_length_word_returns_start(self, su2_basis, basis_state):
-        s, word = sample_orbit(su2_basis, basis_state, word_length=0)
-        assert np.array_equal(s.c, basis_state.c)
-        assert word.factors == []
+    def test_zero_length_word_returns_start(self, su2_system, basis_state):
+        s, word = sample_orbit(su2_system, basis_state, word_length=0)
+        assert s is basis_state
+        assert word.shape == (0, 2)
 
-    def test_diagonal_basis_preserves_moduli(self, plus_state):
-        basis = closure([np.diag([1j, 1j * np.sqrt(2.0)])])
-        s, _ = sample_orbit(basis, plus_state, word_length=5, seed=3)
+    def test_diagonal_basis_preserves_moduli(self, torus_system, plus_state):
+        # Every flow of a commuting pair is diagonal in the joint frame: a target keeps c0's block moduli,
+        # on the diagonal torus and on a pair in a random frame with a two-level joint eigenspace.
+        s, _ = sample_orbit(torus_system, plus_state, word_length=5, seed=3)
         assert np.allclose(np.abs(s.c), np.abs(plus_state.c), atol=1e-12)
+        rng = np.random.default_rng(5)
+        W = haar_unitary(rng, 4)
+        A, B = (W @ np.diag(1j * np.array(levels)) @ W.conj().T
+                for levels in ([1.0, 1.0, np.sqrt(2.0), -0.3], [0.5, 0.5, -1.0, 2.0]))
+        sys, s0 = ControlSystem(A, B), StateVector(random_unit(rng, 4))
+        frame = commuting_frame(sys)
+        assert sorted(map(len, frame.blocks)) == [1, 1, 2]
+        for seed in range(5):
+            s, _ = sample_orbit(sys, s0, word_length=6, seed=seed)
+            assert np.allclose(block_moduli(frame, s), block_moduli(frame, s0), atol=1e-12)
 
-    def test_reproducible_bit_for_bit(self, su2_basis, basis_state):
-        s1, w1 = sample_orbit(su2_basis, basis_state, word_length=6, seed=42)
-        s2, w2 = sample_orbit(su2_basis, basis_state, word_length=6, seed=42)
+    def test_reproducible_bit_for_bit(self, su2_system, basis_state):
+        s1, w1 = sample_orbit(su2_system, basis_state, word_length=6, seed=42)
+        s2, w2 = sample_orbit(su2_system, basis_state, word_length=6, seed=42)
         assert np.array_equal(s1.c, s2.c)
-        assert len(w1.factors) == len(w2.factors) == 6
-        for (x1, t1), (x2, t2) in zip(w1.factors, w2.factors):
-            assert np.array_equal(x1, x2)
-            assert t1 == t2
+        assert w1.shape == (6, 2)
+        assert np.array_equal(w1, w2)
 
-    def test_word_replays_to_same_state(self, su2_basis, basis_state):
-        s, word = sample_orbit(su2_basis, basis_state, word_length=6, seed=42)
-        assert np.array_equal(word.apply(basis_state).c, s.c)
+    def test_word_replays_to_same_state(self, su2_system, basis_state):
+        # The word is the seed's one draw, scaled, and the state is its last end through the one carry.
+        s, word = sample_orbit(su2_system, basis_state, word_length=6, seed=42)
+        draw = np.random.default_rng(42).uniform(-1.0, 1.0, (6, 2))
+        assert np.array_equal(word[:, 0], draw[:, 0])
+        assert np.array_equal(word[:, 1], DURATION_SCALE * draw[:, 1])
+        end = forward_pass(su2_system, word[:, 1], word[:, 0], basis_state.c)[3][-1]
+        assert np.array_equal(s.c, StateVector.normalized(end).c)
 
-    def test_durations_within_scale(self, su2_basis, basis_state):
-        _, word = sample_orbit(su2_basis, basis_state, word_length=20, seed=1)
-        assert all(abs(t) <= DURATION_SCALE for _, t in word.factors)
+    def test_durations_within_scale(self, su2_system, basis_state):
+        _, word = sample_orbit(su2_system, basis_state, word_length=20, seed=1)
+        assert np.all(np.abs(word[:, 0]) <= 1.0)
+        assert np.all(np.abs(word[:, 1]) <= DURATION_SCALE)
+        assert np.any(word[:, 1] < 0.0) and np.any(word[:, 1] > 0.0)  # flows of both signs
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_expm_word_oracle(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
+        s0 = StateVector(random_unit(rng, n))
+        word_length = int(rng.integers(1, 9))
+        s, word = sample_orbit(sys, s0, word_length, seed=seed)
+        assert word.shape == (word_length, 2)
+        assert np.max(np.abs(s.c - word_state(sys, s0, word))) <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -96,50 +124,47 @@ class TestSampleOrbit:
         basis = closure([sys.A, sys.B])
         s0 = StateVector(random_unit(rng, n))
         base_dim = tangent_dimension(basis, s0)
-        s, _ = sample_orbit(basis, s0, word_length=4, seed=seed)
+        s, _ = sample_orbit(sys, s0, word_length=4, seed=seed)
         assert tangent_dimension(basis, s) == base_dim
 
+    def test_overflowing_flow_raises_one_diagnostic(self, basis_state):
+        # su(2) at 1e308: the phase of some factor overflows; the error names it, and numpy warns of nothing.
+        sys = ControlSystem(1e308j * SIGMA_Z, 1e308j * SIGMA_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^orbit word factor (\d+): the flow over duration \S+ at control "
+                                                 r"value \S+ overflows double precision$") as err:
+                sample_orbit(sys, basis_state, word_length=6, seed=7)
+        k = int(err.value.args[0].split()[3].rstrip(":"))
+        _, word = sample_orbit(ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X), basis_state, word_length=6, seed=7)
+        with np.errstate(over="ignore"):
+            phases = 1e308 * np.hypot(1.0, word[:, 0]) * np.abs(word[:, 1])  # the eigenfrequencies are +-|(1, u)|
+        assert k == int(np.argmax(~np.isfinite(phases)))
 
     @pytest.mark.parametrize("name, bad", [
         *(("word_length", bad) for bad in (-1, 2.0, True, None, "3")),
         *(("seed", bad) for bad in (-1, 2.0, True, None)),
     ])
-    def test_count_diagnostic_names_it(self, su2_basis, basis_state, name, bad):
+    def test_count_diagnostic_names_it(self, su2_system, basis_state, name, bad):
         kwargs = {"word_length": 3, name: bad}
         with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {bad!r}$"):
-            sample_orbit(su2_basis, basis_state, **kwargs)
+            sample_orbit(su2_system, basis_state, **kwargs)
 
-    def test_word_past_the_entries_limit_is_refused(self, su2_basis, basis_state):
-        # one 2 x 2 factor per letter: a word of MAX_ENTRIES // 4 letters is the longest
+    def test_word_past_the_entries_limit_is_refused(self, su2_system, basis_state):
+        # one 2 x 2 eigenbasis per factor: a word of MAX_ENTRIES // 4 factors is the longest
         with time_budget(5), pytest.raises(ValueError, match="^word_length is too large: it asks for more than"):
-            sample_orbit(su2_basis, basis_state, MAX_ENTRIES // 4 + 1)
+            sample_orbit(su2_system, basis_state, MAX_ENTRIES // 4 + 1)
 
 
 @pytest.mark.parametrize("entry, what", [
     (lambda sys, s: tangent_dimension(closure([sys.A, sys.B]), s), "basis"),
-    (lambda sys, s: sample_orbit(closure([sys.A, sys.B]), s, word_length=3), "basis"),
+    (lambda sys, s: sample_orbit(sys, s, word_length=3), "system"),
     (controllability_report, "system"),
 ], ids=["tangent_dimension", "sample_orbit", "controllability_report"])
 def test_dimension_diagnostic_names_both(entry, what, su2_system):
     wide = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(ValueError, match=f"^{what} dimension 2 does not match state dimension 3$"):
         entry(su2_system, wide)
-
-
-class TestGroupWord:
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_stacked_apply_matches_matrix_exp_loop(self, n):
-        rng = np.random.default_rng(n)
-        basis = closure([random_skew(rng, n), random_skew(rng, n)])
-        s0 = StateVector(random_unit(rng, n))
-        picks = rng.integers(basis.dim, size=9)
-        durations = rng.uniform(-2.0, 2.0, 9)
-        durations[[2, 5]] = 0.0  # matrix_exp returns the exact identity at t = 0
-        word = GroupWord([(basis.elements[k], float(t)) for k, t in zip(picks, durations)])
-        c = s0.c
-        for X, t in word.factors:
-            c = matrix_exp(X, t) @ c
-        assert np.array_equal(word.apply(s0).c, StateVector.normalized(c).c)
 
 
 class TestCommutingFrame:
@@ -181,9 +206,10 @@ class TestCommutingFrame:
         assert np.allclose(sorted(frame.lambdas_b), [-1.0, 1.0])
 
 
-    @pytest.mark.parametrize("kind, closures", [("su2", 0), ("u3", 0), ("so4", 0), ("so4u1", 1), ("torus2", 1)])
+    @pytest.mark.parametrize("kind, closures", [("su2", 0), ("u3", 0), ("so4", 0), ("so4u1", 0), ("torus2", 1)])
     def test_closure_only_when_uncertified(self, kind, closures, monkeypatch):
-        # A pair the drift frame certifies as u(n), su(n) or so(n) does not commute: no closure is needed.
+        # A pair whose unit-scaled commutator is clearly nonzero, certified or not, does not commute: no closure
+        # is needed.  Only a pair that may commute pays one.
         calls = _count_calls(monkeypatch, "closure")
         sys = ControlSystem(*_fixed_pair(kind)[:2])
         assert (commuting_frame(sys) is None) == (kind != "torus2")

@@ -931,16 +931,21 @@ class TestRace:
 
 
 def counted_closures(monkeypatch) -> list:
-    """Patch the closure that ``orbit`` and ``steering`` call to tally its calls; returns the live tally."""
+    """Patch the closure that ``orbit`` calls, the package's one caller, to tally its calls; returns the live tally."""
     tally, inner = [0], orbit.closure
 
     def counted(generators):
         tally[0] += 1
         return inner(generators)
 
-    for module in (orbit, steering):
-        monkeypatch.setattr(module, "closure", counted)
+    monkeypatch.setattr(orbit, "closure", counted)
     return tally
+
+
+def off_orbit_floor(sys, s0, target, phase_sensitive):
+    """``steer``'s floor: ``moduli_distance_bound``'s ``F``, or ``F (2 - F)`` projectively."""
+    F = moduli_distance_bound(sys, s0, target)
+    return F if phase_sensitive else F * (2.0 - F)
 
 
 def at_floor(floor, phase_sensitive):
@@ -963,7 +968,7 @@ class TestOffOrbit:
         cfg = SteeringConfig(segments=10, restarts=2, phase_sensitive=phase_sensitive)
         counts = CountingKernels(monkeypatch)
         cert = steer(sys, s0, target, cfg)
-        assert steering._off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(floor, rel=1e-15)
+        assert off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(floor, rel=1e-15)
         assert (cert.stop_reason, cert.iterations_used, cert.restart_index, cert.converged) == ("off_orbit", 0, 0, False)
         assert np.array_equal(cert.schedule.values, np.zeros(10))
         assert np.array_equal(cert.schedule.durations, np.full(10, 0.5))
@@ -981,8 +986,12 @@ class TestOffOrbit:
         A, B = (W @ np.diag(1j * np.array(levels)) @ W.conj().T
                 for levels in ([1.0, 1.0, np.sqrt(2.0), -0.3], [0.5, 0.5, -1.0, 2.0]))
         sys, s0, target = ControlSystem(A, B), StateVector(random_unit(rng, 4)), StateVector(random_unit(rng, 4))
-        floors = {ps: steering._off_orbit_floor(sys, s0, target, ps) for ps in (True, False)}
+        floors = {ps: off_orbit_floor(sys, s0, target, ps) for ps in (True, False)}
         assert floors[False] == pytest.approx(floors[True] * (2.0 - floors[True]))
+        # The phase-aware floor is at least the moduli-only one, 0.5 * sum (m0 - mt)^2.
+        frame = commuting_frame(sys)
+        moduli_floor = 0.5 * np.sum((block_moduli(frame, s0) - block_moduli(frame, target)) ** 2)
+        assert floors[True] >= moduli_floor - 1e-15
         assert floors[True] > 0.01
         for _ in range(40):
             sched = ControlSchedule(rng.uniform(0.1, 2.0, 6), rng.uniform(-3.0, 3.0, 6))
@@ -991,13 +1000,31 @@ class TestOffOrbit:
                 assert distance(final, target, ps) >= floor - 1e-12
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    def test_phase_floor_proves_equal_moduli_target_off_orbit(self, monkeypatch, phase_sensitive):
+        # A 2-level joint eigenspace only turns by a phase: from (1, 0, 1)/sqrt2 the target (0, 1, 1)/sqrt2 has
+        # the same block moduli, but its part in that block is orthogonal to the start's, so the floor is 0.5.
+        A = np.diag([1j, 1j, 1j * np.sqrt(2.0)])
+        sys = ControlSystem(A, 2.0 * A)
+        s0, target = (StateVector(np.array(c) / np.sqrt(2.0)) for c in ([1.0, 0.0, 1.0], [0.0, 1.0, 1.0]))
+        assert moduli_distance_bound(sys, s0, target) == pytest.approx(0.5, rel=1e-15)
+        counts = CountingKernels(monkeypatch)
+        cert = steer(sys, s0, target, SteeringConfig(phase_sensitive=phase_sensitive))
+        assert (cert.stop_reason, cert.iterations_used, cert.converged) == ("off_orbit", 0, False)
+        assert counts.gradients == 0
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            sched = ControlSchedule(rng.uniform(0.1, 2.0, 4), rng.uniform(-3.0, 3.0, 4))
+            final = propagate(sys, s0, sched, samples_per_segment=1).final_state
+            assert distance(final, target, phase_sensitive) >= off_orbit_floor(sys, s0, target, phase_sensitive) - 1e-12
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("ratio, off_orbit", [(50.0, False), (200.0, True)])
     def test_floor_in_the_rounding_band_runs_the_optimizer(self, monkeypatch, phase_sensitive, ratio, off_orbit):
         # A floor within 100 target distances is left to the optimizer, which cannot converge below it either.
         sys, s0, _ = off_moduli_torus()
         cfg = SteeringConfig(segments=10, restarts=2, max_iterations=20, phase_sensitive=phase_sensitive)
         target = at_floor(ratio * cfg.target_distance, phase_sensitive)
-        assert steering._off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(
+        assert off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(
             ratio * cfg.target_distance, rel=1e-6)
         counts = CountingKernels(monkeypatch)
         cert = steer(sys, s0, target, cfg)
@@ -1031,7 +1058,7 @@ class TestOffOrbit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cert = steer(scaled, s0, target, cfg)
-            assert steering._off_orbit_floor(scaled, s0, target, True) == steering._off_orbit_floor(sys, s0, target, True)
+            assert off_orbit_floor(scaled, s0, target, True) == off_orbit_floor(sys, s0, target, True)
             final = propagate(scaled, s0, cert.schedule, samples_per_segment=1).final_state
         assert (cert.stop_reason, cert.iterations_used, cert.restart_index, cert.converged) == ("off_orbit", 0, 0, False)
         assert np.array_equal(cert.schedule.values, np.zeros(10))
@@ -1084,18 +1111,49 @@ class TestVerifyReachability:
         ("word_length", -1),
     ])
     def test_counts_raise_before_closure(self, su2_system, basis_state, monkeypatch, name, bad):
-        def no_closure(generators):
-            raise AssertionError("closure ran before the argument check")
-
-        monkeypatch.setattr(steering, "closure", no_closure)
+        # The arguments are checked before any work: no forward pass runs.
+        forbid_forward_passes(monkeypatch, "the argument check")
         with pytest.raises(ValueError, match=f"^{name} must be a (positive|non-negative) integer, got {bad!r}$"):
             verify_reachability(su2_system, basis_state, **{name: bad})
 
     def test_dimension_mismatch_raises_before_closure(self, su2_system, monkeypatch):
-        def no_closure(generators):
-            raise AssertionError("closure ran before the dimension check")
-
-        monkeypatch.setattr(steering, "closure", no_closure)
+        forbid_forward_passes(monkeypatch, "the dimension check")
         wide = StateVector(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="system dimension 2 does not match state dimension 3"):
             verify_reachability(su2_system, wide, samples=1)
+
+    @pytest.mark.parametrize("pair", ["su2", "torus2", "so3u1"])
+    def test_makes_no_closure(self, monkeypatch, pair):
+        # Targets are words of the system's own flows: no Lie algebra is built, certified pair or not.
+        if pair == "su2":
+            sys, s0 = ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X), StateVector(np.array([1.0, 0.0]))
+        elif pair == "torus2":
+            sys, s0 = off_moduli_torus()[:2]
+        else:
+            rng = np.random.default_rng(0)
+            sys = ControlSystem(real_antisymmetric(rng, 3) + 0.7j * np.eye(3), real_antisymmetric(rng, 3))
+            s0 = StateVector(np.eye(3)[0])
+        closures = counted_closures(monkeypatch)
+        targets, _ = verify_reachability(sys, s0, samples=2, word_length=3)
+        assert closures[0] == 0
+        assert not hasattr(steering, "closure")
+        seeds = np.random.default_rng(7).integers(0, 2**63 - 1, size=2)  # the master's per-sample seeds
+        for target, seed in zip(targets, seeds.tolist()):
+            assert np.array_equal(target.c, orbit.sample_orbit(sys, s0, 3, seed=seed)[0].c)
+
+    def test_overflowing_word_raises_without_warning(self, basis_state):
+        sys = ControlSystem(1e308j * SIGMA_Z, 1e308j * SIGMA_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^orbit word factor \d+: the flow over duration .* overflows "
+                                                 r"double precision$"):
+                verify_reachability(sys, basis_state, samples=2)
+
+
+def forbid_forward_passes(monkeypatch, check):
+    """Make every forward pass that ``orbit`` or ``steering`` would run fail loudly."""
+    def no_forward_pass(*args):
+        raise AssertionError(f"a forward pass ran before {check}")
+
+    for module in (orbit, steering):
+        monkeypatch.setattr(module, "forward_pass", no_forward_pass)
