@@ -53,14 +53,20 @@ class CommutingFrame:
 
     ``U`` diagonalizes both generators: ``A = U diag(i lambdas_a) U^dagger``
     and ``B = U diag(i lambdas_b) U^dagger`` up to tolerance.  ``blocks``
-    groups the indices by joint eigenvalue; within each block the basis is an
-    arbitrary rotation, so only block-wise moduli are honest invariants.
+    groups the indices by joint eigenvalue, splitting at gaps above
+    ``RANK_TOL`` times the generator's norm; within each block the basis is
+    an arbitrary rotation, so block-wise moduli are the invariants.
+    ``exact[k]`` says that block k's joint eigenvalues agree to rounding
+    (``64 n eps`` times the norm): every flow turns that block's part of a
+    state by one phase.  A block merged across a smaller nonzero gap keeps
+    only its modulus, since an unbounded control turns the relative phases.
     """
 
     lambdas_a: np.ndarray
     lambdas_b: np.ndarray
     U: np.ndarray
     blocks: list
+    exact: list
 
 
 @dataclass
@@ -141,7 +147,9 @@ def _joint_frame(frame: tuple) -> CommutingFrame:
         lam_b[idx] = omega_b
         cuts = np.flatnonzero(np.abs(np.diff(omega_b)) > RANK_TOL * norm_b) + 1
         blocks += [block.tolist() for block in np.split(idx, cuts)]
-    return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks)
+    rounding = 64 * lam_a.size * np.finfo(float).eps
+    exact = [bool(np.ptp(lam_a[b]) <= rounding * norm_a and np.ptp(lam_b[b]) <= rounding * norm_b) for b in blocks]
+    return CommutingFrame(lambdas_a=lam_a, lambdas_b=lam_b, U=U, blocks=blocks, exact=exact)
 
 
 def _isolated(gaps: np.ndarray, floor: float) -> np.ndarray:
@@ -336,11 +344,16 @@ def commuting_frame(sys: ControlSystem) -> CommutingFrame | None:
     return _joint_frame(frame) if algebra_class.abelian else None
 
 
-def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
-    """Per-block amplitude norms ``sqrt(sum_{k in block} |d_k|^2)``, ``d = U^dagger c``."""
+def _block_parts(frame: CommutingFrame, s: StateVector) -> list:
+    # The parts of ``d = U^dagger c`` in the frame's blocks, in block order.
     _check_dimension("frame", frame.U.shape[0], s.n)
     d = frame.U.conj().T @ s.c
-    return np.array([float(np.sqrt(np.sum(np.abs(d[block]) ** 2))) for block in frame.blocks])
+    return [d[block] for block in frame.blocks]
+
+
+def block_moduli(frame: CommutingFrame, s: StateVector) -> np.ndarray:
+    """Per-block amplitude norms ``sqrt(sum_{k in block} |d_k|^2)``, ``d = U^dagger c``."""
+    return np.array([float(np.sqrt(np.sum(np.abs(part) ** 2))) for part in _block_parts(frame, s)])
 
 
 def conserved_moduli(sys: ControlSystem) -> list | None:
@@ -359,22 +372,25 @@ def conserved_moduli(sys: ControlSystem) -> list | None:
 def moduli_distance_bound(sys: ControlSystem, s0: StateVector, target: StateVector) -> float:
     """A-priori floor on the phase-sensitive distance to ``target``.
 
-    For a commuting system every generator ``A + eps B`` is one imaginary
-    scalar on each joint eigenspace, so a reachable state's part ``c_b`` in
-    block b is ``s0``'s part ``c0_b`` turned by a phase, and ``|c_b -
-    t_b|^2 >= |c0_b|^2 + |t_b|^2 - 2 |<t_b, c0_b>|``.  No control can bring
-    the half-squared distance below the sum of those half bounds, each
-    clamped at 0 against rounding, whatever basis the block has.  Returns 0
-    when the generated algebra is not abelian (no moduli obstruction).  A
-    state whose dimension is not the system's raises ValueError.
+    For a commuting system every generator ``A + eps B`` is diagonal in the
+    joint frame, so each block's modulus is conserved: block b's part
+    ``c_b`` of a reachable state has ``|c_b| = |c0_b|``, and ``|c_b -
+    t_b|^2 >= (|c0_b| - |t_b|)^2``.  On an exact block (see
+    :class:`CommutingFrame`) every generator is one imaginary scalar, so
+    ``c_b`` is ``c0_b`` turned by a phase, and ``|c_b - t_b|^2 >= |c0_b|^2
+    + |t_b|^2 - 2 |<t_b, c0_b>|``.  No control can bring the half-squared
+    distance below the sum of those half bounds, each clamped at 0 against
+    rounding, whatever basis the block has.  Returns 0 when the generated
+    algebra is not abelian (no moduli obstruction).  A state whose
+    dimension is not the system's raises ValueError.
     """
     _check_dimension("system", sys.n, s0.n, target.n)
     frame = commuting_frame(sys)
     if frame is None:
         return 0.0
-    d0, dt = (frame.U.conj().T @ s.c for s in (s0, target))
-    terms = [0.5 * (np.vdot(d0[b], d0[b]).real + np.vdot(dt[b], dt[b]).real) - abs(np.vdot(dt[b], d0[b]))
-             for b in frame.blocks]
+    terms = [0.5 * (np.vdot(p0, p0).real + np.vdot(pt, pt).real) - abs(np.vdot(pt, p0)) if exact
+             else 0.5 * (np.linalg.norm(p0) - np.linalg.norm(pt)) ** 2
+             for p0, pt, exact in zip(_block_parts(frame, s0), _block_parts(frame, target), frame.exact)]
     return float(np.sum(np.maximum(terms, 0.0)))
 
 

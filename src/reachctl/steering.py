@@ -437,11 +437,12 @@ def steer(
     Before any restart, a commuting pair's target is checked against the
     floor ``F`` of :func:`reachctl.orbit.moduli_distance_bound` under every
     reachable distance: ``F`` phase-sensitively, ``F (2 - F)`` projectively,
-    since each joint eigenspace's part of the reached state ``c`` is
-    ``c0_b`` turned by a phase, so ``|<t, c>| <= sum_b |<t_b, c0_b>| = 1 -
-    F``.  A pair that clearly does not commute gets no floor and pays no
-    closure.  A floor above ``100 * cfg.target_distance``, clear of the
-    rounding band, proves the target off the orbit: the certificate is
+    since the reached state ``c`` has ``|<t, c>| <= sum_b |<t_b, c_b>| <=
+    1 - F``: an exact block's ``c_b`` is ``c0_b`` turned by a phase, and
+    any other block's ``|<t_b, c_b>|`` is at most ``|t_b| |c0_b|``.  A pair
+    that clearly does not commute gets no floor and pays no closure.  A
+    floor above ``100 * cfg.target_distance``, clear of the rounding band,
+    proves the target off the orbit: the certificate is
     ``"off_orbit"``, restart 0's zero schedule evaluated once (one forward
     pass, so re-propagating the schedule gives its distance bit for bit),
     never converged, and no restart runs.  :func:`verify_reachability` skips

@@ -1018,6 +1018,25 @@ class TestOffOrbit:
             assert distance(final, target, phase_sensitive) >= off_orbit_floor(sys, s0, target, phase_sensitive) - 1e-12
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    def test_merged_block_keeps_only_the_moduli_floor(self, phase_sensitive):
+        # B's levels 0 and 1 differ by 1e-11, below RANK_TOL, so they share a block; yet the control u = 5e10 turns
+        # their relative phase by pi in time 2 pi, and (1, 1, 0)/sqrt2 reaches (1, -1, 0)/sqrt2.  Only the block's
+        # modulus binds there, so the floor is 0 and steer must not call the target off the orbit.
+        sys = ControlSystem(np.diag([1j, 1j, 1j * np.sqrt(2.0)]), np.diag([0.0, 1e-11j, 1j]))
+        s0, target = (StateVector(np.array(c, dtype=complex) / np.sqrt(2.0)) for c in ([1.0, 1.0, 0.0],
+                                                                                        [1.0, -1.0, 0.0]))
+        frame = commuting_frame(sys)
+        assert sorted(zip(map(len, frame.blocks), frame.exact)) == [(1, True), (2, False)]
+        floor = off_orbit_floor(sys, s0, target, phase_sensitive)
+        assert floor == 0.0
+        final = propagate(sys, s0, ControlSchedule(np.array([2 * np.pi]), np.array([5e10])),
+                          samples_per_segment=1).final_state
+        reached = distance(final, target, phase_sensitive)
+        assert floor <= reached <= 1e-9
+        cfg = SteeringConfig(restarts=1, max_iterations=5, phase_sensitive=phase_sensitive)
+        assert steer(sys, s0, target, cfg).stop_reason != "off_orbit"
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("ratio, off_orbit", [(50.0, False), (200.0, True)])
     def test_floor_in_the_rounding_band_runs_the_optimizer(self, monkeypatch, phase_sensitive, ratio, off_orbit):
         # A floor within 100 target distances is left to the optimizer, which cannot converge below it either.
