@@ -12,7 +12,6 @@ reports byte for byte.
 import argparse
 import functools
 import sys as _sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .fileio import (
     report_payload,
     trajectory_payload,
     verification_payload,
+    write_in_place,
 )
 from .orbit import controllability_report
 from .steering import SteeringConfig, steer, verify_reachability
@@ -97,7 +97,7 @@ def _emit(report: dict, out: str | None) -> None:
         _sys.stdout.write(text)
     else:
         try:
-            Path(out).write_text(text)
+            write_in_place(out, text)
         except OSError as exc:
             raise ValueError(f"{out}: cannot write report ({exc.strerror or exc})") from exc
 

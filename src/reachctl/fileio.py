@@ -5,11 +5,14 @@ row-major.  Loaders raise ValueError with diagnostics that name the file and
 the offending field (and segment or entry where applicable), so the command
 line can surface them verbatim.  Rendering always uses sorted keys and fixed
 indentation, which makes every emitted document byte-identical across runs
-and stable under a parse/re-render round trip.
+and stable under a parse/re-render round trip.  Every file is written by
+:func:`write_in_place`.
 """
 
 import hashlib
 import json
+import os
+import stat
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -27,6 +30,7 @@ __all__ = [
     "save_system",
     "save_state",
     "save_schedule",
+    "write_in_place",
     "system_payload",
     "state_payload",
     "schedule_payload",
@@ -190,16 +194,38 @@ def schedule_payload(sched: ControlSchedule) -> dict:
     }
 
 
+def write_in_place(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 over the file's old bytes, then cut it to the new length.
+
+    Nothing truncates the file to zero or renames a new one over it: on ext4
+    (``auto_da_alloc``) either starts a writeback of the file on close, about
+    0.35 ms per report against 8 us for this write.  Every caller writes a
+    rendered document, never empty, so the cut is never to zero.  The file
+    keeps its inode and mode bits; a special file such as ``/dev/null``, a
+    tty or a pipe is written and not cut.  Nothing is fsynced.  Raises OSError.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def save_system(sys: ControlSystem, path) -> None:
-    Path(path).write_text(render(system_payload(sys)))
+    write_in_place(path, render(system_payload(sys)))
 
 
 def save_state(s: StateVector, path) -> None:
-    Path(path).write_text(render(state_payload(s)))
+    write_in_place(path, render(state_payload(s)))
 
 
 def save_schedule(sched: ControlSchedule, path) -> None:
-    Path(path).write_text(render(schedule_payload(sched)))
+    write_in_place(path, render(schedule_payload(sched)))
 
 
 def report_payload(report: ControllabilityReport) -> dict:

@@ -153,6 +153,59 @@ class TestAnalyze:
         assert not out.exists()
 
 
+class TestOutFile:
+    """``--out`` is written over in place: exactly the report's bytes, the same inode and mode, untouched on exit 1."""
+
+    def analyze(self, su2_files, *extra):
+        sys_path, state_path = su2_files
+        return run(["analyze", "--system", sys_path, "--state", state_path, *extra])
+
+    @pytest.mark.parametrize("old", [b"x" * 8192, b"{}\n"], ids=["longer", "shorter"])
+    def test_existing_out_holds_exactly_the_report(self, su2_files, tmp_path, capsys, old):
+        assert self.analyze(su2_files) == 0
+        report = capsys.readouterr().out.encode()
+        out = tmp_path / "report.json"
+        out.write_bytes(old)
+        assert self.analyze(su2_files, "--out", str(out)) == 0
+        assert out.read_bytes() == report
+
+    def test_keeps_inode_and_mode(self, su2_files, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"x" * 8192)
+        out.chmod(0o604)
+        before = out.stat()
+        assert self.analyze(su2_files, "--out", str(out)) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_dev_null_exits_0(self, su2_files, capsys):
+        assert self.analyze(su2_files, "--out", os.devnull) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_directory_exits_1_with_one_line(self, su2_files, tmp_path, capsys):
+        assert self.analyze(su2_files, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"reachctl analyze: error: {tmp_path}: cannot write report (Is a directory)\n"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_1_leaves_out_untouched(self, tmp_path, basis_state, capsys):
+        sys_path, state_path = tmp_path / "big.json", tmp_path / "state.json"
+        save_system(ControlSystem(1e10j * SIGMA_Z, 1e10j * SIGMA_X), sys_path)
+        save_state(basis_state, state_path)
+        controls = tmp_path / "controls.json"
+        save_schedule(ControlSchedule.constant(0.5, 1e300), controls)
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier report\n")
+        before = out.stat()
+        code = run(["simulate", "--system", str(sys_path), "--state", str(state_path),
+                    "--controls", str(controls), "--samples-per-segment", "1", "--out", str(out)])
+        assert code == 1
+        assert "overflows double precision" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier report\n"
+        assert out.stat().st_mtime_ns == before.st_mtime_ns
+
+
 class TestSimulate:
     def test_pure_drift_reports_energy(self, su2_files, tmp_path):
         sys_path, state_path = su2_files

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from reachctl.fileio import (
     system_payload,
     trajectory_payload,
     verification_payload,
+    write_in_place,
 )
 
 from helpers import SIGMA_X, SIGMA_Z
@@ -43,6 +46,54 @@ def su2_files(tmp_path, su2_system, basis_state):
     save_system(su2_system, sys_path)
     save_state(basis_state, state_path)
     return sys_path, state_path
+
+
+class TestWriteInPlace:
+    @pytest.mark.parametrize("old", ["x" * 4096, "{}", ""], ids=["longer", "shorter", "empty"])
+    def test_overwrite_holds_exactly_the_new_text(self, tmp_path, old):
+        path = tmp_path / "out.json"
+        path.write_text(old)
+        write_in_place(path, '{\n  "a": 1\n}\n')
+        assert path.read_bytes() == b'{\n  "a": 1\n}\n'
+
+    def test_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("x" * 100)
+        path.chmod(0o640)
+        before = path.stat()
+        write_in_place(path, "{}\n")
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        write_in_place(ours, "{}\n")
+        theirs.write_text("{}\n")
+        assert stat.S_IMODE(ours.stat().st_mode) == stat.S_IMODE(theirs.stat().st_mode)
+
+    def test_special_file_is_written_and_not_cut(self):
+        write_in_place(os.devnull, "{}\n")
+
+    def test_directory_raises_oserror(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_in_place(tmp_path, "{}\n")
+
+    @pytest.mark.parametrize("save, value", [
+        (save_system, ControlSystem(1j * SIGMA_Z, 1j * SIGMA_X)),
+        (save_state, StateVector(np.array([1.0, 0.0], dtype=complex))),
+        (save_schedule, ControlSchedule.constant(0.5, 1.0)),
+    ], ids=["system", "state", "schedule"])
+    def test_savers_raise_plain_oserror(self, tmp_path, save, value):
+        with pytest.raises(OSError) as info:
+            save(value, tmp_path / "missing" / "out.json")
+        assert type(info.value) is FileNotFoundError
+
+    def test_save_state_over_longer_file_round_trips(self, tmp_path, su2_system, plus_state):
+        path = tmp_path / "state.json"
+        save_system(su2_system, path)
+        save_state(plus_state, path)
+        assert path.read_text() == render(state_payload(plus_state))
+        assert np.array_equal(load_state(path).c, plus_state.c)
 
 
 class TestLoadSystem:
