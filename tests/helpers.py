@@ -1,4 +1,4 @@
-"""Shared constants and generators for the test suite, and the per-restart reference optimizer."""
+"""Shared constants and generators for the test suite, and the per-restart reference optimizers."""
 
 import contextlib
 import math
@@ -7,7 +7,8 @@ import signal
 import numpy as np
 
 from reachctl.matrices import SKEW_TOL
-from reachctl.steering import _ALPHA_MAX, _ALPHA_MIN, _ARMIJO, _MEMORY, SteeringConfig
+from reachctl.steering import (_ALPHA_MAX, _ALPHA_MIN, _ARMIJO, _MEMORY, _MU_DOWN, _MU_MAX, _MU_START, _MU_UP,
+                               _SCALE_FLOOR, SteeringConfig)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,6 +94,13 @@ def lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
     return -q
 
 
+def restart_start(cfg: SteeringConfig, restart: int) -> np.ndarray:
+    """Restart r's starting schedule: the zero schedule (the pure-drift baseline), then seeded uniform draws."""
+    if restart == 0:
+        return np.zeros(cfg.segments)
+    return np.random.default_rng((cfg.seed, restart)).uniform(-1.0, 1.0, cfg.segments)
+
+
 def optimize_restart(cfg: SteeringConfig, restart: int):
     """One restart's L-BFGS: ``f, g = yield trial`` evaluates; returns ``(values, f, iterations, stop_reason)``.
 
@@ -100,13 +108,7 @@ def optimize_restart(cfg: SteeringConfig, restart: int):
     and one lone evaluation per trial: the reference that the row-batched
     optimizer of ``steer`` must equal bit for bit.
     """
-    if restart == 0:
-        # The zero schedule: the pure-drift baseline is always examined.
-        values = np.zeros(cfg.segments)
-    else:
-        rng = np.random.default_rng((cfg.seed, restart))
-        values = rng.uniform(-1.0, 1.0, cfg.segments)
-
+    values = restart_start(cfg, restart)
     f, g = yield values
     pairs = []  # the last _MEMORY (s, y, 1 / s.y) curvature pairs, oldest first
     step = 1.0
@@ -151,4 +153,56 @@ def optimize_restart(cfg: SteeringConfig, restart: int):
             pairs.append((s, y, 1.0 / sy))
             del pairs[:-_MEMORY]
         values, f, g = trial, f_trial, g_trial
+    return values, f, iterations, "converged"
+
+
+def marquardt_step(columns: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
+    """Marquardt's step ``delta`` with ``(J^T J + mu D) delta = -J^T r``, ``D = diag J^T J`` floored at ``_SCALE_FLOOR``
+    times its largest entry, for one row: ``columns[j]`` is the Jacobian's column j.
+
+    Solved in the residual space, ``delta = -D^-1 J^T (mu I + J D^-1 J^T)^-1 r``, as lone products.
+    """
+    D = np.array([float(column @ column) for column in columns])
+    scaled = columns / np.maximum(D, _SCALE_FLOOR * D.max())[:, None]
+    M = columns.T @ scaled + mu * np.eye(r.size)
+    return -(scaled @ np.linalg.solve(M, r[:, None]))[:, 0]
+
+
+def optimize_restart_lm(cfg: SteeringConfig, restart: int):
+    """One restart's Levenberg-Marquardt descent: ``f, r, columns = yield trial`` evaluates; returns ``(values, f,
+    iterations, stop_reason)``, with ``iterations`` its accepted steps.
+
+    The per-restart reference for the Levenberg-Marquardt rows of ``steer``, as ``optimize_restart`` is for its
+    L-BFGS rows.
+    """
+    values = restart_start(cfg, restart)
+    f, r, columns = yield values
+    mu = _MU_START
+    iterations = 0
+    while not f <= cfg.target_distance:  # a NaN distance never counts as converged
+        if not math.isfinite(f):
+            return values, f, iterations, "line_search_exhausted"
+        if iterations == cfg.max_iterations:
+            return values, f, iterations, "max_iterations"
+        g = columns @ r
+        if float(g @ g) <= 1e-28:
+            return values, f, iterations, "zero_gradient"
+        while True:
+            trial = values + marquardt_step(columns, r, mu)
+            f_trial, r_trial, columns_trial = yield trial
+            if f_trial <= cfg.target_distance:
+                return trial, f_trial, iterations + 1, "converged"
+            if abs(f - f_trial) <= 1e-12 * f:
+                # A stall: the trial moved f by rounding only.
+                if f_trial < f:
+                    values, f, iterations = trial, f_trial, iterations + 1
+                return values, f, iterations, "line_search_exhausted"
+            if f_trial < f:
+                break
+            mu *= _MU_UP
+            if not mu <= _MU_MAX:
+                return values, f, iterations, "line_search_exhausted"
+        mu /= _MU_DOWN
+        iterations += 1
+        values, f, r, columns = trial, f_trial, r_trial, columns_trial
     return values, f, iterations, "converged"

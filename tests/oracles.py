@@ -160,3 +160,35 @@ def dense_recurrence_time(
     if after.size == 0:
         return None
     return float(ts[outside[0] + after[0]])
+
+
+def fd_endpoint_jacobian(
+    sys: ControlSystem,
+    durations: np.ndarray,
+    values: np.ndarray,
+    s0: StateVector,
+    target: StateVector,
+    phase_sensitive: bool = True,
+    step: float = 1e-6,
+) -> np.ndarray:
+    """Central finite differences of the real endpoint residual, each endpoint a product of scipy ``expm`` factors.
+
+    The residual is ``c - t`` phase-sensitively and ``sqrt2 (c - <t, c> t)`` projectively, as the real
+    vector ``(Re, Im)``, so that half its squared norm is the distance.  Column j of the ``(2n, m)``
+    result is its derivative in segment j's control value: no eigendecomposition and no adjoint.
+    """
+    def residual(v):
+        c = s0.c
+        for dt, u in zip(durations, v):
+            c = scipy.linalg.expm(dt * (sys.A + u * sys.B)) @ c
+        r = c - target.c if phase_sensitive else np.sqrt(2.0) * (c - np.vdot(target.c, c) * target.c)
+        return np.concatenate((r.real, r.imag))
+
+    columns = []
+    for j in range(values.size):
+        vp = values.copy()
+        vm = values.copy()
+        vp[j] += step
+        vm[j] -= step
+        columns.append((residual(vp) - residual(vm)) / (2.0 * step))
+    return np.array(columns).T

@@ -1,6 +1,7 @@
 """Module-level imports and private names are all used, no count or skew-Hermiticity is checked inline, orbit.py
-eigendecomposes the drift once, the optimizer uses no reduction that can round differently from its per-row form, no
-file is truncated to zero on write, the benchmark tracer's bindings all exist, and the CLI imports no optimizer."""
+eigendecomposes the drift once, the optimizers use no reduction or solve that can round differently from its per-row
+form, no file is truncated to zero on write, the benchmark tracer's bindings all exist, and the CLI imports no
+optimizer."""
 
 import ast
 import importlib
@@ -169,29 +170,32 @@ def test_finds_drift_decomposition():
 
 
 def inexact_reductions(source: str) -> list:
-    """Lines that call ``einsum``, or ``norm`` with an axis: row reductions that can differ from the 1-d product."""
+    """Lines that call ``einsum``, ``norm`` with an axis, ``lstsq``, ``pinv`` or ``inv``: row reductions and
+    linear solves whose stacked rows can differ from the lone ones."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
             with_axis = len(node.args) > 2 or any(keyword.arg == "axis" for keyword in node.keywords)
-            if name == "einsum" or name == "norm" and with_axis:
+            if name in ("einsum", "lstsq", "pinv", "inv") or name == "norm" and with_axis:
                 lines.add(node.lineno)
     return sorted(lines)
 
 
 def test_steering_reductions_are_exact():
-    # The array L-BFGS must equal the per-row one bit for bit: its dot products
+    # The array optimizers must equal the per-row ones bit for bit: their dot products
     # are batched matmuls, which equal the 1-d products on this build, while
-    # einsum and an axis-wise norm sum in another order.
+    # einsum and an axis-wise norm sum in another order.  The stacked solve is the
+    # one linear solve, and its rows are pinned equal to lone solves.
     assert inexact_reductions((MODULES[0].parent / "steering.py").read_text()) == []
 
 
 def test_finds_inexact_reduction():
     source = ("import numpy as np\nfrom numpy.linalg import norm\n"
               "a = np.einsum('ij,ij->i', s, y)\nb = np.linalg.norm(s)\nc = np.linalg.norm(s, axis=1)\n"
-              "d = norm(s, None, 1)\ne = np.sum(s * y, axis=1)\n")
-    assert inexact_reductions(source) == [3, 5, 6]
+              "d = norm(s, None, 1)\ne = np.sum(s * y, axis=1)\nf = np.linalg.lstsq(J, r)\n"
+              "g = np.linalg.pinv(M) @ r\nfrom numpy.linalg import inv\nh = inv(M)\ni = np.linalg.solve(M, r)\n")
+    assert inexact_reductions(source) == [3, 5, 6, 8, 9, 11]
 
 
 def truncating_writes(source: str) -> list:
