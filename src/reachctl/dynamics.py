@@ -262,9 +262,9 @@ def forward_pass(sys: ControlSystem, durations: np.ndarray, values: np.ndarray, 
     schedules ``(r, m)`` over the same ``durations``; every output then gains the leading row
     axis, and row ``i`` equals the one-schedule pass of ``values[i]`` bit for bit, which is how
     steering evaluates all its restarts in one call per round.  Every segment gets its own
-    eigendecomposition: an optimizer's iterates never repeat a value, so there is nothing to
-    share.  States cross segments only in :func:`_carry`, here and in :func:`propagate` alike,
-    so certificates re-check bit for bit.
+    eigendecomposition: iterates never repeat a value between segments, though whole rows can
+    (a verify's targets share their starts); steering passes each once.  States cross segments
+    only in :func:`_carry`, here and in :func:`propagate`, so certificates re-check bit for bit.
     """
     omega, V = skew_eigensystems(1j * (sys.A + values[..., None, None] * sys.B))
     return (omega, V) + _carry(omega, V, durations, c)

@@ -11,19 +11,26 @@ A one-parameter pair (``A`` parallel to ``B``, or one of them zero) is the
 exception: its landscape is periodic in the total drift time, and its rows
 take quasi-Newton (L-BFGS) steps on the gradient, whose long exploratory
 steps cross it.  The restarts advance together, and so do those of every
-target of a :func:`verify_reachability` call: each round makes one evaluation
-call over every ``(target, restart)`` still running, one stacked forward pass
-and one adjoint sweep giving every row's distance and its residual and
-Jacobian (or its gradient), each row bit for bit a lone evaluation whatever
-the round's size.  Each optimizer holds its state as arrays with one row per
-running ``(target, restart)``: the Levenberg-Marquardt one points, distances,
-residuals, Jacobians and dampings, the L-BFGS one points, distances,
-gradients, line-search steps and the last curvature pairs.  A round computes
-every row's step with a few stacked operations whatever its row count, each
-row bit for bit as a restart run alone, and a row that stops leaves through a
-mask.  A target's restarts race: in the round where one of them converges,
-the others leave the batch, and the certificate is the least distance among
-the restarts that converged in that round (ties to the lowest index).  A
+target of a :func:`verify_reachability` call, in rounds over every ``(target,
+restart)`` still running.  A round has two stages.  The forward stage makes
+one stacked forward pass over the round's distinct trials (a verify's targets
+share their restarts' starts) and gives every row its distance, and its
+residual, to its own target; from these alone the rows decide what they
+accept and whether they stop, and the race drops the targets it has won.  The
+derivative stage makes one adjoint sweep over only the rows that run on from
+a new point, a start or an accepted trial, and gives each its Jacobian (once
+per distinct trial) or its gradient: a rejected trial, a backtrack and a
+converging round form none.  Every row is bit for bit a lone evaluation
+whatever the round's size.  Each optimizer holds its state as arrays with one
+row per running ``(target, restart)``: the Levenberg-Marquardt one points,
+distances, residuals, Jacobians and dampings, the L-BFGS one points,
+distances, gradients, line-search steps and the last curvature pairs.  A
+round computes every row's step with a few stacked operations whatever its
+row count, each row bit for bit as a restart run alone, and a row that stops
+leaves through a mask.  A target's restarts race: in the round where one of
+them converges, the others leave the batch, and the certificate is the least
+distance among the restarts that converged in that round (ties to the lowest
+index).  A
 target that never converges runs every restart to its end and keeps the least
 distance, unless :func:`steer` proves it off the orbit first and runs no
 restart.  A verify's targets are words of the system's own flows, orbit
@@ -174,65 +181,81 @@ def gradient(
     V_j^dagger``, ``phi_j`` holding the divided differences of ``exp(dt_j z)``
     over pairs of ``i omega_j`` in sinc form (GRAPE in DYNAMO's form).  It is
     stacked over segments; only the adjoint's backward sweep loops.  This is the
-    one-row call of the kernel with which :func:`steer` evaluates a
-    one-parameter pair's restarts' trials in one call per round, and every row
-    of that kernel equals it bit for bit, whatever the round's size.  On any
-    other pair, :func:`steer` takes the endpoint residual ``r`` and its
-    Jacobian ``J`` in the control values instead, and ``J^T r`` is this
-    gradient up to rounding.  An empty schedule has the empty gradient.
+    one-row composition of a lockstep round's two stages, a forward pass and
+    the derivative stage with which :func:`steer` takes a one-parameter pair's
+    gradients, and every row of those stages equals it bit for bit, whatever
+    the round's size.  On any other pair, :func:`steer` takes the endpoint
+    residual ``r`` and its Jacobian ``J`` in the control values instead, and
+    ``J^T r`` is this gradient up to rounding.  An empty schedule has the
+    empty gradient.
     """
     _check_dimension("system", sys.n, s0.n, target.n)
     if not sched.durations.size:
         return np.zeros(0)
-    return _evaluate(sys, sched.durations, sched.values[None], s0.c, target.c[None], phase_sensitive)[1][0]
-
-
-def _evaluate(
-    sys: ControlSystem, durations: np.ndarray, values: np.ndarray, c0: np.ndarray, targets: np.ndarray,
-    phase_sensitive: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(f, g)``: :func:`distance` and :func:`gradient` of each schedule ``values[i]`` toward ``targets[i]``.
-
-    One :func:`forward_pass` of the ``(r, m)`` schedules from ``c0``, then one adjoint sweep.  An overflowing
-    phase gives a NaN distance, which the optimizer ranks last, and no warning.
-    """
     with np.errstate(over="ignore", invalid="ignore"):
-        omega, V, coords, ends = forward_pass(sys, durations, values, c0)
-        V_dagger = V.conj().swapaxes(-1, -2)
-        f, w, prefactor = _objective(ends[:, -1], targets, phase_sensitive)
-        adjoint = _sweep(omega, V, V_dagger, durations, w[..., None])[..., 0]
-        pairing = adjoint.conj()[..., None, :] @ _derivatives(sys, omega, V, V_dagger, durations, coords)
-        return f, np.real(prefactor * pairing[..., 0, 0])
+        passes = forward_pass(sys, sched.durations, sched.values[None], s0.c)
+        return _gradients(sys, sched.durations, passes, np.zeros(1, int), target.c[None], phase_sensitive)[0]
 
 
-def _linearize(
-    sys: ControlSystem, durations: np.ndarray, values: np.ndarray, c0: np.ndarray, targets: np.ndarray,
-    phase_sensitive: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(f, r, columns)``: each row's :func:`distance`, residual and real endpoint Jacobian.
+def _forward(sys: ControlSystem, durations: np.ndarray, values: np.ndarray, c0: np.ndarray) -> tuple:
+    """``(inverse, passes)``: one :func:`forward_pass` of the rows of ``values`` told apart by their bytes, row ``i``'s
+    ``inverse[i]``, numbered by a dict as :func:`reachctl.dynamics._segment_blocks` numbers control values."""
+    distinct = {}
+    inverse = np.array([distinct.setdefault(row.tobytes(), len(distinct)) for row in values])
+    if len(distinct) < len(values):
+        values = np.frombuffer(b"".join(distinct), dtype=float).reshape(len(distinct), -1)
+    return inverse, forward_pass(sys, durations, values, c0)
 
-    ``f[i] = |r[i]|**2 / 2`` up to rounding, with ``r = c_T - t`` phase-sensitively and ``r = sqrt2 (I - t
-    t^dagger) c_T`` projectively (``|(I - t t^dagger) c|**2 = 1 - |<t, c>|**2`` on unit states), as real
-    ``2n``-vectors ``(Re, Im)``.  ``columns[i, j]`` is the Jacobian's column j, the derivative of ``r[i]``
-    in segment j's control value, so ``columns[i] @ r[i]`` is :func:`gradient`.  The adjoint sweep of
-    :func:`_evaluate` is carried on the ``n x n`` identity instead of one vector, and column j is
-    ``adjoint_j^dagger (frechet_j coords_j)``.  ``f`` is computed as :func:`_evaluate` computes it.
+
+def _distances(c: np.ndarray, targets: np.ndarray, phase_sensitive: bool) -> tuple[np.ndarray]:
+    """``(f,)``: each end state's :func:`distance` to its target, all that an L-BFGS row takes from its forward pass."""
+    return _objective(c, targets, phase_sensitive)[:1]
+
+
+def _residuals(c: np.ndarray, targets: np.ndarray, phase_sensitive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, r)``: each end state's :func:`distance` to its target and its real residual, ``f[i] = |r[i]|**2 / 2`` up to
+    rounding: ``r = c_T - t``, or projectively ``sqrt2 (I - t t^dagger) c_T`` (``|(I - t t^dagger) c|**2 = 1 - |<t,
+    c>|**2`` on unit states), as real ``2n``-vectors ``(Re, Im)``."""
+    if phase_sensitive:
+        r = c - targets
+    else:
+        # The end state loses its part along the target; sqrt2 makes f = |r|^2 / 2.
+        r = np.sqrt(2.0) * (c - _dots(targets.conj(), c)[:, None] * targets)
+    return _objective(c, targets, phase_sensitive)[0], np.concatenate((r.real, r.imag), axis=-1)
+
+
+def _gradients(sys: ControlSystem, durations: np.ndarray, passes: tuple, rows: np.ndarray, targets: np.ndarray,
+               phase_sensitive: bool) -> np.ndarray:
+    """Each row's :func:`gradient` toward ``targets[i]``, its schedule's pass being row ``rows[i]`` of the
+    :func:`forward_pass` output ``passes``: one adjoint sweep, seeded by the target."""
+    omega, V, coords, ends = (a[rows] for a in passes)
+    V_dagger = V.conj().swapaxes(-1, -2)
+    _, w, prefactor = _objective(ends[:, -1], targets, phase_sensitive)
+    adjoint = _sweep(omega, V, V_dagger, durations, w[..., None])[..., 0]
+    pairing = adjoint.conj()[..., None, :] @ _derivatives(sys, omega, V, V_dagger, durations, coords)
+    return np.real(prefactor * pairing[..., 0, 0])
+
+
+def _jacobians(sys: ControlSystem, durations: np.ndarray, passes: tuple, rows: np.ndarray, targets: np.ndarray,
+               phase_sensitive: bool) -> np.ndarray:
+    """Each row's real endpoint Jacobian, ``(rows, m, 2n)``, its schedule's pass being row ``rows[i]`` of ``passes``.
+
+    ``columns[i, j]`` is the derivative of :func:`_residuals`' ``r[i]`` in segment j's control value, so
+    ``columns[i] @ r[i]`` is :func:`gradient`.  The adjoint sweep is carried on the ``n x n`` identity, column j
+    being ``adjoint_j^dagger (frechet_j coords_j)``, once per distinct pass; projectively, each row's columns
+    then lose their part along its own target.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega, V, coords, ends = forward_pass(sys, durations, values, c0)
-        V_dagger, c = V.conj().swapaxes(-1, -2), ends[:, -1]
-        f = _objective(c, targets, phase_sensitive)[0]
-        identity = np.broadcast_to(np.eye(sys.n, dtype=complex), c.shape + (sys.n,))
-        adjoint = _sweep(omega, V, V_dagger, durations, identity)
-        derivatives = _derivatives(sys, omega, V, V_dagger, durations, coords)
-        columns = (adjoint.conj().swapaxes(-1, -2) @ derivatives)[..., 0]
-        if phase_sensitive:
-            r = c - targets
-        else:
-            # The end state and each column lose their part along the target; sqrt2 makes f = |r|^2 / 2.
-            r = np.sqrt(2.0) * (c - _dots(targets.conj(), c)[:, None] * targets)
-            columns = np.sqrt(2.0) * (columns - (columns @ targets.conj()[..., None]) * targets[:, None, :])
-        return f, np.concatenate((r.real, r.imag), axis=-1), np.concatenate((columns.real, columns.imag), axis=-1)
+    distinct = {}
+    inverse = [distinct.setdefault(row, len(distinct)) for row in rows.tolist()]
+    omega, V, coords = (a[list(distinct)] for a in passes[:3])
+    V_dagger = V.conj().swapaxes(-1, -2)
+    identity = np.broadcast_to(np.eye(sys.n, dtype=complex), (len(distinct), sys.n, sys.n))
+    adjoint = _sweep(omega, V, V_dagger, durations, identity)
+    derivatives = _derivatives(sys, omega, V, V_dagger, durations, coords)
+    columns = (adjoint.conj().swapaxes(-1, -2) @ derivatives)[inverse, ..., 0]
+    if not phase_sensitive:
+        columns = np.sqrt(2.0) * (columns - (columns @ targets.conj()[..., None]) * targets[:, None, :])
+    return np.concatenate((columns.real, columns.imag), axis=-1)
 
 
 def _sweep(
@@ -304,20 +327,23 @@ class _Lbfgs:
     """The L-BFGS descents of a lockstep round's rows, each attribute an array with one entry per row.
 
     Row ``i`` descends from ``starts[i]``; ``row`` holds its index into ``starts``.  ``trial`` is
-    the schedule it waits to have evaluated: its start, then ``values + step * d``, with
-    ``values``, ``f`` and ``g`` its current point, distance and gradient, ``slope`` the line
-    search's ``g . d``, ``exploring`` true until its first backtrack, and ``iterations`` its count
-    of line searches.  ``pairs``, of shape
+    the schedule it waits to have evaluated: its start, then ``values + alpha * d``, with
+    ``values``, ``f`` and ``g`` its current point, distance and gradient, ``alpha`` and ``slope``
+    its line search's step and ``g . d``, ``exploring`` true until its first backtrack, and
+    ``iterations`` its count of line searches.  ``pairs``, of shape
     ``(rows, _MEMORY, 2, segments)``, and ``rho`` hold its last ``count`` curvature pairs ``(s,
     y)`` and their ``1 / s.y``, newest first, and ``gamma`` scales its initial inverse Hessian.
-    Every row takes its first evaluation in :meth:`start` and each later one in :meth:`advance`.
+    A round is two calls.  :meth:`start` (the first round) or :meth:`take` (every later one) takes
+    each row's distance at its trial and decides from it alone; ``fresh`` marks the rows that run
+    on from a new point, a finite start or an accepted trial, and only they need a gradient.
+    :meth:`step` takes those gradients and sets every row's next trial.
     """
 
     def __init__(self, starts: np.ndarray):
         rows, segments = starts.shape
-        self.row, self.trial = np.arange(rows), starts
+        self.row, self.trial, self.fresh = np.arange(rows), starts, np.zeros(rows, bool)
         self.values, self.g, self.d = starts, np.zeros((rows, segments)), np.zeros((rows, segments))
-        self.f, self.slope, self.step, self.gamma = np.zeros(rows), np.zeros(rows), np.ones(rows), np.ones(rows)
+        self.f, self.slope, self.alpha, self.gamma = np.zeros(rows), np.zeros(rows), np.ones(rows), np.ones(rows)
         self.exploring, self.iterations, self.count = np.ones(rows, bool), np.zeros(rows, int), np.zeros(rows, int)
         self.pairs, self.rho = np.zeros((rows, _MEMORY, 2, segments)), np.zeros((rows, _MEMORY))
 
@@ -325,55 +351,61 @@ class _Lbfgs:
         """Drop the rows outside ``mask``."""
         self.__dict__.update({name: array[mask] for name, array in vars(self).items()})
 
-    def start(self, f: np.ndarray, g: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
-        """Take each row's evaluation at its start and set its first trial; returns each row's stop code."""
-        self.f, self.g = f, g
-        gg = _dots(g, g)
+    def start(self, f: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
+        """Take each row's distance at its start; returns each row's stop code."""
+        self.f = f
+        converged = f <= cfg.target_distance
         # A NaN distance never counts as converged.  An overflowed start stops
         # at once: every trial along a NaN direction is NaN too.
-        stop = np.where(f <= cfg.target_distance, _CONVERGED, np.where(
-            ~np.isfinite(f), _EXHAUSTED, np.where(gg <= 1e-28, _ZERO_GRADIENT, _RUNNING)))
-        self._search(stop == _RUNNING, gg)
-        return stop
+        self.fresh = ~converged & np.isfinite(f)
+        return np.where(converged, _CONVERGED, np.where(self.fresh, _RUNNING, _EXHAUSTED))
 
-    def advance(self, f_trial: np.ndarray, g_trial: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
-        """Take each row's trial evaluation and set its next trial; returns each row's stop code.
+    def take(self, f_trial: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
+        """Take each row's distance at its trial; returns each row's stop code.
 
-        A stopped row's ``values``, ``f`` and ``iterations`` are its outcome.
+        A stopped row's ``values``, ``f`` and ``iterations`` are its outcome.  A fresh row moves to
+        its trial in :meth:`step`, which needs the point it leaves.
         """
-        f, step = self.f, self.step
+        f, alpha = self.f, self.alpha
         converged = f_trial <= cfg.target_distance
         # Converged, or stalled (such as on a moduli floor): the trial moved f by rounding only.
         settled = converged | (np.abs(f - f_trial) <= 1e-12 * f)
         decrease = f_trial < f
         # Armijo's sufficient decrease; a settled row stops whatever this says.
-        accepted = decrease & (f_trial <= f + _ARMIJO * step * self.slope)
+        accepted = decrease & (f_trial <= f + _ARMIJO * alpha * self.slope)
         failed = ~(settled | accepted)
-        if np.count_nonzero(accepted):
-            self._remember(accepted, g_trial)
-
-        moved = accepted | settled & decrease
-        self.values = np.where(moved[:, None], self.trial, self.values)
-        self.g = np.where(accepted[:, None], g_trial, self.g)
-        self.f = np.where(moved, f_trial, f)
-        self.step = step = np.where(failed, 0.5 * step, step)
+        self.fresh = fresh = accepted & ~settled & (self.iterations != cfg.max_iterations)
+        self.values = np.where(((accepted | settled & decrease) & ~fresh)[:, None], self.trial, self.values)
+        self.f = np.where(accepted | settled & decrease, f_trial, f)
+        self.alpha = alpha = np.where(failed, 0.5 * alpha, alpha)
         self.exploring &= ~failed
-        gg = _dots(self.g, self.g)
-        go = accepted & ~settled & (self.iterations != cfg.max_iterations) & ~(gg <= 1e-28)
-        running = go | failed & (step >= _ALPHA_MIN)
-        self._search(go, gg)
+        running = fresh | failed & (alpha >= _ALPHA_MIN)
         if np.count_nonzero(running) == len(running):
             return np.full(len(running), _RUNNING)
         return np.where(running, _RUNNING, np.where(converged, _CONVERGED, np.where(
-            ~accepted | settled, _EXHAUSTED, np.where(self.iterations == cfg.max_iterations, _MAX_ITERATIONS, _ZERO_GRADIENT))))
+            ~accepted | settled, _EXHAUSTED, _MAX_ITERATIONS)))
 
-    def _remember(self, accepted: np.ndarray, g_trial: np.ndarray) -> None:
-        """Push the curvature pair ``(s, y)`` of each accepted step whose ``s.y`` is clearly positive."""
-        pair = np.empty_like(self.pairs[:, 0])
-        s = np.subtract(self.trial, self.values, out=pair[:, 0])
-        y = np.subtract(g_trial, self.g, out=pair[:, 1])
+    def step(self, g: np.ndarray | None) -> np.ndarray:
+        """Move each fresh row to its trial with its gradient ``g`` (None when no row is fresh), and set every row's
+        next trial; returns each row's stop code, ``_ZERO_GRADIENT`` for a fresh row whose gradient vanishes."""
+        fresh = self.fresh
+        if g is not None:
+            self._remember(fresh, g)
+            self.values = np.where(fresh[:, None], self.trial, self.values)
+            self.g[fresh] = g
+        gg = _dots(self.g, self.g)
+        zero = fresh & (gg <= 1e-28)
+        self._search(fresh & ~zero, gg)
+        return np.where(zero, _ZERO_GRADIENT, _RUNNING)
+
+    def _remember(self, fresh: np.ndarray, g: np.ndarray) -> None:
+        """Push the pair ``(s, y)`` of each fresh row, ``g`` its new gradient, whose ``s.y`` is clearly positive."""
+        pair = np.zeros_like(self.pairs[:, 0])
+        pair[fresh, 0] = self.trial[fresh] - self.values[fresh]
+        pair[fresh, 1] = g - self.g[fresh]
+        s, y = pair[:, 0], pair[:, 1]
         sy, yy = _dots(s, y), _dots(y, y)
-        curved = accepted & (sy > 1e-12 * np.sqrt(_dots(s, s)) * np.sqrt(yy))
+        curved = fresh & (sy > 1e-12 * np.sqrt(_dots(s, s)) * np.sqrt(yy))
         # Each curved row's pairs move one slot older (copyto buffers the overlap), the oldest dropping out.
         np.copyto(self.pairs[:, 1:], self.pairs[:, :-1], where=curved[:, None, None, None])
         np.copyto(self.rho[:, 1:], self.rho[:, :-1], where=curved[:, None])
@@ -396,8 +428,9 @@ class _Lbfgs:
             self.iterations += go
             # Exploratory phase: until the first backtrack, double the last step
             # (up to _ALPHA_MAX) so early steps can cross shallow local minima.
-            self.step = np.where(go, np.where(self.exploring, np.minimum(2.0 * self.step, _ALPHA_MAX), 1.0), self.step)
-        self.trial = self.values + self.step[:, None] * self.d
+            alpha = self.alpha
+            self.alpha = np.where(go, np.where(self.exploring, np.minimum(2.0 * alpha, _ALPHA_MAX), 1.0), alpha)
+        self.trial = self.values + self.alpha[:, None] * self.d
 
 
 class _Lm:
@@ -406,31 +439,26 @@ class _Lm:
     Row ``i`` descends from ``starts[i]``; ``row`` holds its index into ``starts``.  ``trial`` is the
     schedule it waits to have evaluated: its start, then ``values`` plus Marquardt's step from its
     current point ``values``, whose distance, residual and Jacobian columns are ``f``, ``r`` and
-    ``columns`` (see :func:`_linearize`).  ``mu`` is its damping and ``iterations`` its count of
-    accepted steps.  The interface is :class:`_Lbfgs`'s, with an evaluation being ``_linearize``'s
-    ``(f, r, columns)``.
+    ``columns`` (see :func:`_residuals` and :func:`_jacobians`).  ``mu`` is its damping and
+    ``iterations`` its count of accepted steps.  The round protocol is :class:`_Lbfgs`'s, with
+    :meth:`start` and :meth:`take` given ``(f, r)`` and :meth:`step` the fresh rows' Jacobians.
     """
 
     def __init__(self, starts: np.ndarray):
         rows, segments = starts.shape
-        self.row, self.trial, self.values = np.arange(rows), starts, starts
+        self.row, self.trial, self.values, self.fresh = np.arange(rows), starts, starts, np.zeros(rows, bool)
         self.f, self.r, self.columns = np.zeros(rows), np.zeros((rows, 0)), np.zeros((rows, segments, 0))
         self.mu, self.iterations = np.full(rows, _MU_START), np.zeros(rows, int)
 
     keep = _Lbfgs.keep
 
-    def start(self, f: np.ndarray, r: np.ndarray, columns: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
-        """Take each row's evaluation at its start and set its first trial; returns each row's stop code."""
-        self.f, self.r, self.columns = f, r, columns
-        # A NaN distance never counts as converged, and an overflowed start stops at once.
-        stop = np.where(f <= cfg.target_distance, _CONVERGED, np.where(
-            ~np.isfinite(f), _EXHAUSTED, np.where(self._gg() <= 1e-28, _ZERO_GRADIENT, _RUNNING)))
-        self._propose(stop == _RUNNING)
-        return stop
+    def start(self, f: np.ndarray, r: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
+        """Take each row's distance and residual at its start; returns each row's stop code, as :class:`_Lbfgs` does."""
+        self.r, self.columns = r, np.empty(r.shape[:1] + self.trial.shape[1:] + r.shape[1:])
+        return _Lbfgs.start(self, f, cfg)
 
-    def advance(self, f_trial: np.ndarray, r_trial: np.ndarray, columns_trial: np.ndarray,
-                cfg: SteeringConfig) -> np.ndarray:
-        """Take each row's trial evaluation and set its next trial; returns each row's stop code.
+    def take(self, f_trial: np.ndarray, r_trial: np.ndarray, cfg: SteeringConfig) -> np.ndarray:
+        """Take each row's distance and residual at its trial; returns each row's stop code.
 
         A trial that lowers the distance is accepted and divides ``mu`` by ``_MU_DOWN``; any other,
         a NaN one too, multiplies it by ``_MU_UP``.  A stopped row's ``values``, ``f`` and
@@ -444,21 +472,25 @@ class _Lm:
         self.values = np.where(accepted[:, None], self.trial, self.values)
         self.f = np.where(accepted, f_trial, f)
         self.r = np.where(accepted[:, None], r_trial, self.r)
-        self.columns = np.where(accepted[:, None, None], columns_trial, self.columns)
         self.iterations += accepted
         self.mu = np.where(accepted, self.mu / _MU_DOWN, self.mu * _MU_UP)
-        go = accepted & ~settled & (self.iterations != cfg.max_iterations) & ~(self._gg() <= 1e-28)
-        running = go | ~(accepted | settled) & (self.mu <= _MU_MAX)
-        self._propose(running)
+        self.fresh = accepted & ~settled & (self.iterations != cfg.max_iterations)
+        running = self.fresh | ~(accepted | settled) & (self.mu <= _MU_MAX)
         if np.count_nonzero(running) == len(running):
             return np.full(len(running), _RUNNING)
-        return np.where(running, _RUNNING, np.where(converged, _CONVERGED, np.where(~accepted | settled, _EXHAUSTED,
-                        np.where(self.iterations == cfg.max_iterations, _MAX_ITERATIONS, _ZERO_GRADIENT))))
+        return np.where(running, _RUNNING, np.where(converged, _CONVERGED, np.where(
+            ~accepted | settled, _EXHAUSTED, _MAX_ITERATIONS)))
 
-    def _gg(self) -> np.ndarray:
-        """Each row's ``|J^T r|^2``, the squared norm of its gradient."""
-        g = (self.columns @ self.r[..., None])[..., 0]
-        return _dots(g, g)
+    def step(self, columns: np.ndarray | None) -> np.ndarray:
+        """Take each fresh row's Jacobian ``columns`` (None when no row is fresh), and set every row's next trial;
+        returns each row's stop code, ``_ZERO_GRADIENT`` for a fresh row whose gradient ``J^T r`` vanishes."""
+        zero = np.zeros(len(self.row), bool)
+        if columns is not None:
+            self.columns[self.fresh] = columns
+            g = (columns @ self.r[self.fresh][..., None])[..., 0]
+            zero[self.fresh] = _dots(g, g) <= 1e-28
+        self._propose(~zero)
+        return np.where(zero, _ZERO_GRADIENT, _RUNNING)
 
     def _propose(self, go: np.ndarray) -> None:
         """Set each ``go`` row's trial to ``values + delta``, with ``(J^T J + mu D) delta = -J^T r``.
@@ -509,28 +541,44 @@ def _race(
     starts = [np.zeros(cfg.segments)] + [
         np.random.default_rng((cfg.seed, r)).uniform(-1.0, 1.0, cfg.segments) for r in range(1, cfg.restarts)
     ]
-    # A one-parameter pair's rows take L-BFGS steps on the gradient, every other pair's Levenberg-Marquardt ones.
-    Descent, kernel = (_Lbfgs, _evaluate) if _one_parameter(sys) else (_Lm, _linearize)
+    # A one-parameter pair's rows take L-BFGS steps on the gradient, every other pair's Levenberg-Marquardt ones on
+    # the residual and its Jacobian.
+    lbfgs = _one_parameter(sys)
+    Descent, measure, derive = (_Lbfgs, _distances, _gradients) if lbfgs else (_Lm, _residuals, _jacobians)
     # Row t * restarts + r is restart r of target t; a row that stops leaves its outcome here.
     descent = Descent(np.tile(np.stack(starts), (len(targets), 1)))
-    update = descent.start  # the first round evaluates the starts, every later one the trials
+    take = descent.start  # the first round takes the starts, every later one the trials
     values, achieved = np.empty_like(descent.trial), np.empty(len(descent.row))
     iterations, stops = np.zeros(len(descent.row), int), np.full(len(descent.row), _RUNNING)
-    while descent.row.size:
-        target = descent.row // cfg.restarts
-        # Huge generators overflow a row's |g|^2 or scales to inf, which its step and stop rules rank.
-        with np.errstate(over="ignore", invalid="ignore"):
-            stop = update(*kernel(sys, durations, descent.trial, s0.c, goals[target], cfg.phase_sensitive), cfg)
-        update = descent.advance
-        done = stop != _RUNNING
-        if np.count_nonzero(done):
-            rows = descent.row[done]
+
+    def leave(stop: np.ndarray) -> np.ndarray:
+        """Record the rows that stopped; they leave the batch, as does every row of a target that one has won."""
+        keep = stop == _RUNNING
+        if np.count_nonzero(keep) < len(keep):
+            rows, target = descent.row[~keep], descent.row // cfg.restarts
             values[rows], achieved[rows], iterations[rows], stops[rows] = (
-                descent.values[done], descent.f[done], descent.iterations[done], stop[done])
+                descent.values[~keep], descent.f[~keep], descent.iterations[~keep], stop[~keep])
             # The race: once a restart of t has converged, t's other restarts leave the batch.
             won = np.zeros(len(targets), bool)
             won[target[stop == _CONVERGED]] = True
-            descent.keep(~done & ~won[target])
+            keep &= ~won[target]
+            descent.keep(keep)
+        return keep
+
+    # Huge generators overflow a row's |g|^2 or scales to inf, which its step and stop rules rank.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while descent.row.size:
+            # Forward stage: each distinct trial once, then each row's distance (and residual) to its own target,
+            # from which alone the rows decide, and the race drops the targets it has won.
+            inverse, passes = _forward(sys, durations, descent.trial, s0.c)
+            stop = take(*measure(passes[3][inverse, -1], goals[descent.row // cfg.restarts], cfg.phase_sensitive), cfg)
+            take = descent.take
+            inverse = inverse[leave(stop)]
+            # Derivative stage: only the rows that run on from a new point, then every row's next trial.
+            fresh = descent.fresh
+            derivative = derive(sys, durations, passes, inverse[fresh], goals[descent.row[fresh] // cfg.restarts],
+                                cfg.phase_sensitive) if np.count_nonzero(fresh) else None
+            leave(descent.step(derivative))
 
     # Each target's least finite distance among its stopped restarts, ties to the lowest index (a
     # converged distance is below every other one, so this picks among the winning round's).  A
@@ -570,17 +618,22 @@ def steer(
     overflow last) is returned.
 
     The restarts advance together: each round stacks the pending trial of
-    every running restart into one ``(r, segments)`` array for one
-    evaluation call, one :func:`forward_pass` and one adjoint sweep, and a
-    restart that stops leaves the batch, as do all of them in the round one
-    converges.  The optimizer's state is arrays over those rows too, so a
-    round's steps and decisions are a few stacked operations over the rows,
-    not a loop over restarts.  Rows are computed bit for bit as lone
-    evaluations, and round k evaluates each running restart's k-th trial, so
-    the result is that of running the restarts one after another and keeping
-    the converged one with the fewest evaluations.  A round holds several
-    arrays of ``restarts * segments * n**2`` complex entries, so large
-    settings can raise MemoryError.
+    every running restart into one ``(r, segments)`` array, and evaluates it
+    in two stages.  The forward stage is one :func:`forward_pass` over the
+    distinct trials, which gives each restart its distance (and residual);
+    from the distances alone each restart accepts or rejects its trial and
+    decides whether it stops, and a restart that stops leaves the batch, as
+    do all of them in the round one converges.  The derivative stage is one
+    adjoint sweep over the restarts that run on from a new point, their start
+    or an accepted trial, and only they get a Jacobian (or a gradient); the
+    others step again from the one they hold.  The optimizer's state is
+    arrays over those rows too, so a round's steps and decisions are a few
+    stacked operations over the rows, not a loop over restarts.  Rows are
+    computed bit for bit as lone evaluations, and round k evaluates each
+    running restart's k-th trial, so the result is that of running the
+    restarts one after another and keeping the converged one with the fewest
+    evaluations.  A round holds several arrays of ``restarts * segments *
+    n**2`` complex entries, so large settings can raise MemoryError.
 
     A pair that is not one-parameter takes Levenberg-Marquardt steps.  Each
     evaluation is one forward pass, the residual ``r`` (``c_T - t``
@@ -680,12 +733,15 @@ def verify_reachability(
     the targets' restarts advance together in the lockstep rounds of
     :func:`steer`, each target racing its own restarts: Levenberg-Marquardt
     rows, or L-BFGS rows on a one-parameter pair, whose ``iterations_used``
-    count accepted steps or line searches as :func:`steer`'s do.  Every row of
-    a round, its evaluation and its step, is bit for bit a lone row's whatever
-    the round's size, so the certificates equal one :func:`steer` per target,
-    bit for bit.  A wave of targets costs as many rounds as its longest race:
-    the round its first restart converged in, or its longest restart's
-    evaluations if none converged.  Targets go in
+    count accepted steps or line searches as :func:`steer`'s do.  Every
+    target tiles the same restart starts, so the first round's forward pass
+    carries each start once and its Jacobian sweep runs once per start, while
+    each row's residual and Jacobian take its own target.  Every row of a
+    round, its distance, its derivative and its step, is bit for bit a lone
+    row's whatever the round's size, so the certificates equal one
+    :func:`steer` per target, bit for bit.  A wave of targets costs as many
+    rounds as its longest race: the round its first restart converged in, or
+    its longest restart's evaluations if none converged.  Targets go in
     waves of as many as keep a round's largest complex array, ``targets *
     restarts * segments * n**2`` entries of 16 bytes, within ``ROUND_BYTES``
     (32 MiB): the default 20 samples run in one wave up to n = 25, and more

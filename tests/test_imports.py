@@ -1,6 +1,6 @@
 """Module-level imports and private names are all used, no count or skew-Hermiticity is checked inline, orbit.py
 eigendecomposes the drift once, the optimizers use no reduction or solve that can round differently from its per-row
-form, no file is truncated to zero on write, the benchmark tracer's bindings all exist, and the CLI imports no
+form, steering finds repeated rows without ``np.unique``, no file is truncated to zero on write, the benchmark tracer's bindings all exist, and the CLI imports no
 optimizer."""
 
 import ast
@@ -196,6 +196,23 @@ def test_finds_inexact_reduction():
               "d = norm(s, None, 1)\ne = np.sum(s * y, axis=1)\nf = np.linalg.lstsq(J, r)\n"
               "g = np.linalg.pinv(M) @ r\nfrom numpy.linalg import inv\nh = inv(M)\ni = np.linalg.solve(M, r)\n")
     assert inexact_reductions(source) == [3, 5, 6, 8, 9, 11]
+
+
+def unique_calls(source: str) -> list:
+    """Lines that call ``unique``: numpy's sorts, and its first call alone adds about 0.4 MB of resident memory."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call) and "unique" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))})
+
+
+def test_steering_deduplicates_with_a_dict():
+    # A round's repeated trials are found by their bytes in a dict, as dynamics finds repeated control values.
+    assert unique_calls((MODULES[0].parent / "steering.py").read_text()) == []
+
+
+def test_finds_unique():
+    source = ("import numpy as np\nfrom numpy import unique\na, inverse = np.unique(x, axis=0, return_inverse=True)\n"
+              "b = unique(x)\nc = {row.tobytes(): 0 for row in x}\nd = x.unique\n")
+    assert unique_calls(source) == [3, 4]
 
 
 def truncating_writes(source: str) -> list:

@@ -36,6 +36,22 @@ def terminal_distance(sys, s0, cert, target):
     return distance(final, target)
 
 
+def evaluate(sys, durations, values, c0, targets, phase_sensitive):
+    """``(f, g)`` of every row: one forward pass, then each row's distance and gradient (a round's two stages)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes = forward_pass(sys, durations, values, c0)
+        f, = steering._distances(passes[3][:, -1], targets, phase_sensitive)
+        return f, steering._gradients(sys, durations, passes, np.arange(len(values)), targets, phase_sensitive)
+
+
+def linearize(sys, durations, values, c0, targets, phase_sensitive):
+    """``(f, r, columns)`` of every row: one forward pass, then each row's distance, residual and Jacobian."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes = forward_pass(sys, durations, values, c0)
+        f, r = steering._residuals(passes[3][:, -1], targets, phase_sensitive)
+        return f, r, steering._jacobians(sys, durations, passes, np.arange(len(values)), targets, phase_sensitive)
+
+
 class TestSteeringConfig:
     def test_defaults(self):
         cfg = SteeringConfig()
@@ -339,19 +355,23 @@ class TestStopReason:
     def test_nan_distance_is_never_converged(self):
         # A NaN start stops after its one evaluation, with its NaN distance.
         lbfgs = steering._Lbfgs(np.zeros((1, 3)))
-        stop = lbfgs.start(np.array([np.nan]), np.full((1, 3), np.nan), SteeringConfig(segments=3))
+        stop = lbfgs.start(np.array([np.nan]), SteeringConfig(segments=3))
         assert [steering._STOP_REASONS[code] for code in stop] == ["line_search_exhausted"]
         assert np.isnan(lbfgs.f[0])
+        assert not lbfgs.fresh[0]  # and it asks for no gradient
 
     def test_nan_trial_backtracks(self):
         # A non-finite trial is one failed step of the line search, not the end of it.
         cfg = SteeringConfig(segments=3)
         values = np.random.default_rng((cfg.seed, 1)).uniform(-1.0, 1.0, 3)
         lbfgs = steering._Lbfgs(values[None].copy())
-        lbfgs.start(np.array([1.0]), np.ones((1, 3)), cfg)
+        lbfgs.start(np.array([1.0]), cfg)
+        lbfgs.step(np.ones((1, 3)))
         first = lbfgs.trial[0].copy()
-        stop = lbfgs.advance(np.array([np.nan]), np.full((1, 3), np.nan), cfg)
+        stop = lbfgs.take(np.array([np.nan]), cfg)
         assert stop[0] == steering._RUNNING
+        assert not lbfgs.fresh[0]  # a backtrack forms no gradient
+        assert lbfgs.step(None)[0] == steering._RUNNING
         np.testing.assert_allclose(lbfgs.trial[0] - values, 0.5 * (first - values), rtol=0, atol=1e-15)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -435,45 +455,109 @@ def scripted(descent, outcomes):
             self.trial[:] = self.restart[:, None]
             self.evaluations = np.zeros(len(self.row), int)
 
-        def advance(self, *evaluation):
+        def take(self, *measured):
             self.evaluations += 1
             self.values, self.f, self.iterations = self.trial, achieved[self.restart], rounds[self.restart]
             return np.where(self.evaluations == self.iterations, codes[self.restart], steering._RUNNING)
 
-        start = advance
+        def step(self, derivative):
+            return np.full(len(self.row), steering._RUNNING)  # no row is ever fresh
+
+        start = take
 
     return Scripted
 
 
 class CountingKernels:
-    """Counts the schedules ``steer`` evaluates: the rows of its ``forward_pass`` calls and of its derivative kernel's.
+    """Tallies the two stages of ``steer``'s lockstep rounds apart.
 
-    A lockstep round evaluates one row per running restart in one call of
-    ``_evaluate`` (L-BFGS rows) or ``_linearize`` (Levenberg-Marquardt rows),
-    so ``forward_passes`` and ``gradients`` count evaluations, and
-    ``forward_calls`` counts rounds.
+    Forward stage: ``rounds`` holds the rows of each ``forward_pass`` call, one
+    call per round and one row per distinct trial, ``forward_passes`` their sum
+    and ``forward_calls`` their count, and ``goals`` each round's targets, one
+    per row, as its distances are measured.  Derivative stage: ``derivatives``
+    counts the rows of the adjoint sweep, one per distinct schedule whose
+    gradient or Jacobian is formed, and ``derived`` holds, for each call of the
+    stage, its round (counted from 1) and the targets of the rows it serves.
     """
 
     def __init__(self, monkeypatch):
-        self.forward_passes = self.gradients = self.forward_calls = 0
-        self.goals = []  # the target rows of each round's evaluation call
-        forward = steering.forward_pass
+        self.rounds, self.goals, self.derived, self.derivatives = [], [], [], 0
+        forward, sweep = steering.forward_pass, steering._sweep
 
         def counted_forward(sys, durations, values, c):
-            self.forward_calls += 1
-            self.forward_passes += 1 if np.ndim(values) == 1 else len(values)
+            self.rounds.append(1 if np.ndim(values) == 1 else len(values))
             return forward(sys, durations, values, c)
 
-        def counted(kernel):
-            def counted_kernel(sys, durations, values, c0, targets, phase_sensitive):
-                self.gradients += len(targets)
+        def counted_sweep(omega, *args):
+            self.derivatives += len(omega)
+            return sweep(omega, *args)
+
+        def measured(measure):
+            def counted_measure(c, targets, phase_sensitive):
                 self.goals.append(np.array(targets))
-                return kernel(sys, durations, values, c0, targets, phase_sensitive)
-            return counted_kernel
+                return measure(c, targets, phase_sensitive)
+            return counted_measure
+
+        def derived(derive):
+            def counted_derive(sys, durations, passes, rows, targets, phase_sensitive):
+                self.derived.append((len(self.rounds), np.array(targets)))
+                return derive(sys, durations, passes, rows, targets, phase_sensitive)
+            return counted_derive
 
         monkeypatch.setattr(steering, "forward_pass", counted_forward)
-        for name in ("_evaluate", "_linearize"):
-            monkeypatch.setattr(steering, name, counted(getattr(steering, name)))
+        monkeypatch.setattr(steering, "_sweep", counted_sweep)
+        for name, wrap in (("_distances", measured), ("_residuals", measured),
+                           ("_gradients", derived), ("_jacobians", derived)):
+            monkeypatch.setattr(steering, name, wrap(getattr(steering, name)))
+
+    @property
+    def forward_passes(self):
+        return sum(self.rounds)
+
+    @property
+    def forward_calls(self):
+        return len(self.rounds)
+
+    @property
+    def derived_rows(self):
+        """The rows the derivative stage served: one per kept accepted row."""
+        return sum(len(goals) for _, goals in self.derived)
+
+
+class KeptRows:
+    """Counts the rows of ``steer``'s lockstep rounds that a derivative is owed to, judged from distances alone.
+
+    A row is owed one when its round moved it to a new point (a start, or a
+    trial whose distance the descent took as its own), the round's take left it
+    running, and the race kept its target.  ``owed`` sums them over rounds, and
+    ``backtracked`` counts the running rows that stayed where they were.
+    """
+
+    def __init__(self, monkeypatch, name):
+        self.owed = self.backtracked = 0
+        tally = self
+
+        class Probe(getattr(steering, name)):
+            def start(self, *measured):
+                return self.judge(super().start, *measured)
+
+            def take(self, *measured):
+                return self.judge(super().take, *measured)
+
+            def judge(self, take, *measured):
+                f = self.f.copy()
+                stop = take(*measured)
+                running = stop == steering._RUNNING
+                # an array attribute, so the race's keep drops the rows of a target it has won
+                self.owe = running & (self.f != f)
+                tally.backtracked += int(np.count_nonzero(running & (self.f == f)))
+                return stop
+
+            def step(self, derivative):
+                tally.owed += int(np.count_nonzero(self.owe))
+                return super().step(derivative)
+
+        monkeypatch.setattr(steering, name, Probe)
 
 
 def sequential_steer(sys, s0, target, cfg):
@@ -483,8 +567,9 @@ def sequential_steer(sys, s0, target, cfg):
     round k of the lockstep, so if any restart converged, the winner is the
     converged restart with the fewest evaluations (the race ends in its
     round), then the least distance, then the lowest index.  A one-parameter
-    pair's restarts are the L-BFGS reference on ``_evaluate``, any other
-    pair's the Levenberg-Marquardt reference on ``_linearize``.  A restart that
+    pair's restarts are the L-BFGS reference on ``evaluate``, any other
+    pair's the Levenberg-Marquardt reference on ``linearize``, each row's
+    forward pass and derivative formed whatever the row's fate.  A restart that
     has used more evaluations than the fewest a converged restart needed can
     no longer win, so it stops there.  Otherwise every restart runs to its
     end and steer's rule picks the least distance, ties to the lowest
@@ -492,13 +577,13 @@ def sequential_steer(sys, s0, target, cfg):
     evaluation count (a stopped restart's is past the race's end, as its full
     count is) and the race's length in rounds: the winner's count if it
     converged, else the longest count.  ``TestBatchedGradient`` proves a
-    single-row ``_evaluate`` equal to ``distance`` and ``gradient`` bit for bit,
-    and ``TestLinearize`` the rows of ``_linearize`` and of the stacked step
+    single-row ``evaluate`` equal to ``distance`` and ``gradient`` bit for bit,
+    and ``TestLinearize`` the rows of ``linearize`` and of the stacked step
     equal to lone ones.
     """
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
-    optimize, kernel = ((optimize_restart, steering._evaluate) if steering._one_parameter(sys)
-                        else (optimize_restart_lm, steering._linearize))
+    optimize, kernel = ((optimize_restart, evaluate) if steering._one_parameter(sys)
+                        else (optimize_restart_lm, linearize))
     results, evaluations, fewest = [], [], math.inf
     for r in range(cfg.restarts):
         restart = optimize(cfg, r)
@@ -532,7 +617,7 @@ def race_rows(evaluations, length):
 
 
 class TestEvaluationBudget:
-    """Budgets in objective evaluations, each one forward pass and one gradient on it."""
+    """Budgets in forward rows, one per distinct trial of a round, and derivative rows, one per kept accepted row."""
 
     def test_off_moduli_torus(self, monkeypatch, torus_system, plus_state):
         target = StateVector(np.array([1.0, 0.0], dtype=complex))
@@ -541,7 +626,7 @@ class TestEvaluationBudget:
         assert cert.stop_reason == "line_search_exhausted"
         assert not cert.converged
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
-        assert counts.gradients == counts.forward_passes <= 40
+        assert counts.derivatives < counts.forward_passes <= 40
 
     def test_off_moduli_torus_default_config(self, monkeypatch, torus_system, plus_state):
         # 20 segments and 8 restarts: a restart on its floor stops at the first
@@ -553,7 +638,7 @@ class TestEvaluationBudget:
         assert cert.stop_reason == "line_search_exhausted"
         assert not cert.converged
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
-        assert counts.gradients == counts.forward_passes <= 120
+        assert counts.derivatives < counts.forward_passes <= 120
 
     def test_su2_up_to_down(self, monkeypatch, su2_system, basis_state):
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
@@ -563,13 +648,18 @@ class TestEvaluationBudget:
         cert = steer(su2_system, basis_state, target, cfg)
         assert cert.converged
         # the race evaluates each restart until the first converged round: Levenberg-Marquardt
-        # rows, 32 calls in 4 rounds measured, 37 when every restart ran to its own end
-        # (the L-BFGS took 56 calls in 7 rounds, and 83)
-        assert counts.gradients == counts.forward_passes == race_rows(evaluations, length) <= 40
+        # rows, 32 forward rows in 4 rounds measured, 37 when every restart ran to its own end
+        # (the L-BFGS took 56 in 7 rounds, and 83)
+        assert counts.forward_passes == race_rows(evaluations, length) <= 40
         assert length <= 5
         assert race_rows(evaluations, length) < sum(evaluations)
         # one lockstep round per round of the race
         assert counts.forward_calls == length < race_rows(evaluations, length)
+        # 24 derivative rows measured (32 when every evaluated row formed its Jacobian): none in the
+        # converging round, whose rows all leave, and none for a rejected trial
+        assert counts.derivatives <= 24
+        assert counts.derivatives <= counts.forward_passes - counts.rounds[-1]
+        assert all(round_ < length for round_, _ in counts.derived)
 
     def test_every_evaluated_segment_is_decomposed(self, monkeypatch):
         # optimizer iterates never repeat, so steering shares no eigensystem
@@ -582,11 +672,21 @@ class TestEvaluationBudget:
         assert tally[0] == counts.forward_passes * cfg.segments > 0
 
     def test_one_gradient_per_forward_pass(self, monkeypatch):
-        # every evaluated schedule gets exactly one gradient row
+        # One derivative per kept accepted row: a row gets its gradient or Jacobian exactly when its round
+        # moved it to a new point and it runs on, and a rejected or backtracked trial gets none; for
+        # Levenberg-Marquardt and (forced onto this generic pair) L-BFGS rows, in both objectives.
         sys, s0, target = generic4()
-        counts = CountingKernels(monkeypatch)
-        steer(sys, s0, target, SteeringConfig(restarts=3, max_iterations=40))
-        assert counts.gradients == counts.forward_passes > 0
+        for one_parameter in (False, True):
+            for phase_sensitive in (True, False):
+                with monkeypatch.context() as patch:
+                    patch.setattr(steering, "_one_parameter", lambda sys: one_parameter)
+                    kept = KeptRows(patch, "_Lbfgs" if one_parameter else "_Lm")
+                    counts = CountingKernels(patch)
+                    cfg = SteeringConfig(restarts=3, max_iterations=40, phase_sensitive=phase_sensitive)
+                    steer(sys, s0, target, cfg)
+                assert counts.derived_rows == counts.derivatives == kept.owed > 0
+                assert kept.backtracked > 0
+                assert counts.derivatives <= counts.forward_passes - kept.backtracked
 
 
 def held_out_torus(lam, theta):
@@ -702,12 +802,18 @@ class PhaseTally:
         tally, pushes = self, {}
 
         class Probe(steering._Lbfgs):
-            def advance(self, f_trial, g_trial, cfg):
-                newest, count, values = self.rho[:, 0].copy(), self.count.copy(), self.values.copy()
-                stop = super().advance(f_trial, g_trial, cfg)
-                reset = (count > 0) & (self.count == 0)
-                pushed = (self.rho[:, 0] != newest) & ~reset
-                moved = np.any(self.values != values, axis=1)
+            def take(self, f_trial, cfg):
+                # array attributes, so that they lose the rows that the race drops before the step
+                self.newest, self.held, self.point = self.rho[:, 0].copy(), self.count.copy(), self.values.copy()
+                return super().take(f_trial, cfg)
+
+            def step(self, g):
+                stop = super().step(g)
+                if not hasattr(self, "point"):  # the first round: no trial was taken
+                    return stop
+                reset = (self.held > 0) & (self.count == 0)
+                pushed = (self.rho[:, 0] != self.newest) & ~reset
+                moved = np.any(self.values != self.point, axis=1)
                 running = stop == steering._RUNNING
                 for row in self.row[pushed]:  # keyed by race, each an _Lbfgs of its own
                     pushes[id(self), row] = pushes.get((id(self), row), 0) + 1
@@ -792,24 +898,17 @@ def scripted_residuals(starts):
 def scripted_race(descent, optimize, scripted, cfg):
     """Rows of the class ``descent`` on ``scripted(starts)``'s objectives, beside the per-restart references
     ``optimize(cfg, r)``: every round's trials and every outcome are the references'.  Returns the stop reasons seen.
+
+    A row's derivative reaches its reference only in a round where the row forms one (it is ``fresh``); any
+    other round sends a NaN derivative, which would show in the reference's later trials if it needed one.
     """
     references = [optimize(cfg, r) for r in range(cfg.restarts)]
     pending = [next(reference) for reference in references]
     objectives = scripted(np.array(pending))
     rows = descent(np.array(pending))
-    update, reasons = rows.start, set()
-    while rows.row.size:
-        outcomes = {}
-        for i, r in enumerate(rows.row):
-            assert np.array_equal(rows.trial[i], pending[r])
-        evaluation = [np.array(column) for column in zip(*(objectives[r](x) for r, x in zip(rows.row, rows.trial)))]
-        for i, r in enumerate(rows.row):
-            try:
-                pending[r] = references[r].send((float(evaluation[0][i]), *(column[i] for column in evaluation[1:])))
-            except StopIteration as stop:
-                outcomes[r] = stop.value
-        stop = update(*evaluation, cfg)
-        update = rows.advance
+    take, reasons = rows.start, set()
+
+    def leave(stop, outcomes):
         assert {int(r) for r in rows.row[stop != steering._RUNNING]} == set(outcomes)
         for i in np.flatnonzero(stop != steering._RUNNING):
             values, achieved, iterations, reason = outcomes[rows.row[i]]
@@ -818,6 +917,27 @@ def scripted_race(descent, optimize, scripted, cfg):
             assert (rows.iterations[i], steering._STOP_REASONS[stop[i]]) == (iterations, reason)
             reasons.add(reason)
         rows.keep(stop == steering._RUNNING)
+
+    while rows.row.size:
+        for i, r in enumerate(rows.row):
+            assert np.array_equal(rows.trial[i], pending[r])
+        evaluations = (objectives[r](x) for r, x in zip(rows.row, rows.trial))
+        *measured, derivative = [np.array(column) for column in zip(*evaluations)]
+        stop = take(*measured, cfg)
+        take = rows.take
+        outcomes = {}
+        for i, r in enumerate(rows.row):
+            sent = derivative[i] if rows.fresh[i] else np.full_like(derivative[i], np.nan)
+            try:
+                pending[r] = references[r].send((float(measured[0][i]), *(column[i] for column in measured[1:]), sent))
+            except StopIteration as stopped:
+                outcomes[r] = stopped.value
+        # a zero gradient is found in the step, every other stop in the take
+        later = {r: outcome for r, outcome in outcomes.items() if outcome[3] == "zero_gradient"}
+        derivative = derivative[stop == steering._RUNNING]
+        leave(stop, {r: outcome for r, outcome in outcomes.items() if r not in later})
+        fresh = rows.fresh
+        leave(rows.step(derivative[fresh] if np.count_nonzero(fresh) else None), later)
     return reasons
 
 
@@ -835,9 +955,9 @@ class LmTally:
         tally = self
 
         class Probe(steering._Lm):
-            def advance(self, f_trial, r_trial, columns_trial, cfg):
+            def take(self, f_trial, r_trial, cfg):
                 f = self.f
-                stop = super().advance(f_trial, r_trial, columns_trial, cfg)
+                stop = super().take(f_trial, r_trial, cfg)
                 running, accepted = stop == steering._RUNNING, f_trial < f
                 tally.rejected += int(np.count_nonzero(running & ~accepted))
                 tally.mixed += bool(np.any(running & accepted) and np.any(running & ~accepted))
@@ -877,13 +997,15 @@ class TestLockstepEqualsSequential:
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("instance, settings, phase", [
-        (generic4, {"restarts": 4, "max_iterations": 60}, "wrapped"),
+        (generic4, {"restarts": 4, "max_iterations": 60, "target_distance": 1e-8}, "wrapped"),
         (generic5, {}, "rejected"),
     ], ids=["generic4-wrapped", "generic5-rejected"])
     def test_certificate_cases_mix_phases(self, monkeypatch, instance, settings, phase, phase_sensitive):
         # The L-BFGS, which serves one-parameter pairs, on these generic cases: rows wrap the pair memory,
         # or reject a pair, while other rows backtrack or start a line search, and every certificate
-        # field is still the per-restart L-BFGS's.
+        # field is still the per-restart L-BFGS's.  At the default target distance the projective rows
+        # held 8 pairs when the race ended: a pair is pushed only by a row that runs on, and 1e-8 makes
+        # them wrap before the end.
         monkeypatch.setattr(steering, "_one_parameter", lambda sys: True)
         tally = PhaseTally(monkeypatch)
         sys, s0, target = instance()
@@ -1006,6 +1128,11 @@ class TestRace:
         assert rows_of_early[0] == cfg.restarts
         assert sum(rows_of_early[1:]) == 0
         assert len(counts.goals) > 1
+        # the two targets share their restarts' starts, passed once; early converged in round 1, so
+        # none of its rows formed a derivative, and late's 8 did
+        assert counts.rounds[0] == cfg.restarts
+        assert not any(np.all(goals == early.c, axis=1).any() for _, goals in counts.derived)
+        assert [len(goals) for round_, goals in counts.derived if round_ == 1] == [cfg.restarts]
         for target, cert in zip([early, late], certs):
             assert_certificate_is(cert, sequential_steer(su2_system, basis_state, target, cfg)[0], cfg)
 
@@ -1030,15 +1157,92 @@ class TestRace:
         sys, s0 = su2_from_up()
         counts = CountingKernels(monkeypatch)
         targets, certs = verify_reachability(sys, s0, samples=20)
-        one_wave = len(counts.goals)
+        one_wave, derived = len(counts.goals), len(counts.derived)
+        # the one wave's 20 targets tile the same 8 starts: its first round passes 8 schedules
+        assert counts.rounds[0] == 8 < len(counts.goals[0]) == 160
         monkeypatch.setattr(steering, "ROUND_BYTES", round_bytes)
         waved = steering._steer_all(sys, s0, targets, SteeringConfig())
         rounds = counts.goals[one_wave:]
         assert len(rounds) > one_wave
         assert max(len(goals) for goals in rounds) <= per_wave * 8
+        assert max(counts.rounds[one_wave:]) <= per_wave * 8
+        assert max(len(goals) for _, goals in counts.derived[derived:]) <= per_wave * 8
         for cert, ref in zip(waved, certs):
             assert_certificate_is(cert, (ref.schedule.values, ref.achieved_distance, ref.iterations_used,
                                          ref.restart_index, ref.stop_reason), SteeringConfig())
+
+
+class TestTwoStages:
+    """A round's forward stage passes each distinct trial once; its derivative stage serves the kept accepted rows."""
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    def test_verify_first_round_passes_each_start_once(self, monkeypatch, phase_sensitive):
+        # 4 targets x 8 restarts: 32 rows, 8 distinct starts.  Every certificate is one steer's, bit for bit;
+        # projectively each row's residual and Jacobian are projected with its own target.
+        sys, s0 = su2_from_up()
+        targets, _ = verify_reachability(sys, s0, samples=4)
+        cfg = SteeringConfig(phase_sensitive=phase_sensitive)
+        counts = CountingKernels(monkeypatch)
+        certs = steering._steer_all(sys, s0, targets, cfg)
+        assert counts.rounds[0] == cfg.restarts
+        assert len(counts.goals[0]) == 4 * cfg.restarts
+        # the first derivative stage serves all 32 rows from 8 adjoint sweeps' rows
+        first, goals = counts.derived[0]
+        assert first == 1 and len(goals) == 4 * cfg.restarts
+        assert counts.derivatives < counts.derived_rows
+        monkeypatch.undo()
+        for target, cert in zip(targets, certs):
+            reference = steer(sys, s0, target, cfg)
+            assert_certificate_is(cert, (reference.schedule.values, reference.achieved_distance,
+                                         reference.iterations_used, reference.restart_index,
+                                         reference.stop_reason), cfg)
+
+    @pytest.mark.parametrize("instance, samples", [(su2_from_up, 4), (generic3_start, 4), (torus2_from_plus, 4)],
+                             ids=["su2x4", "generic3x4", "torus2x4"])
+    def test_converging_round_forms_no_derivative(self, monkeypatch, instance, samples):
+        # In the round in which a target's race ends, and after it, none of its rows forms a derivative.
+        sys, s0 = instance()
+        counts = CountingKernels(monkeypatch)
+        targets, certs = verify_reachability(sys, s0, samples=samples)
+        derived, cfg = list(counts.derived), SteeringConfig()
+        won = [(target, sequential_steer(sys, s0, target, cfg)[2]) for target, cert in zip(targets, certs)
+               if cert.converged]
+        assert won
+        for target, length in won:
+            rounds = [round_ for round_, goals in derived if np.all(goals == target.c, axis=1).any()]
+            assert max(rounds, default=0) < length
+
+    def test_rejected_lm_trial_forms_no_derivative(self):
+        # A trial that does not lower the distance leaves the row where it was, with the Jacobian it held:
+        # the next trial is Marquardt's step on it at a 4x damping, and no Jacobian is asked for.
+        cfg = SteeringConfig(segments=3)
+        rng = np.random.default_rng(11)
+        r, columns = rng.normal(size=(1, 4)), rng.normal(size=(1, 3, 4))
+        lm = steering._Lm(np.zeros((1, 3)))
+        assert lm.start(np.array([0.5 * float(r[0] @ r[0])]), r, cfg)[0] == steering._RUNNING
+        assert lm.fresh.tolist() == [True]
+        assert lm.step(columns)[0] == steering._RUNNING
+        assert lm.take(np.array([10.0]), rng.normal(size=(1, 4)), cfg)[0] == steering._RUNNING
+        assert lm.fresh.tolist() == [False]
+        assert lm.step(None)[0] == steering._RUNNING
+        step = marquardt_step(columns[0], r[0], steering._MU_START * steering._MU_UP)
+        assert np.array_equal(lm.trial[0], np.zeros(3) + step)
+        assert np.array_equal(lm.columns, columns)
+
+    def test_lbfgs_backtrack_forms_no_derivative(self):
+        # A trial that fails Armijo's test halves the step along the same direction, and no gradient is asked for.
+        cfg = SteeringConfig(segments=3)
+        g = np.array([[1.0, -2.0, 0.5]])
+        lbfgs = steering._Lbfgs(np.zeros((1, 3)))
+        assert lbfgs.start(np.array([1.0]), cfg)[0] == steering._RUNNING
+        assert lbfgs.fresh.tolist() == [True]
+        lbfgs.step(g)
+        first = lbfgs.trial.copy()
+        assert lbfgs.take(np.array([2.0]), cfg)[0] == steering._RUNNING
+        assert lbfgs.fresh.tolist() == [False]
+        assert lbfgs.step(None)[0] == steering._RUNNING
+        assert np.array_equal(lbfgs.trial, 0.5 * first)
+        assert np.array_equal(lbfgs.g, g)
 
 
 def counted_closures(monkeypatch) -> list:
@@ -1087,7 +1291,7 @@ class TestOffOrbit:
         final = propagate(sys, s0, cert.schedule, samples_per_segment=1).final_state
         assert cert.achieved_distance == distance(final, target, phase_sensitive)
         # one forward pass of one schedule, and no gradient
-        assert (counts.forward_calls, counts.forward_passes, counts.gradients) == (1, 1, 0)
+        assert (counts.forward_calls, counts.forward_passes, counts.derivatives) == (1, 1, 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_floor_holds_over_random_schedules(self, seed):
@@ -1121,7 +1325,7 @@ class TestOffOrbit:
         counts = CountingKernels(monkeypatch)
         cert = steer(sys, s0, target, SteeringConfig(phase_sensitive=phase_sensitive))
         assert (cert.stop_reason, cert.iterations_used, cert.converged) == ("off_orbit", 0, False)
-        assert counts.gradients == 0
+        assert counts.derivatives == 0
         rng = np.random.default_rng(3)
         for _ in range(20):
             sched = ControlSchedule(rng.uniform(0.1, 2.0, 4), rng.uniform(-3.0, 3.0, 4))
@@ -1159,7 +1363,7 @@ class TestOffOrbit:
         counts = CountingKernels(monkeypatch)
         cert = steer(sys, s0, target, cfg)
         assert (cert.stop_reason == "off_orbit") == off_orbit
-        assert (counts.gradients > 0) == (not off_orbit)
+        assert (counts.derivatives > 0) == (not off_orbit)
         assert not cert.converged
 
     @pytest.mark.parametrize("pair", ["su2", "generic4", "so3u1"])
@@ -1209,7 +1413,7 @@ class TestBatchedGradient:
             values = rng.uniform(-2.0, 2.0, (rows, durations.size))
             values[rows // 2] = 0.0
             targets = np.array([random_unit(rng, n) for _ in range(rows)])
-            f, g = steering._evaluate(sys, durations, values, s0.c, targets, phase_sensitive)
+            f, g = evaluate(sys, durations, values, s0.c, targets, phase_sensitive)
             assert f.shape == (rows,) and g.shape == (rows, durations.size)
             for i in range(rows):
                 sched, target = ControlSchedule(durations, values[i]), StateVector(targets[i])
@@ -1219,7 +1423,7 @@ class TestBatchedGradient:
 
 
 class TestLinearize:
-    """``_linearize``: the residual and real endpoint Jacobian that Levenberg-Marquardt rows step on."""
+    """``linearize``: the residual and real endpoint Jacobian that Levenberg-Marquardt rows step on."""
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("n", ["su2", 2, 3, 4, 5])
@@ -1231,7 +1435,7 @@ class TestLinearize:
             sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
         s0, target = StateVector(random_unit(rng, n)), StateVector(random_unit(rng, n))
         durations, values = rng.uniform(0.2, 1.0, 6), rng.uniform(-1.0, 1.0, 6)
-        f, r, columns = steering._linearize(sys, durations, values[None], s0.c, target.c[None], phase_sensitive)
+        f, r, columns = linearize(sys, durations, values[None], s0.c, target.c[None], phase_sensitive)
         assert r.shape == (1, 2 * n) and columns.shape == (1, 6, 2 * n)
         fd = fd_endpoint_jacobian(sys, durations, values, s0, target, phase_sensitive)
         assert np.max(np.abs(columns[0].T - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -1249,8 +1453,8 @@ class TestLinearize:
         durations = rng.uniform(0.05, 1.0, 9)
         values = rng.uniform(-2.0, 2.0, (8, 9))
         targets = np.array([random_unit(rng, n) for _ in range(8)])
-        f, r, columns = steering._linearize(sys, durations, values, s0.c, targets, phase_sensitive)
-        f_ref, g = steering._evaluate(sys, durations, values, s0.c, targets, phase_sensitive)
+        f, r, columns = linearize(sys, durations, values, s0.c, targets, phase_sensitive)
+        f_ref, g = evaluate(sys, durations, values, s0.c, targets, phase_sensitive)
         assert np.array_equal(f, f_ref)
         for i in range(8):
             assert np.max(np.abs(columns[i] @ r[i] - g[i])) <= 1e-12 * np.max(np.abs(g[i]))
@@ -1265,11 +1469,35 @@ class TestLinearize:
         for rows in (1, 3, 8, 32):
             values = rng.uniform(-2.0, 2.0, (rows, durations.size))
             targets = np.array([random_unit(rng, n) for _ in range(rows)])
-            stacked = steering._linearize(sys, durations, values, s0.c, targets, phase_sensitive)
+            stacked = linearize(sys, durations, values, s0.c, targets, phase_sensitive)
             for i in range(rows):
-                lone = steering._linearize(sys, durations, values[i:i + 1], s0.c, targets[i:i + 1], phase_sensitive)
+                lone = linearize(sys, durations, values[i:i + 1], s0.c, targets[i:i + 1], phase_sensitive)
                 for a, b in zip(stacked, lone):
                     assert np.array_equal(a[i], b[0])
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    def test_repeated_rows_take_their_own_targets(self, monkeypatch, phase_sensitive):
+        # The forward stage passes a repeated trial once and the Jacobian's sweep runs once per distinct
+        # pass, yet every row's distance, residual and Jacobian is the lone row's toward its own target.
+        rng = np.random.default_rng(800)
+        sys = ControlSystem(random_skew(rng, 3), random_skew(rng, 3))
+        s0 = StateVector(random_unit(rng, 3))
+        durations = rng.uniform(0.05, 1.0, 5)
+        schedules = rng.uniform(-2.0, 2.0, (2, 5))
+        values = schedules[[0, 1, 0, 0, 1]]
+        targets = np.array([random_unit(rng, 3) for _ in range(5)])
+        inverse, passes = steering._forward(sys, durations, values, s0.c)
+        assert inverse.tolist() == [0, 1, 0, 0, 1] and len(passes[0]) == 2
+        sweeps = []
+        sweep = steering._sweep
+        monkeypatch.setattr(steering, "_sweep", lambda omega, *args: sweeps.append(len(omega)) or sweep(omega, *args))
+        f, r = steering._residuals(passes[3][inverse, -1], targets, phase_sensitive)
+        columns = steering._jacobians(sys, durations, passes, inverse, targets, phase_sensitive)
+        assert sweeps == [2]
+        for i in range(5):
+            lone = linearize(sys, durations, values[i:i + 1], s0.c, targets[i:i + 1], phase_sensitive)
+            for a, b in zip((f, r, columns), lone):
+                assert np.array_equal(a[i], b[0])
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_step_rows_equal_lone_rows_bit_for_bit(self, n):
@@ -1281,7 +1509,7 @@ class TestLinearize:
         for rows in (1, 3, 8, 32):
             values = rng.uniform(-2.0, 2.0, (rows, durations.size))
             targets = np.array([random_unit(rng, n) for _ in range(rows)])
-            f, r, columns = steering._linearize(sys, durations, values, s0.c, targets, True)
+            f, r, columns = linearize(sys, durations, values, s0.c, targets, True)
             mu = rng.uniform(1e-6, 1.0, rows)
             D = steering._dots(columns.reshape(-1, 2 * n), columns.reshape(-1, 2 * n)).reshape(rows, -1)
             scaled = columns / D[..., None]
