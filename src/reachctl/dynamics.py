@@ -53,6 +53,10 @@ RECURRENCE_BLOCK = 1024
 RECURRENCE_REACH = 1.5
 RECURRENCE_FANOUT = 4
 
+# A hitting scan keeps its closest approach within this share of the least grid distance: its hits are
+# exact, but a flat distance (one that a target off the curve can have) would leave every gap open.
+APPROACH_SHARE = 0.125
+
 
 @dataclass
 class StateVector:
@@ -397,66 +401,58 @@ def propagate_operator(sys: ControlSystem, sched: ControlSchedule) -> np.ndarray
     return U
 
 
-def recurrence_scan(
-    sys: ControlSystem,
-    s0: StateVector,
-    tol: float,
-    t_max: float,
-    dt: float,
-) -> float | None:
-    """First drift-flow return time into the ``tol``-ball around the start.
+def _block_scan(lam: np.ndarray, d: np.ndarray, g: np.ndarray, v: float, tol: float, count: int, dt: float,
+                phase: float, depart: bool = False, projective: bool = False) -> tuple | None:
+    """The one Lipschitz block scan: the first grid time ``k dt``, ``0 <= k <= count``, at which a flow brings a
+    state within ``tol`` of a target, and its closest approach.
 
-    Scans the grid ``k dt`` up to ``t_max``.  The state must first leave the
-    ball before a grid time counts as a return; the first return, or without
-    one the closest approach after departure, is sharpened by a vectorized
-    bracket through the same distance kernel.  A state that never leaves the
-    ball (a drift fixed point) reports ``dt``; None means no return before
-    ``t_max``, a valid outcome; a drift phase ``t_max max|lambda|`` past
-    double precision raises ValueError: an infinite one, and one whose
-    rounding ``margin`` (below) spans the whole distance range [0, 2].
+    ``d`` and ``g`` are the state and the target in the flow's eigenbasis, where the flow turns the
+    coordinates by ``exp(i lam t)`` (``-lam`` runs it backward).  The distance is ``D = |exp(i lam t) d -
+    g|``, or projectively ``sqrt(2 - 2 |sum_k conj(g_k) d_k exp(i lam_k t)|)``.  Phase-sensitively ``D^2 = C
+    + 2 sum_k rho_k (1 - cos(lam_k t + phi_k))``, with ``rho = |d| |g|``, ``phi = arg d - arg g`` and ``C =
+    sum (|d| - |g|)^2``, all exactly 0 but rho for a return (``g = d``).  The flow moves at the constant speed
+    ``v = |lam d|``, so both distances are v-Lipschitz (Shubert's bound).  The scan evaluates ``D`` at
+    samples ``stride`` points apart, all at once, and bounds every grid distance between two samples by
+    ``(D_a + D_b)/2 -+ (v span/2 + margin)``, ``margin`` being the rounding of ``D``.  Only a gap whose bounds
+    admit an event -- the departure, a hit, or an approach closer than every distance before it -- is cut
+    into ``RECURRENCE_FANOUT`` parts and sampled again, down to single grid steps, so the answer is the full
+    grid scan's, and memory is bounded by ``RECURRENCE_BLOCK``.  Without ``depart`` an approach must be closer
+    by the share ``APPROACH_SHARE``, so the closest approach is within that share of the grid's.  The first
+    stride moves the state by about ``RECURRENCE_REACH``.
 
-    The drift flow only rotates phases in its eigenbasis, so it moves at the
-    constant speed ``v = sqrt(sum_k w_k lambda_k^2)`` and its distance ``D``
-    to the start is v-Lipschitz (Shubert's bound).  The scan sweeps the grid
-    in blocks: it evaluates ``D`` at samples ``stride`` points apart, all at
-    once, and bounds every grid distance between two samples ``a`` and ``b``
-    by ``(D_a + D_b)/2 -+ (v span/2 + margin)``, ``margin`` being the
-    rounding of ``D``.  Only a gap whose bounds admit an event -- the
-    departure, a return, or an approach closer than every distance before
-    it -- is cut into ``RECURRENCE_FANOUT`` parts and sampled again, down to
-    single grid steps.  No point left out is an event, so the answer is that
-    of the full grid scan; the cost is the samples, and memory is bounded by
-    ``RECURRENCE_BLOCK``, not by ``t_max / dt``.  The first stride moves the
-    state by about ``RECURRENCE_REACH``; a fast drift (``v dt`` above it)
-    has stride one, which is the plain table.
+    Returns ``(hit, t, D)``: the first grid index within ``tol``, or None, and the time and distance that a
+    bracket refines around it, or without one around the closest grid approach.  With ``depart`` a grid
+    time counts only once the state has left the ball, and a state that never leaves gives ``(None, dt,
+    0.0)``.  Returns None when ``margin`` spans the whole range [0, 2] or the grid has 2**53 steps or more;
+    ``phase`` bounds every phase whose rounding reaches ``D``.
     """
-    for value, name in ((tol, "tol"), (dt, "dt"), (t_max, "t_max")):
-        _check_positive(value, name)
-    if not (dt < t_max and t_max / dt < 2.0**53):
-        raise ValueError(f"need 0 < dt < t_max and fewer than 2**53 grid steps, got dt={dt}, t_max={t_max}")
-    _check_dimension("system", sys.n, s0.n)
-
-    lam, U = canonical_skew_eigensystem(sys.A)
-    weights = np.abs(U.conj().T @ s0.c) ** 2
+    rho, phi = np.abs(d) * np.abs(g), np.angle(d) - np.angle(g)
+    C = float(np.sum((np.abs(d) - np.abs(g)) ** 2))
+    turned = bool(phi.any())
+    shifted = projective or turned or C > 0.0
+    # Twice the float64 error of one distance: rounding t * lam, the cosines and the sum put D^2 off by
+    # under eps (phase + 4n + 16), which reaches D as its square root near 0.  A target other than the
+    # state rounds a second phase per term, lam t + phi or the exponential of the projective sum (phi holds
+    # the state's own phases, which phase bounds too), and the angles and C add their rounding: eps (2 phase
+    # + 4n + 32).
+    eps = np.finfo(float).eps
+    margin = 2.0 * math.sqrt(eps * ((2.0 * phase + 16 if shifted else phase) + 4 * lam.size + 16))
+    if not (margin < 2.0 and count < 2**53):  # every distance is rounding noise: nothing can be certified
+        return None
+    z = np.conj(g) * d
 
     def dists(t: np.ndarray) -> np.ndarray:
-        # the distance to the start at each time, one row of cosines per time
-        x = np.cos(np.outer(t, lam))
-        return np.sqrt(np.maximum(2.0 * np.sum((1.0 - x) * weights, axis=1), 0.0))
+        # the distance at each time, one row of cosines (or exponentials) per time
+        x = np.outer(t, lam)
+        if projective:
+            return np.sqrt(np.maximum(2.0 - 2.0 * np.abs(np.exp(1j * x) @ z), 0.0))
+        if turned:
+            x += phi
+        squares = 2.0 * np.sum((1.0 - np.cos(x)) * rho, axis=1)
+        if C:
+            squares += C
+        return np.sqrt(np.maximum(squares, 0.0))
 
-    count = int(np.floor(t_max / dt + 1e-12))
-    v = math.hypot(*(np.sqrt(weights) * lam))  # hypot scales: no overflow or underflow
-    if v == 0.0:
-        return float(dt)
-    phase = t_max * float(np.max(np.abs(lam)))
-    if not math.isfinite(phase):  # every distance would be NaN: neither departed nor returned
-        raise ValueError(f"the drift phase over t_max = {float(t_max)!r} overflows double precision")
-    # Twice the float64 error of one distance: rounding t * lam, the cosines and the sum put D^2
-    # off by under eps (t_max max|lam| + 4n + 16), which reaches D as its square root near 0.
-    margin = 2.0 * math.sqrt(np.finfo(float).eps * (phase + 4 * lam.size + 16))
-    if margin >= 2.0:  # every distance is rounding noise: no gap, departure or return can be certified
-        raise ValueError(f"the drift phase over t_max = {float(t_max)!r} is too large to resolve a distance "
-                         "in double precision")
     # The first stride moves the state by about RECURRENCE_REACH (a float division gives inf, not a
     # warning, if v dt underflows).
     stride = int(min(count, max(1.0, RECURRENCE_REACH / v / dt)))
@@ -468,7 +464,8 @@ def recurrence_scan(
         Samples every ``stride`` points up to ``size`` strides ahead, then cuts each gap that may hold an
         event into ``RECURRENCE_FANOUT`` and samples again, down to single steps.  Before departure
         (``best`` None) the event is a point above ``tol``; after it, a point below the least distance
-        at or before it (``best`` is that of earlier blocks).  Past ``RECURRENCE_BLOCK`` open gaps the
+        at or before it (``best`` is that of earlier blocks), or without ``depart`` a hit or an approach
+        as above.  Past ``RECURRENCE_BLOCK`` open gaps the
         block ends at the first one left over, which bounds its memory.
         """
         running = np.maximum if best is None else np.minimum
@@ -482,8 +479,10 @@ def recurrence_scan(
             mid, half = (d_a + d_b) / 2.0, span * (v * dt / 2.0) + margin
             if best is None:
                 open_ = (ahead <= tol) & (mid + half > tol)
-            else:
+            elif depart:
                 open_ = mid - half < ahead
+            else:
+                open_ = (mid - half < (1.0 - APPROACH_SHARE) * ahead) | (mid - half <= tol)
             open_ &= span > 1
             gaps = np.flatnonzero(open_)
             if gaps.size > RECURRENCE_BLOCK:
@@ -502,31 +501,32 @@ def recurrence_scan(
             d = np.column_stack((d_a, inner, d_b))
             a, span, d_a, d_b = k[:, :-1].ravel(), np.diff(k).ravel(), d[:, :-1].ravel(), d[:, 1:].ravel()
 
-    departure = hit = None
-    lo, size = 0, RECURRENCE_FANOUT
-    while departure is None and lo < count:
-        hi, k, d = block(lo, size, None)
-        above = d > tol
-        if above.any():
-            departure = int(k[above].min())
-            best_k, best_d = departure, float(d[k == departure][0])
-        lo, size = hi, min(2 * size, RECURRENCE_BLOCK)
-    if departure is None:
-        return float(dt)
-    lo = departure
+    first, best_k, best_d = 0, 0, math.inf
+    if depart:
+        first = None
+        lo, size = 0, RECURRENCE_FANOUT
+        while first is None and lo < count:
+            hi, k, d = block(lo, size, None)
+            above = d > tol
+            if above.any():
+                first = int(k[above].min())
+                best_k, best_d = first, float(d[k == first][0])
+            lo, size = hi, min(2 * size, RECURRENCE_BLOCK)
+        if first is None:
+            return None, float(dt), 0.0
+    hit, lo = None, first
     while lo < count:
         lo, k, d = block(lo, RECURRENCE_BLOCK, best_d)
         within = d <= tol
         if within.any():
-            hit = int(k[within].min()) * dt
+            hit = int(k[within].min())
             break
         low = float(d.min())
         if low < best_d:
             best_k, best_d = int(k[d == low].min()), low
 
-    departure *= dt
-    center = best_k * dt if hit is None else hit
-    a = max(center - dt, departure)
+    center = (best_k if hit is None else hit) * dt
+    a = max(center - dt, first * dt)
     b = min(center + dt, count * dt)
     while True:  # each round's least distance and its two neighbours bracket the next round
         t = np.linspace(a, b, REFINE_POINTS)
@@ -536,7 +536,52 @@ def recurrence_scan(
         if b_next - a_next >= b - a:
             break
         a, b = a_next, b_next
-    refined_t, refined_d = float(t[i]), float(d[i])
+    return hit, float(t[i]), float(d[i])
+
+
+def recurrence_scan(
+    sys: ControlSystem,
+    s0: StateVector,
+    tol: float,
+    t_max: float,
+    dt: float,
+) -> float | None:
+    """First drift-flow return time into the ``tol``-ball around the start.
+
+    Scans the grid ``k dt`` up to ``t_max``.  The state must first leave the
+    ball before a grid time counts as a return; the first return, or without
+    one the closest approach after departure, is sharpened by a vectorized
+    bracket through the same distance kernel.  A state that never leaves the
+    ball (a drift fixed point) reports ``dt``; None means no return before
+    ``t_max``, a valid outcome; a drift phase ``t_max max|lambda|`` past
+    double precision raises ValueError: an infinite one, and one whose
+    rounding margin spans the whole distance range [0, 2].
+
+    This is the Lipschitz block scan :func:`_block_scan` toward the start
+    itself, with its departure rule: its answer is the full grid scan's, and
+    its memory is bounded whatever the horizon.
+    """
+    for value, name in ((tol, "tol"), (dt, "dt"), (t_max, "t_max")):
+        _check_positive(value, name)
+    if not (dt < t_max and t_max / dt < 2.0**53):
+        raise ValueError(f"need 0 < dt < t_max and fewer than 2**53 grid steps, got dt={dt}, t_max={t_max}")
+    _check_dimension("system", sys.n, s0.n)
+
+    lam, U = canonical_skew_eigensystem(sys.A)
+    d = U.conj().T @ s0.c
+    count = int(np.floor(t_max / dt + 1e-12))
+    v = math.hypot(*(np.abs(d) * lam))  # hypot scales: no overflow or underflow
+    if v == 0.0:
+        return float(dt)
+    phase = t_max * float(np.max(np.abs(lam)))
+    if not math.isfinite(phase):  # every distance would be NaN: neither departed nor returned
+        raise ValueError(f"the drift phase over t_max = {float(t_max)!r} overflows double precision")
+    scan = _block_scan(lam, d, d, v, tol, count, dt, phase, depart=True)
+    if scan is None:
+        raise ValueError(f"the drift phase over t_max = {float(t_max)!r} is too large to resolve a distance "
+                         "in double precision")
+    hit, refined_t, refined_d = scan
+    hit = None if hit is None else hit * dt
     if refined_d > tol:
         return hit
     return refined_t if hit is None else min(hit, refined_t)

@@ -192,3 +192,27 @@ def fd_endpoint_jacobian(
         vm[j] -= step
         columns.append((residual(vp) - residual(vm)) / (2.0 * step))
     return np.array(columns).T
+
+
+def dense_hitting_index(
+    lambdas: np.ndarray,
+    d: np.ndarray,
+    g: np.ndarray,
+    tol: float,
+    count: int,
+    dt: float,
+    projective: bool = False,
+) -> tuple[int | None, float]:
+    """First grid index ``k`` in ``0..count`` at which ``exp(i lambdas k dt) d`` is within ``tol`` of ``g``, or None,
+    and the least grid distance, by exhaustive evaluation.
+
+    The distance is the plain norm of the difference, or projectively ``sqrt(2 - 2 |<g, c>|)``: complex
+    exponentials of every grid time, with no cosine form and no Lipschitz bound.
+    """
+    states = np.exp(1j * np.outer(np.arange(count + 1) * dt, lambdas)) * d
+    if projective:
+        ds = np.sqrt(np.maximum(2.0 - 2.0 * np.abs(states @ np.conj(g)), 0.0))
+    else:
+        ds = np.linalg.norm(states - g, axis=1)
+    hits = np.flatnonzero(ds <= tol)
+    return (int(hits[0]) if hits.size else None), float(ds.min())

@@ -569,6 +569,14 @@ class TestVerify:
         assert result["n_converged"] == 4
         assert len(result["samples"]) == 4
 
+    def test_torus2_passes(self, torus_files, tmp_path):
+        # The paper's non-compact case passes at the default settings.
+        sys_path, state_path = torus_files
+        out = str(tmp_path / "verify.json")
+        assert run(["verify", "--system", sys_path, "--state", state_path, "--out", out]) == 0
+        result = read_report(out)["result"]
+        assert (result["verdict"], result["n_converged"]) == ("PASS", 20)
+
     def test_report_matches_golden(self, tmp_path):
         out = tmp_path / "verify.json"
         stem = GOLDEN / "su2"

@@ -15,6 +15,7 @@ from reachctl import (
     diagonalize_drift,
     drift_hamiltonian,
     matrix_exp,
+    moduli_distance_bound,
     propagate,
     propagate_operator,
     realify,
@@ -26,7 +27,7 @@ from reachctl.dynamics import SEGMENT_BLOCK, forward_pass
 from reachctl.matrices import MAX_ENTRIES, skew_eigensystem
 
 from helpers import SIGMA_X, SIGMA_Z, count_eigh_matrices, random_skew, random_unit
-from oracles import dense_recurrence_time
+from oracles import dense_hitting_index, dense_recurrence_time
 
 
 # Schedules whose segment j overflows on OVERFLOW_SYSTEM, and where: propagate and propagate_operator
@@ -824,3 +825,74 @@ class TestRecurrenceScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert recurrence_scan(sys, s0, tol=0.05, t_max=1e-290, dt=1e-300) == 1e-300
+
+
+def hitting_case(seed, n):
+    """A random diagonal torus with n = 2..4 frequencies, a unit state d and a target on its curve, at a time of
+    either sign, in the eigenbasis: ``(lam, d, g)``."""
+    rng = np.random.default_rng([seed, n])
+    lam = rng.uniform(-2.0, 2.0, n)
+    d = random_unit(rng, n)
+    return lam, d, np.exp(1j * lam * rng.uniform(-30.0, 30.0)) * d
+
+
+def block_scan(lam, d, g, tol, count, dt, projective=False):
+    v = float(np.hypot.reduce(np.abs(d) * lam))
+    return dynamics._block_scan(lam, d, g, v, tol, count, dt, count * dt * float(np.max(np.abs(lam))),
+                                projective=projective)
+
+
+class TestHittingScan:
+    """The block scan toward a target other than the start: each direction's first hit is the dense grid's."""
+
+    @pytest.mark.parametrize("projective", [False, True], ids=["phase", "projective"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_hits_match_dense_grid(self, n, projective):
+        hits = 0
+        for seed in range(6):
+            lam, d, g = hitting_case(seed, n)
+            tol, dt, count = 0.05, 0.01, 4000
+            for sign in (1.0, -1.0):
+                expected, _ = dense_hitting_index(sign * lam, d, g, tol, count, dt, projective)
+                hit, t, D = block_scan(sign * lam, d, g, tol, count, dt, projective)
+                assert hit == expected, (seed, sign)
+                hits += hit is not None
+                if hit is not None:  # refined to the local minimum around the hit
+                    assert abs(t - hit * dt) <= 1.001 * dt and D <= tol
+        assert hits >= 6
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_target_off_the_curve_stays_above_the_floor(self, n):
+        # A target whose moduli differ from the state's: no grid point hits, and the closest approach keeps the
+        # conserved moduli's floor, within the scan's share of the dense grid's least distance.
+        for seed in range(4):
+            lam, d, _ = hitting_case(seed, n)
+            g = random_unit(np.random.default_rng([seed, n, 1]), n)
+            sys = ControlSystem(np.diag(1j * lam), np.diag(1j * lam))
+            floor = moduli_distance_bound(sys, StateVector(d), StateVector(g))
+            tol, dt, count = 0.05, 0.01, 4000
+            _, least = dense_hitting_index(lam, d, g, tol, count, dt)
+            assert 0.5 * least**2 > 0.5 * tol**2
+            hit, t, D = block_scan(lam, d, g, tol, count, dt)
+            assert hit is None
+            assert 0.5 * D**2 >= floor - 1e-12
+            assert D <= least / (1.0 - dynamics.APPROACH_SHARE)
+
+    def test_flat_distance_scans_few_points(self, monkeypatch):
+        # The projective distance to an eigenvector is the same at every time: 2e6 grid steps, few samples.
+        evaluated, exp = [0], np.exp
+
+        def counted(x, *args, **kwargs):
+            evaluated[0] += int(np.prod(np.shape(x)[:-1], dtype=np.int64))
+            return exp(x, *args, **kwargs)
+
+        lam, d = np.array([1.0, np.sqrt(2.0)]), np.full(2, np.sqrt(0.5), dtype=complex)
+        monkeypatch.setattr(np, "exp", counted)
+        hit, t, D = block_scan(lam, d, np.array([1.0, 0.0], dtype=complex), 1e-3, 2_000_000, 1e-3, projective=True)
+        assert hit is None and D == pytest.approx(np.sqrt(2.0 - np.sqrt(2.0)))
+        assert evaluated[0] <= 50_000
+
+    def test_refuses_past_the_resolution_limit(self):
+        lam, d, g = hitting_case(0, 2)
+        assert dynamics._block_scan(lam, d, g, 1.0, 0.1, 1000, 1e-3, 1e16) is None
+        assert dynamics._block_scan(lam, d, g, 1.0, 0.1, 2**53, 1e-3, 10.0) is None

@@ -26,22 +26,14 @@ from reachctl import (
 from reachctl import orbit, steering
 from reachctl.dynamics import forward_pass
 
-from helpers import (SIGMA_X, SIGMA_Z, count_eigh_matrices, haar_unitary, lbfgs_direction, marquardt_step,
-                     optimize_restart, optimize_restart_lm, random_skew, random_unit, real_antisymmetric)
+from helpers import (SIGMA_X, SIGMA_Z, count_eigh_matrices, haar_unitary, marquardt_step, optimize_restart_lm,
+                     random_skew, random_unit, real_antisymmetric, time_budget)
 from oracles import block_expm_distance_gradient, fd_distance_gradient, fd_endpoint_jacobian
 
 
 def terminal_distance(sys, s0, cert, target):
     final = propagate(sys, s0, cert.schedule, samples_per_segment=1).final_state
     return distance(final, target)
-
-
-def evaluate(sys, durations, values, c0, targets, phase_sensitive):
-    """``(f, g)`` of every row: one forward pass, then each row's distance and gradient (a round's two stages)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        passes = forward_pass(sys, durations, values, c0)
-        f, = steering._distances(passes[3][:, -1], targets, phase_sensitive)
-        return f, steering._gradients(sys, durations, passes, np.arange(len(values)), targets, phase_sensitive)
 
 
 def linearize(sys, durations, values, c0, targets, phase_sensitive):
@@ -345,6 +337,15 @@ class TestStopReason:
         assert cert.iterations_used == 0
         assert cert.stop_reason == "zero_gradient"
 
+    def test_fixed_point_of_the_line_is_zero_gradient(self, basis_state):
+        # |0> spans the kernel of the pair's one generator: no control moves it, and a target with its moduli
+        # but another phase is no nearer at any control
+        A = np.diag([0.0, 1j])
+        target = StateVector(np.array([np.exp(1j), 0.0], dtype=complex))
+        cert = steer(ControlSystem(A, 2.0 * A), basis_state, target)
+        assert (cert.stop_reason, cert.converged, cert.iterations_used) == ("zero_gradient", False, 0)
+        assert np.array_equal(cert.schedule.values, np.zeros(20))
+
     def test_taken_from_winning_restart(self, su2_system, basis_state):
         # a budget of one iteration leaves every restart short of the target
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
@@ -354,25 +355,27 @@ class TestStopReason:
 
     def test_nan_distance_is_never_converged(self):
         # A NaN start stops after its one evaluation, with its NaN distance.
-        lbfgs = steering._Lbfgs(np.zeros((1, 3)))
-        stop = lbfgs.start(np.array([np.nan]), SteeringConfig(segments=3))
+        lm = steering._Lm(np.zeros((1, 3)))
+        stop = lm.start(np.array([np.nan]), np.full((1, 4), np.nan), SteeringConfig(segments=3))
         assert [steering._STOP_REASONS[code] for code in stop] == ["line_search_exhausted"]
-        assert np.isnan(lbfgs.f[0])
-        assert not lbfgs.fresh[0]  # and it asks for no gradient
+        assert np.isnan(lm.f[0])
+        assert not lm.fresh[0]  # and it asks for no Jacobian
 
     def test_nan_trial_backtracks(self):
-        # A non-finite trial is one failed step of the line search, not the end of it.
+        # A non-finite trial is one rejected step, not the end of the descent: the damping grows, and the row
+        # steps again, shorter, from where it was.
         cfg = SteeringConfig(segments=3)
-        values = np.random.default_rng((cfg.seed, 1)).uniform(-1.0, 1.0, 3)
-        lbfgs = steering._Lbfgs(values[None].copy())
-        lbfgs.start(np.array([1.0]), cfg)
-        lbfgs.step(np.ones((1, 3)))
-        first = lbfgs.trial[0].copy()
-        stop = lbfgs.take(np.array([np.nan]), cfg)
+        rng = np.random.default_rng(12)
+        r, columns = rng.normal(size=(1, 4)), rng.normal(size=(1, 3, 4))
+        lm = steering._Lm(np.zeros((1, 3)))
+        lm.start(np.array([0.5 * float(r[0] @ r[0])]), r, cfg)
+        lm.step(columns)
+        stop = lm.take(np.array([np.nan]), np.full((1, 4), np.nan), cfg)
         assert stop[0] == steering._RUNNING
-        assert not lbfgs.fresh[0]  # a backtrack forms no gradient
-        assert lbfgs.step(None)[0] == steering._RUNNING
-        np.testing.assert_allclose(lbfgs.trial[0] - values, 0.5 * (first - values), rtol=0, atol=1e-15)
+        assert not lm.fresh[0]  # a rejected step forms no Jacobian
+        assert lm.step(None)[0] == steering._RUNNING
+        assert lm.mu[0] == steering._MU_START * steering._MU_UP
+        assert np.array_equal(lm.trial[0], marquardt_step(columns[0], r[0], lm.mu[0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_start_evaluates_once_per_restart(self, basis_state, monkeypatch):
@@ -438,8 +441,7 @@ class TestStopReason:
 
 
 def scripted(descent, outcomes):
-    """A stand-in for the descent class ``descent``, ``_Lbfgs`` or ``_Lm``: restart r's rows evaluate ``rounds`` trials,
-    then stop.
+    """A stand-in for the descent class ``descent``: restart r's rows evaluate ``rounds`` trials, then stop.
 
     ``outcomes[r]`` is ``(rounds, distance, stop_reason)``; restart r's trial is the constant
     schedule r, and its outcome is that schedule, ``distance``, ``rounds`` iterations and
@@ -476,8 +478,8 @@ class CountingKernels:
     and ``forward_calls`` their count, and ``goals`` each round's targets, one
     per row, as its distances are measured.  Derivative stage: ``derivatives``
     counts the rows of the adjoint sweep, one per distinct schedule whose
-    gradient or Jacobian is formed, and ``derived`` holds, for each call of the
-    stage, its round (counted from 1) and the targets of the rows it serves.
+    Jacobian is formed, and ``derived`` holds, for each call of the stage, its
+    round (counted from 1) and the targets of the rows it serves.
     """
 
     def __init__(self, monkeypatch):
@@ -506,9 +508,8 @@ class CountingKernels:
 
         monkeypatch.setattr(steering, "forward_pass", counted_forward)
         monkeypatch.setattr(steering, "_sweep", counted_sweep)
-        for name, wrap in (("_distances", measured), ("_residuals", measured),
-                           ("_gradients", derived), ("_jacobians", derived)):
-            monkeypatch.setattr(steering, name, wrap(getattr(steering, name)))
+        monkeypatch.setattr(steering, "_residuals", measured(steering._residuals))
+        monkeypatch.setattr(steering, "_jacobians", derived(steering._jacobians))
 
     @property
     def forward_passes(self):
@@ -533,11 +534,11 @@ class KeptRows:
     ``backtracked`` counts the running rows that stayed where they were.
     """
 
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch):
         self.owed = self.backtracked = 0
         tally = self
 
-        class Probe(getattr(steering, name)):
+        class Probe(steering._Lm):
             def start(self, *measured):
                 return self.judge(super().start, *measured)
 
@@ -557,7 +558,7 @@ class KeptRows:
                 tally.owed += int(np.count_nonzero(self.owe))
                 return super().step(derivative)
 
-        monkeypatch.setattr(steering, name, Probe)
+        monkeypatch.setattr(steering, "_Lm", Probe)
 
 
 def sequential_steer(sys, s0, target, cfg):
@@ -566,31 +567,33 @@ def sequential_steer(sys, s0, target, cfg):
     The reference for the lockstep race.  Restart r's k-th evaluation is in
     round k of the lockstep, so if any restart converged, the winner is the
     converged restart with the fewest evaluations (the race ends in its
-    round), then the least distance, then the lowest index.  A one-parameter
-    pair's restarts are the L-BFGS reference on ``evaluate``, any other
-    pair's the Levenberg-Marquardt reference on ``linearize``, each row's
-    forward pass and derivative formed whatever the row's fate.  A restart that
+    round), then the least distance, then the lowest index.  The restarts
+    are the Levenberg-Marquardt reference on ``linearize``, each row's
+    forward pass and Jacobian formed whatever the row's fate.  A restart that
     has used more evaluations than the fewest a converged restart needed can
     no longer win, so it stops there.  Otherwise every restart runs to its
     end and steer's rule picks the least distance, ties to the lowest
     restart, a non-finite distance last.  Also returns each restart's
     evaluation count (a stopped restart's is past the race's end, as its full
     count is) and the race's length in rounds: the winner's count if it
-    converged, else the longest count.  ``TestBatchedGradient`` proves a
-    single-row ``evaluate`` equal to ``distance`` and ``gradient`` bit for bit,
-    and ``TestLinearize`` the rows of ``linearize`` and of the stacked step
-    equal to lone ones.
+    converged, else the longest count.  ``TestLinearize`` proves the rows of
+    ``linearize`` and of the stacked step equal to lone ones.  A one-parameter
+    pair runs no race: its reference is the hitting scan toward the one
+    target, one evaluation long.
     """
+    line = steering._one_parameter(sys)
+    if line is not None:
+        cert = steering._hit(sys, s0, target, cfg, line)
+        return (cert.schedule.values, cert.achieved_distance, cert.iterations_used, cert.restart_index,
+                cert.stop_reason), [1], 1
     durations = np.full(cfg.segments, cfg.horizon / cfg.segments)
-    optimize, kernel = ((optimize_restart, evaluate) if steering._one_parameter(sys)
-                        else (optimize_restart_lm, linearize))
     results, evaluations, fewest = [], [], math.inf
     for r in range(cfg.restarts):
-        restart = optimize(cfg, r)
+        restart = optimize_restart_lm(cfg, r)
         trial, count, result = next(restart), 0, None
         while count <= fewest:
             count += 1
-            f, *derivatives = kernel(sys, durations, trial[None], s0.c, target.c[None], cfg.phase_sensitive)
+            f, *derivatives = linearize(sys, durations, trial[None], s0.c, target.c[None], cfg.phase_sensitive)
             try:
                 trial = restart.send((float(f[0]), *(d[0] for d in derivatives)))
             except StopIteration as stop:
@@ -620,25 +623,25 @@ class TestEvaluationBudget:
     """Budgets in forward rows, one per distinct trial of a round, and derivative rows, one per kept accepted row."""
 
     def test_off_moduli_torus(self, monkeypatch, torus_system, plus_state):
+        # A one-parameter pair: the hitting scan finds no hit, and its closest approach is one forward pass.
         target = StateVector(np.array([1.0, 0.0], dtype=complex))
         counts = CountingKernels(monkeypatch)
         cert = race_one(torus_system, plus_state, target, SteeringConfig(segments=10, restarts=2))
-        assert cert.stop_reason == "line_search_exhausted"
+        assert cert.stop_reason == "max_iterations"
         assert not cert.converged
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
-        assert counts.derivatives < counts.forward_passes <= 40
+        assert (counts.forward_calls, counts.forward_passes, counts.derivatives) == (1, 1, 0)
 
     def test_off_moduli_torus_default_config(self, monkeypatch, torus_system, plus_state):
-        # 20 segments and 8 restarts: a restart on its floor stops at the first
-        # trial that moves the distance by rounding only, instead of halving
-        # the step down to its smallest value (89 calls measured, 195 without)
+        # The default window, 500 horizons each way of the zero schedule's end, scans within the budget.
         target = StateVector(np.array([1.0, 0.0], dtype=complex))
         counts = CountingKernels(monkeypatch)
-        cert = race_one(torus_system, plus_state, target, SteeringConfig())
-        assert cert.stop_reason == "line_search_exhausted"
+        with time_budget(5):
+            cert = race_one(torus_system, plus_state, target, SteeringConfig())
+        assert cert.stop_reason == "max_iterations"
         assert not cert.converged
         assert cert.achieved_distance >= moduli_distance_bound(torus_system, plus_state, target) - 1e-12
-        assert counts.derivatives < counts.forward_passes <= 120
+        assert (counts.forward_calls, counts.forward_passes, counts.derivatives) == (1, 1, 0)
 
     def test_su2_up_to_down(self, monkeypatch, su2_system, basis_state):
         target = StateVector(np.array([0.0, 1.0], dtype=complex))
@@ -672,21 +675,18 @@ class TestEvaluationBudget:
         assert tally[0] == counts.forward_passes * cfg.segments > 0
 
     def test_one_gradient_per_forward_pass(self, monkeypatch):
-        # One derivative per kept accepted row: a row gets its gradient or Jacobian exactly when its round
-        # moved it to a new point and it runs on, and a rejected or backtracked trial gets none; for
-        # Levenberg-Marquardt and (forced onto this generic pair) L-BFGS rows, in both objectives.
+        # One derivative per kept accepted row: a row gets its Jacobian exactly when its round moved it to a
+        # new point and it runs on, and a rejected trial gets none, in both objectives.
         sys, s0, target = generic4()
-        for one_parameter in (False, True):
-            for phase_sensitive in (True, False):
-                with monkeypatch.context() as patch:
-                    patch.setattr(steering, "_one_parameter", lambda sys: one_parameter)
-                    kept = KeptRows(patch, "_Lbfgs" if one_parameter else "_Lm")
-                    counts = CountingKernels(patch)
-                    cfg = SteeringConfig(restarts=3, max_iterations=40, phase_sensitive=phase_sensitive)
-                    steer(sys, s0, target, cfg)
-                assert counts.derived_rows == counts.derivatives == kept.owed > 0
-                assert kept.backtracked > 0
-                assert counts.derivatives <= counts.forward_passes - kept.backtracked
+        for phase_sensitive in (True, False):
+            with monkeypatch.context() as patch:
+                kept = KeptRows(patch)
+                counts = CountingKernels(patch)
+                cfg = SteeringConfig(restarts=3, max_iterations=40, phase_sensitive=phase_sensitive)
+                steer(sys, s0, target, cfg)
+            assert counts.derived_rows == counts.derivatives == kept.owed > 0
+            assert kept.backtracked > 0
+            assert counts.derivatives <= counts.forward_passes - kept.backtracked
 
 
 def held_out_torus(lam, theta):
@@ -708,13 +708,15 @@ def held_out_random(n, k):
 
 
 class TestHeldOutInstances:
-    """Default-config steers whose outcome the exploratory phase and ``_ALPHA_MAX`` decide.
+    """Default-config steers from a held-out suite of 44 on-orbit instances.
 
-    Taken from a held-out suite of 44 on-orbit instances (tori with lambda_2 =
-    sqrt3 and sqrt5 at five phase targets each, ten su(2) orbit targets, four
-    random pairs for each n = 2..7): the L-BFGS steer solves 40 of them, the
-    Armijo steepest descent it replaced solved 39.  These are the instances on
-    which the two differ.
+    The suite holds tori with lambda_2 = sqrt3 and sqrt5 at five phase targets
+    each, ten su(2) orbit targets, and four random pairs for each n = 2..7.  Its
+    tori are one-parameter pairs (``B = 2A``), which the hitting scan serves:
+    an optimizer's landscape there is periodic in the total drift time, and the
+    L-BFGS that once served them missed the sqrt3, theta = -6 torus at 0.093,
+    as Levenberg-Marquardt steps missed the sqrt5, theta = -6 one and
+    criterion 6's back target.
     """
 
     @pytest.mark.parametrize(
@@ -729,14 +731,30 @@ class TestHeldOutInstances:
         assert terminal_distance(sys, s0, cert, target) <= 1e-6
 
     def test_known_non_convergence(self):
-        # The periodic phase landscape is crossed only by long early steps:
-        # the descent solved this target, no restart of the L-BFGS reaches
-        # its basin.  A change that solves it should update this test.
+        # Once the optimizer's miss, now solved: theta = -6 is the constant control -1.1 over the horizon 5.
         sys, s0, target = held_out_torus(np.sqrt(3.0), -6.0)
         cert = steer(sys, s0, target, SteeringConfig())
-        assert not cert.converged
-        assert cert.stop_reason == "line_search_exhausted"
-        assert cert.achieved_distance == pytest.approx(0.0930556, abs=1e-6)
+        assert (cert.converged, cert.stop_reason, cert.iterations_used, cert.restart_index) == (
+            True, "converged", 0, 0)
+        np.testing.assert_allclose(cert.schedule.values, -1.1, rtol=1e-8)
+        assert terminal_distance(sys, s0, cert, target) <= 1e-6
+
+    @pytest.mark.parametrize("instance, settings, u", [
+        (lambda: held_out_torus(np.sqrt(5.0), -6.0), {}, -1.1),
+        (lambda: held_out_torus(np.sqrt(2.0), -5.0),
+         {"restarts": 12, "max_iterations": 300, "target_distance": 1e-8}, -1.0),
+    ], ids=["torus-sqrt5-theta-6", "criterion6-back"])
+    def test_levenberg_marquardt_misses_are_solved(self, monkeypatch, instance, settings, u):
+        # Both are one-parameter targets that Levenberg-Marquardt steps miss; the scan needs no optimizer.
+        sys, s0, target = instance()
+        cfg = SteeringConfig(**settings)
+        counts = CountingKernels(monkeypatch)
+        cert = steer(sys, s0, target, cfg)
+        assert cert.converged
+        np.testing.assert_allclose(cert.schedule.values, u, rtol=1e-8)
+        final = propagate(sys, s0, cert.schedule, samples_per_segment=1).final_state
+        assert cert.achieved_distance == distance(final, target) <= cfg.target_distance
+        assert (counts.forward_passes, counts.derivatives) == (1, 0)
 
 
 def su2_up_to_down():
@@ -748,6 +766,12 @@ def off_moduli_torus():
     A = np.diag([1j, 1j * np.sqrt(2.0)])
     plus = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
     return ControlSystem(A, 2.0 * A), plus, StateVector(np.array([1.0, 0.0], dtype=complex))
+
+
+def off_moduli_torus2d():
+    """The 2-D torus, a commuting pair that is not one-parameter, and the off-moduli target of ``off_moduli_torus``."""
+    sys, plus, target = off_moduli_torus()
+    return ControlSystem(sys.A, np.diag([1j, -1j])), plus, target
 
 
 def race_one(sys, s0, target, cfg):
@@ -788,80 +812,6 @@ def generic5_start():
     return generic5()[:2]
 
 
-class PhaseTally:
-    """Counts the phases that the rows of ``steer``'s lockstep rounds go through.
-
-    ``wrapped``: curvature pairs pushed past the memory's ``_MEMORY`` slots;
-    ``rejected``: accepted steps whose pair failed the ``s.y`` test; ``resets``:
-    non-empty memories cleared by a non-descent direction; ``mixed``: rounds in
-    which some running rows backtrack while others start a line search.
-    """
-
-    def __init__(self, monkeypatch):
-        self.wrapped = self.rejected = self.resets = self.mixed = 0
-        tally, pushes = self, {}
-
-        class Probe(steering._Lbfgs):
-            def take(self, f_trial, cfg):
-                # array attributes, so that they lose the rows that the race drops before the step
-                self.newest, self.held, self.point = self.rho[:, 0].copy(), self.count.copy(), self.values.copy()
-                return super().take(f_trial, cfg)
-
-            def step(self, g):
-                stop = super().step(g)
-                if not hasattr(self, "point"):  # the first round: no trial was taken
-                    return stop
-                reset = (self.held > 0) & (self.count == 0)
-                pushed = (self.rho[:, 0] != self.newest) & ~reset
-                moved = np.any(self.values != self.point, axis=1)
-                running = stop == steering._RUNNING
-                for row in self.row[pushed]:  # keyed by race, each an _Lbfgs of its own
-                    pushes[id(self), row] = pushes.get((id(self), row), 0) + 1
-                    tally.wrapped += pushes[id(self), row] > steering._MEMORY
-                tally.rejected += int(np.count_nonzero(moved & running & ~pushed & ~reset))
-                tally.resets += int(np.count_nonzero(reset))
-                tally.mixed += bool(np.any(running & moved) and np.any(running & ~moved))
-                return stop
-
-        monkeypatch.setattr(steering, "_Lbfgs", Probe)
-
-
-def scripted_objectives(starts):
-    """Objectives of the controls, one per restart, whose descents from ``starts`` go through different phases.
-
-    0: an ill-conditioned quadratic, long enough to wrap the pair memory;
-    1: a periodic landscape with restart 1's start near a crest, so that its
-    first step crosses negative curvature and fails the ``s.y`` test;
-    2: the quadratic of 0, its gradient overflowing once the distance drops
-    below 1, so that a non-finite direction clears a non-empty memory;
-    3: a well-conditioned quadratic that converges;
-    4: a quadratic whose gradient overstates its slope 1e4-fold, so that
-    trials that lower the distance still fail Armijo's test.
-    Each returns ``(f, g)`` at a schedule.
-    """
-    m = starts.shape[1]
-    scale, centre = np.logspace(0, 3, m), np.linspace(-0.5, 0.5, m)
-
-    def conditioned(x):
-        return 0.25 + 0.5 * float(scale @ (x - centre) ** 2), scale * (x - centre)
-
-    def periodic(x):
-        phase = 2.0 * (x - starts[1]) + 0.3
-        return 4.5 + float(np.sum(np.cos(phase))), -2.0 * np.sin(phase)
-
-    def overflowing(x):
-        f, g = conditioned(x)
-        return f, np.where(np.arange(m) == 0, np.inf, g) if f < 1.0 else g
-
-    def converging(x):
-        return 1.5 * float(np.sum((x - centre) ** 2)), 3.0 * (x - centre)
-
-    def misscaled(x):
-        return 1.0 + 0.5 * float(np.sum((x - centre) ** 2)), 1e4 * (x - centre)
-
-    return [conditioned, periodic, overflowing, converging, misscaled]
-
-
 def scripted_residuals(starts):
     """Residuals of the controls, one per restart, whose Levenberg-Marquardt descents from ``starts`` end differently.
 
@@ -896,7 +846,7 @@ def scripted_residuals(starts):
 
 
 def scripted_race(descent, optimize, scripted, cfg):
-    """Rows of the class ``descent`` on ``scripted(starts)``'s objectives, beside the per-restart references
+    """Rows of the class ``descent`` on ``scripted(starts)``'s residuals, beside the per-restart references
     ``optimize(cfg, r)``: every round's trials and every outcome are the references'.  Returns the stop reasons seen.
 
     A row's derivative reaches its reference only in a round where the row forms one (it is ``fresh``); any
@@ -975,9 +925,12 @@ class TestLockstepEqualsSequential:
         "instance, settings, entry",
         [
             (su2_up_to_down, {}, steer),
-            # steer proves this target off the orbit; the race still has to run on its floor
+            # steer proves these targets off the orbit; the scan, and on the 2-D torus the race, still has to
+            # run on the floor
             (off_moduli_torus, {}, race_one),
             (off_moduli_torus, {"segments": 10, "restarts": 2}, race_one),
+            (off_moduli_torus2d, {}, race_one),
+            (off_moduli_torus2d, {"segments": 10, "restarts": 2}, race_one),
             (generic4, {"restarts": 4}, steer),
             (lambda: held_out_torus(np.sqrt(5.0), 7.0), {}, steer),
             (lambda: held_out_random(6, 1), {}, steer),
@@ -985,8 +938,9 @@ class TestLockstepEqualsSequential:
             (generic4, {"restarts": 4, "max_iterations": 60}, steer),
             (generic5, {}, steer),
         ],
-        ids=["su2", "torus-off-moduli", "torus-off-moduli-10x2", "generic4",
-             "torus-sqrt5-theta7", "random-n6-1", "torus-sqrt3-theta-6", "generic4-wrapped", "generic5-rejected"],
+        ids=["su2", "torus-off-moduli", "torus-off-moduli-10x2", "torus2d-off-moduli", "torus2d-off-moduli-10x2",
+             "generic4", "torus-sqrt5-theta7", "random-n6-1", "torus-sqrt3-theta-6", "generic4-wrapped",
+             "generic5-rejected"],
     )
     def test_certificate_fields(self, instance, settings, entry, phase_sensitive):
         sys, s0, target = instance()
@@ -996,33 +950,19 @@ class TestLockstepEqualsSequential:
         assert_certificate_is(cert, reference, cfg)
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
-    @pytest.mark.parametrize("instance, settings, phase", [
-        (generic4, {"restarts": 4, "max_iterations": 60, "target_distance": 1e-8}, "wrapped"),
-        (generic5, {}, "rejected"),
+    @pytest.mark.parametrize("instance, settings", [
+        (generic4, {"restarts": 4, "max_iterations": 60, "target_distance": 1e-8}),
+        (generic5, {}),
     ], ids=["generic4-wrapped", "generic5-rejected"])
-    def test_certificate_cases_mix_phases(self, monkeypatch, instance, settings, phase, phase_sensitive):
-        # The L-BFGS, which serves one-parameter pairs, on these generic cases: rows wrap the pair memory,
-        # or reject a pair, while other rows backtrack or start a line search, and every certificate
-        # field is still the per-restart L-BFGS's.  At the default target distance the projective rows
-        # held 8 pairs when the race ended: a pair is pushed only by a row that runs on, and 1e-8 makes
-        # them wrap before the end.
-        monkeypatch.setattr(steering, "_one_parameter", lambda sys: True)
-        tally = PhaseTally(monkeypatch)
+    def test_certificate_cases_mix_phases(self, monkeypatch, instance, settings, phase_sensitive):
+        # Some rows have their trials rejected in rounds where others step, and every certificate field is
+        # still the per-restart reference's.
+        tally = LmTally(monkeypatch)
         sys, s0, target = instance()
         cfg = SteeringConfig(phase_sensitive=phase_sensitive, **settings)
         assert_certificate_is(steer(sys, s0, target, cfg), sequential_steer(sys, s0, target, cfg)[0], cfg)
-        assert getattr(tally, phase) > 0
+        assert tally.rejected > 0
         assert tally.mixed > 0
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_scripted_rows_equal_reference_every_round(self, monkeypatch):
-        # Five restarts on scripted objectives share one _Lbfgs: every round's
-        # trials and every outcome equal the per-restart reference's.
-        cfg = SteeringConfig(segments=4, restarts=5, max_iterations=80)
-        tally = PhaseTally(monkeypatch)
-        reasons = scripted_race(steering._Lbfgs, optimize_restart, scripted_objectives, cfg)
-        assert min(tally.wrapped, tally.rejected, tally.resets, tally.mixed) > 0
-        assert {"converged", "line_search_exhausted"} <= reasons
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scripted_lm_rows_equal_reference_every_round(self, monkeypatch):
@@ -1033,21 +973,6 @@ class TestLockstepEqualsSequential:
         reasons = scripted_race(steering._Lm, optimize_restart_lm, scripted_residuals, cfg)
         assert min(tally.rejected, tally.mixed, tally.capped) > 0
         assert reasons == set(steering._STOP_REASONS)
-
-    def test_non_descent_row_forgets_its_pairs(self):
-        # No stored pair has s.y <= 0, so -H g is always a descent direction up
-        # to rounding; a negative rho makes row 0's an ascent one.  That row
-        # goes down the gradient with an empty memory, beside row 1's two-loop.
-        g = np.array([[1.0, 0.5, -0.25], [1.0, 0.5, -0.25]])
-        s, y, rho = np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), [-1.0, 0.5]
-        lbfgs = steering._Lbfgs(np.zeros((2, 3)))
-        lbfgs.g, lbfgs.pairs[:, 0, 0], lbfgs.pairs[:, 0, 1], lbfgs.count[:] = g, s, y, 1
-        lbfgs.rho[:, 0], lbfgs.gamma[:] = rho, [1.0 / (r * float(y @ y)) for r in rho]
-        assert float(g[0] @ lbfgs_direction(g[0], [(s, y, rho[0])])) > 0.0
-        lbfgs._search(np.ones(2, bool), steering._dots(g, g))
-        assert np.array_equal(lbfgs.d, [-g[0], lbfgs_direction(g[1], [(s, y, rho[1])])])
-        assert lbfgs.slope[0] == -float(g[0] @ g[0])
-        assert (lbfgs.count.tolist(), lbfgs.gamma[0], np.count_nonzero(lbfgs.rho[0])) == ([0, 1], 1.0, 0)
 
     def test_generic5_verify_equals_per_restart_race(self, monkeypatch):
         # 20 targets of a generic n = 5 pair: 160 rows a round, past numpy's
@@ -1072,24 +997,31 @@ class TestLockstepEqualsSequential:
         sys, s0 = instance()
         counts = CountingKernels(monkeypatch)
         targets, certs = verify_reachability(sys, s0, samples=samples)
-        rounds = counts.forward_calls
+        rounds, passes = counts.forward_calls, counts.forward_passes
         cfg = SteeringConfig()
         lengths = []
         for target, cert in zip(targets, certs):
             reference, _, length = sequential_steer(sys, s0, target, cfg)
             assert_certificate_is(cert, reference, cfg)
             lengths.append(length)
-        # one wave under the default ROUND_BYTES: one lockstep round per round of the longest race
-        assert rounds == max(lengths) < sum(lengths)
-        # verify steers phase-sensitively; the lockstep code it shares with steer also runs projectively
+        if steering._one_parameter(sys) is None:
+            # one wave under the default ROUND_BYTES: one lockstep round per round of the longest race
+            assert rounds == max(lengths) < sum(lengths)
+        else:
+            # no race: one forward pass per target, of its constant schedule
+            assert rounds == passes == samples
+        # verify steers phase-sensitively; the code it shares with steer also runs projectively
         cfg = SteeringConfig(phase_sensitive=False)
         for target, cert in zip(targets, steering._steer_all(sys, s0, targets, cfg)):
             assert_certificate_is(cert, sequential_steer(sys, s0, target, cfg)[0], cfg)
 
-    def test_torus2_certificates_include_exhausted_restarts(self):
-        # so the torus2 cases above pin a winning restart that stopped as line_search_exhausted
+    def test_torus2_certificates_are_constant_schedules(self):
+        # the torus2 cases above pin hitting-scan certificates: constant schedules, converged, with no iteration
         _, certs = verify_reachability(*torus2_from_plus(), samples=4)
-        assert "line_search_exhausted" in {cert.stop_reason for cert in certs}
+        for cert in certs:
+            assert (cert.converged, cert.stop_reason, cert.iterations_used, cert.restart_index) == (
+                True, "converged", 0, 0)
+            assert np.all(cert.schedule.values == cert.schedule.values[0])
 
 
 class TestRace:
@@ -1139,7 +1071,7 @@ class TestRace:
     def test_off_moduli_torus_runs_every_restart(self, monkeypatch):
         # no restart converges, so the race never ends early: the default-config
         # certificate is the least distance over every restart run to its own end
-        sys, s0, target = off_moduli_torus()
+        sys, s0, target = off_moduli_torus2d()
         cfg = SteeringConfig()
         reference, evaluations, length = sequential_steer(sys, s0, target, cfg)
         assert reference[4] != "converged"
@@ -1229,22 +1161,6 @@ class TestTwoStages:
         assert np.array_equal(lm.trial[0], np.zeros(3) + step)
         assert np.array_equal(lm.columns, columns)
 
-    def test_lbfgs_backtrack_forms_no_derivative(self):
-        # A trial that fails Armijo's test halves the step along the same direction, and no gradient is asked for.
-        cfg = SteeringConfig(segments=3)
-        g = np.array([[1.0, -2.0, 0.5]])
-        lbfgs = steering._Lbfgs(np.zeros((1, 3)))
-        assert lbfgs.start(np.array([1.0]), cfg)[0] == steering._RUNNING
-        assert lbfgs.fresh.tolist() == [True]
-        lbfgs.step(g)
-        first = lbfgs.trial.copy()
-        assert lbfgs.take(np.array([2.0]), cfg)[0] == steering._RUNNING
-        assert lbfgs.fresh.tolist() == [False]
-        assert lbfgs.step(None)[0] == steering._RUNNING
-        assert np.array_equal(lbfgs.trial, 0.5 * first)
-        assert np.array_equal(lbfgs.g, g)
-
-
 def counted_closures(monkeypatch) -> list:
     """Patch the closure that ``orbit`` calls, the package's one caller, to tally its calls; returns the live tally."""
     tally, inner = [0], orbit.closure
@@ -1264,7 +1180,8 @@ def off_orbit_floor(sys, s0, target, phase_sensitive):
 
 
 def at_floor(floor, phase_sensitive):
-    """A target from |+> on the torus2 pair whose off-orbit floor is ``floor``: its moduli turn by an angle delta.
+    """A target from |+> on the diagonal torus pairs whose off-orbit floor is ``floor``: its moduli turn by an angle
+    delta.
 
     The phase-sensitive floor is ``F = 1 - cos(delta)``, and the projective one ``F (2 - F)``.
     """
@@ -1355,7 +1272,7 @@ class TestOffOrbit:
     @pytest.mark.parametrize("ratio, off_orbit", [(50.0, False), (200.0, True)])
     def test_floor_in_the_rounding_band_runs_the_optimizer(self, monkeypatch, phase_sensitive, ratio, off_orbit):
         # A floor within 100 target distances is left to the optimizer, which cannot converge below it either.
-        sys, s0, _ = off_moduli_torus()
+        sys, s0, _ = off_moduli_torus2d()
         cfg = SteeringConfig(segments=10, restarts=2, max_iterations=20, phase_sensitive=phase_sensitive)
         target = at_floor(ratio * cfg.target_distance, phase_sensitive)
         assert off_orbit_floor(sys, s0, target, phase_sensitive) == pytest.approx(
@@ -1365,6 +1282,20 @@ class TestOffOrbit:
         assert (cert.stop_reason == "off_orbit") == off_orbit
         assert (counts.derivatives > 0) == (not off_orbit)
         assert not cert.converged
+
+    @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
+    @pytest.mark.parametrize("ratio, off_orbit", [(50.0, False), (200.0, True)])
+    def test_floor_in_the_rounding_band_runs_the_scan(self, monkeypatch, phase_sensitive, ratio, off_orbit):
+        # On a one-parameter pair, such a floor is left to the hitting scan, which finds no hit below it.
+        sys, s0, _ = off_moduli_torus()
+        cfg = SteeringConfig(segments=10, restarts=2, max_iterations=20, phase_sensitive=phase_sensitive)
+        target = at_floor(ratio * cfg.target_distance, phase_sensitive)
+        counts = CountingKernels(monkeypatch)
+        cert = steer(sys, s0, target, cfg)
+        assert cert.stop_reason == ("off_orbit" if off_orbit else "max_iterations")
+        assert (counts.forward_passes, counts.derivatives) == (1, 0)
+        assert not cert.converged
+        assert cert.achieved_distance >= off_orbit_floor(sys, s0, target, phase_sensitive) - 1e-12
 
     @pytest.mark.parametrize("pair", ["su2", "generic4", "so3u1"])
     def test_non_commuting_pair_pays_no_closure(self, monkeypatch, pair):
@@ -1404,7 +1335,8 @@ class TestBatchedGradient:
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_rows_equal_gradient_bit_for_bit(self, n, phase_sensitive):
-        # 64 rows at n = 6 pass numpy's 256 KiB temporary-elision size
+        # Each stacked row's distance and J^T r are the lone distance and gradient, bit for bit: gradient is the
+        # one-row composition of a round's two stages.  64 rows at n = 6 pass numpy's 256 KiB temporary-elision size
         rng = np.random.default_rng(300 + n)
         sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
         s0 = StateVector(random_unit(rng, n))
@@ -1413,8 +1345,9 @@ class TestBatchedGradient:
             values = rng.uniform(-2.0, 2.0, (rows, durations.size))
             values[rows // 2] = 0.0
             targets = np.array([random_unit(rng, n) for _ in range(rows)])
-            f, g = evaluate(sys, durations, values, s0.c, targets, phase_sensitive)
-            assert f.shape == (rows,) and g.shape == (rows, durations.size)
+            f, r, columns = linearize(sys, durations, values, s0.c, targets, phase_sensitive)
+            g = [columns[i] @ r[i] for i in range(rows)]
+            assert f.shape == (rows,) and columns.shape == (rows, durations.size, 2 * n)
             for i in range(rows):
                 sched, target = ControlSchedule(durations, values[i]), StateVector(targets[i])
                 end = StateVector(forward_pass(sys, durations, values[i], s0.c)[3][-1])
@@ -1447,6 +1380,7 @@ class TestLinearize:
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_columns_times_residual_is_the_gradient(self, n, phase_sensitive):
+        # J^T r is the distance's gradient, against the augmented block exponential's, an independent route
         rng = np.random.default_rng(500 + n)
         sys = ControlSystem(random_skew(rng, n), random_skew(rng, n))
         s0 = StateVector(random_unit(rng, n))
@@ -1454,10 +1388,9 @@ class TestLinearize:
         values = rng.uniform(-2.0, 2.0, (8, 9))
         targets = np.array([random_unit(rng, n) for _ in range(8)])
         f, r, columns = linearize(sys, durations, values, s0.c, targets, phase_sensitive)
-        f_ref, g = evaluate(sys, durations, values, s0.c, targets, phase_sensitive)
-        assert np.array_equal(f, f_ref)
         for i in range(8):
-            assert np.max(np.abs(columns[i] @ r[i] - g[i])) <= 1e-12 * np.max(np.abs(g[i]))
+            g = block_expm_distance_gradient(sys, durations, values[i], s0, StateVector(targets[i]), phase_sensitive)
+            assert np.max(np.abs(columns[i] @ r[i] - g)) <= 1e-12 * np.max(np.abs(g))
 
     @pytest.mark.parametrize("phase_sensitive", [True, False], ids=["phase", "projective"])
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -1527,33 +1460,66 @@ class TestLinearize:
 
 
 class TestRouting:
-    """One-parameter pairs take L-BFGS steps on the gradient; every other pair Levenberg-Marquardt ones."""
+    """One-parameter pairs take the hitting scan; every other pair Levenberg-Marquardt steps."""
 
     @staticmethod
     def routed(monkeypatch, sys, s0, target, cfg):
-        """The descent class that ``steer``'s race built, and the certificate."""
+        """Whether ``steer``'s race built an ``_Lm``, and the certificate."""
         built = []
-        for name in ("_Lbfgs", "_Lm"):
-            class Recorded(getattr(steering, name)):
-                def __init__(self, starts, name=name):
-                    built.append(name)
-                    super().__init__(starts)
-            monkeypatch.setattr(steering, name, Recorded)
+
+        class Recorded(steering._Lm):
+            def __init__(self, starts):
+                built.append("_Lm")
+                super().__init__(starts)
+
+        monkeypatch.setattr(steering, "_Lm", Recorded)
         cert = race_one(sys, s0, target, cfg)
         return built, cert
 
     @pytest.mark.parametrize("pair", ["B=2A", "B=0", "A=0"])
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
-    def test_one_parameter_pairs_take_lbfgs(self, monkeypatch, pair, scale):
+    def test_one_parameter_pairs_take_the_scan(self, monkeypatch, pair, scale):
         rng = np.random.default_rng(9)
         W = haar_unitary(rng, 3)
         A = W @ np.diag(1j * np.array([1.0, np.sqrt(2.0), -0.4])) @ W.conj().T
         A, B = {"B=2A": (A, 2.0 * A), "B=0": (A, np.zeros((3, 3))), "A=0": (np.zeros((3, 3)), A)}[pair]
-        assert steering._one_parameter(ControlSystem(scale * A, scale * B))
+        sys = ControlSystem(scale * A, scale * B)
+        assert steering._one_parameter(sys) is not None
         s0, target = StateVector(random_unit(rng, 3)), StateVector(random_unit(rng, 3))
-        cfg = SteeringConfig(restarts=2, max_iterations=3)
-        built, _ = self.routed(monkeypatch, ControlSystem(A, B), s0, target, cfg)
-        assert built == ["_Lbfgs"]
+        counts = CountingKernels(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built, cert = self.routed(monkeypatch, sys, s0, target, SteeringConfig())
+        assert built == []
+        assert (counts.forward_calls, counts.forward_passes, counts.derivatives) == (1, 1, 0)
+        assert (cert.iterations_used, cert.restart_index) == (0, 0)
+        assert np.all(cert.schedule.values == cert.schedule.values[0])
+        if pair == "B=0":
+            assert (cert.stop_reason, cert.schedule.values[0]) == ("zero_gradient", 0.0)
+        elif scale == 1e300 and pair == "B=2A":  # the zero schedule's phases are past double precision
+            assert (cert.stop_reason, cert.schedule.values[0]) == ("line_search_exhausted", 0.0)
+        else:  # a random target is off the curve: the closest approach
+            assert cert.stop_reason == "max_iterations"
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), pair=st.sampled_from(["B=bA", "A=0"]),
+           beta=st.floats(-3.0, 3.0).filter(lambda beta: abs(beta) >= 0.05), theta=st.floats(-40.0, 40.0),
+           phase_sensitive=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_one_parameter_targets_converge(self, seed, n, pair, beta, theta, phase_sensitive):
+        # Every point exp(theta X) c0 of the curve, inside the scan's window, is one constant control away.
+        rng = np.random.default_rng(seed)
+        W = haar_unitary(rng, n)
+        A = W @ np.diag(1j * rng.uniform(-2.0, 2.0, n)) @ W.conj().T
+        sys = ControlSystem(A, beta * A) if pair == "B=bA" else ControlSystem(np.zeros((n, n)), A)
+        s0 = StateVector(random_unit(rng, n))
+        target = StateVector(matrix_exp(A, theta / np.linalg.norm(A)) @ s0.c)
+        cfg = SteeringConfig(phase_sensitive=phase_sensitive)
+        cert = steer(sys, s0, target, cfg)
+        assert (cert.converged, cert.stop_reason, cert.iterations_used, cert.restart_index) == (
+            True, "converged", 0, 0)
+        assert np.all(cert.schedule.values == cert.schedule.values[0])
+        final = propagate(sys, s0, cert.schedule, samples_per_segment=1).final_state
+        assert cert.achieved_distance == distance(final, target, phase_sensitive)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     @pytest.mark.parametrize("tilt, one_parameter", [(1e-13, True), (1e-6, False)])
@@ -1562,7 +1528,7 @@ class TestRouting:
         rng = np.random.default_rng(10)
         A, X = random_skew(rng, 4), random_skew(rng, 4)
         B = -3.0 * A + tilt * 3.0 * np.linalg.norm(A) * X / np.linalg.norm(X)
-        assert steering._one_parameter(ControlSystem(scale * A, scale * B)) == one_parameter
+        assert (steering._one_parameter(ControlSystem(scale * A, scale * B)) is not None) == one_parameter
 
     @pytest.mark.parametrize("instance", [su2_up_to_down, generic4], ids=["su2", "generic4"])
     def test_generic_pairs_take_lm(self, monkeypatch, instance):
@@ -1648,6 +1614,14 @@ class TestVerifyReachability:
         seeds = np.random.default_rng(7).integers(0, 2**63 - 1, size=2)  # the master's per-sample seeds
         for target, seed in zip(targets, seeds.tolist()):
             assert np.array_equal(target.c, orbit.sample_orbit(sys, s0, 3, seed=seed)[0].c)
+
+    def test_torus2_passes_at_its_defaults(self, torus_system, plus_state):
+        # The paper's non-compact case: every target is a point of the curve, hit by one constant control.
+        targets, certs = verify_reachability(torus_system, plus_state)
+        assert [cert.converged for cert in certs] == [True] * 20
+        for target, cert in zip(targets, certs):
+            final = propagate(torus_system, plus_state, cert.schedule, samples_per_segment=1).final_state
+            assert cert.achieved_distance == distance(final, target)
 
     def test_overflowing_word_raises_without_warning(self, basis_state):
         sys = ControlSystem(1e308j * SIGMA_Z, 1e308j * SIGMA_X)
